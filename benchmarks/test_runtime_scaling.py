@@ -25,7 +25,12 @@ import warnings
 from benchmarks.conftest import banner, emit, emit_metric
 from repro.perf import cell_payloads
 from repro.runtime import TrialPool, default_workers
-from repro.runtime.batch import BatchStats, run_trials_batched
+from repro.runtime.batch import (
+    BatchStats,
+    clear_leader_trace_cache,
+    leader_cache_enabled,
+    run_trials_batched,
+)
 from repro.runtime.tasks import clear_worker_contexts, run_trial
 from repro.sim.machine import Machine
 from repro.whisper.channel import TetCovertChannel
@@ -107,19 +112,32 @@ def test_runtime_scaling(benchmark):
         )
 
 
-def run_batched_cell(batch: int):
-    """One e3-matrix cell through the batch executor at *batch* lanes."""
-    payloads = cell_payloads("e3-matrix", 0, limit=48)
+def timed_batched(payloads, batch: int):
+    """Time *payloads* through the batch executor at *batch* lanes.
+
+    The warm-up fills the worker context and the decode caches, but its
+    packs share the timed packs' leader-cache key, so the leader cache
+    is cleared before the timed pass: otherwise every timed pack would
+    replay the warm-up's leader.  The timed pass counts into its own
+    ``BatchStats``, and at least one leader-cache miss pins the fix.
+    """
     clear_worker_contexts()
+    run_trials_batched(payloads[:3], batch)
+    clear_leader_trace_cache()
     stats = BatchStats()
-    if batch == 1:
-        run_trials_batched(payloads[:3], batch)  # warm contexts and caches
-    else:
-        run_trials_batched(payloads[:3], batch, stats)
     start = time.perf_counter()
     results = run_trials_batched(payloads, batch, stats)
     elapsed = time.perf_counter() - start
+    if batch > 1 and leader_cache_enabled():
+        assert stats.leader_cache_misses >= 1, (
+            f"batch {batch}: the timed pass replayed the warm-up's leader"
+        )
     return results, elapsed, stats
+
+
+def run_batched_cell(batch: int):
+    """One e3-matrix cell through the batch executor at *batch* lanes."""
+    return timed_batched(cell_payloads("e3-matrix", 0, limit=48), batch)
 
 
 def test_batch_scaling(benchmark):
@@ -159,17 +177,7 @@ def test_batch_scaling(benchmark):
 def run_batched_kaslr_cell(batch: int):
     """One e9-kaslr cell slice through the batch executor at *batch*
     lanes: translation-shadow packs plus the leader trace cache."""
-    payloads = cell_payloads("e9-kaslr", 0, limit=64)
-    clear_worker_contexts()
-    stats = BatchStats()
-    if batch == 1:
-        run_trials_batched(payloads[:3], batch)  # warm contexts and caches
-    else:
-        run_trials_batched(payloads[:3], batch, stats)
-    start = time.perf_counter()
-    results = run_trials_batched(payloads, batch, stats)
-    elapsed = time.perf_counter() - start
-    return results, elapsed, stats
+    return timed_batched(cell_payloads("e9-kaslr", 0, limit=64), batch)
 
 
 def test_kaslr_batch_scaling(benchmark):

@@ -19,8 +19,7 @@ command       what it does
 ``faults``    the fault-injection layer: ``demo`` proves the
               determinism-of-failure contract live
 ``perf``      the hot-path harness: ``profile`` a campaign cell under
-              cProfile, ``bench`` trial throughput against the committed
-              baseline (CI's >30%-regression gate)
+              cProfile
 ``obs``       recorded-run observability: ``report|trace|tail`` replay a
               ``campaign run --trace-out`` JSONL, ``overhead`` gates
               telemetry's cost (disabled <2%, enabled <15%)
@@ -234,27 +233,6 @@ def cmd_perf_profile(args) -> int:
         limit=args.limit,
     )
     return 0
-
-
-def cmd_perf_bench(args) -> int:
-    import os
-
-    from repro.perf import run_bench
-
-    if getattr(args, "no_leader_cache", False):
-        os.environ["REPRO_BATCH_LEADER_CACHE"] = "0"
-    result = run_bench(
-        campaign=args.campaign,
-        cell=args.cell,
-        trials=args.trials,
-        repeats=args.repeats,
-        quick=args.quick,
-        baseline_path=args.baseline,
-        report_path=args.report,
-        update_baseline=args.update_baseline,
-        batch=args.batch,
-    )
-    return 1 if result.regressed else 0
 
 
 def cmd_obs_report(args) -> int:
@@ -1126,9 +1104,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fdemo.set_defaults(func=cmd_faults_demo)
 
-    perf = sub.add_parser(
-        "perf", help="hot-path profiling and throughput benchmarking"
-    )
+    perf = sub.add_parser("perf", help="hot-path profiling")
     psub = perf.add_subparsers(dest="perf_command", required=True)
 
     def _perf_common(sub_parser):
@@ -1158,52 +1134,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="rows of profile output (default: 25)",
     )
     pprofile.set_defaults(func=cmd_perf_profile)
-
-    pbench = psub.add_parser(
-        "bench",
-        help="measure trials/second and gate against the committed baseline",
-    )
-    _perf_common(pbench)
-    pbench.add_argument(
-        "--trials", type=int, default=48,
-        help="trials per timed pass (default: 48)",
-    )
-    pbench.add_argument(
-        "--repeats", type=int, default=5,
-        help="timed passes; the best one is reported (default: 5)",
-    )
-    pbench.add_argument(
-        "--quick", action="store_true",
-        help="CI smoke mode: at most 16 trials x 3 passes",
-    )
-    pbench.add_argument(
-        "--baseline", default="benchmarks/perf_baseline.json",
-        help="committed baseline path (default: benchmarks/perf_baseline.json)",
-    )
-    pbench.add_argument(
-        "--report", default="benchmarks/reports/reproduction_report.json",
-        help="reproduction-report JSON to merge metrics into "
-        "('' disables the merge)",
-    )
-    pbench.add_argument(
-        "--update-baseline", action="store_true",
-        help="record this measurement as the new baseline instead of "
-        "gating against it",
-    )
-    pbench.add_argument(
-        "--batch", type=int, default=None, metavar="B",
-        help="time the lockstep batch executor with B lanes per pack "
-        "instead of the scalar path (results are byte-identical; gates "
-        "against the baseline's batch_scores entry, or kaslr_batch_scores "
-        "for a KASLR cell)",
-    )
-    pbench.add_argument(
-        "--no-leader-cache", action="store_true",
-        help="disable the cross-pack leader trace cache for this run "
-        "(sets REPRO_BATCH_LEADER_CACHE=0; results stay byte-identical, "
-        "only the pack leader re-executes)",
-    )
-    pbench.set_defaults(func=cmd_perf_bench)
 
     obs = sub.add_parser(
         "obs", help="recorded-run observability (repro.telemetry)"

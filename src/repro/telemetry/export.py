@@ -13,8 +13,8 @@ Three consumers, three formats:
   drive the timeline; otherwise a deterministic preorder timeline is
   synthesised from sequence numbers (every span still nests correctly).
 * **Cycle attribution** -- a flamegraph-style text rollup of simulated
-  cycles by span path, the summary the perf regression gate prints so a
-  CI failure names *where* the cycles went.
+  cycles by span path, the summary ``repro obs report`` prints so a
+  slow run names *where* the cycles went.
 
 :func:`records_checksum` hashes a trace with the ``wall``/``host``
 sidecar fields stripped: telemetry-on runs of the same seed at the same

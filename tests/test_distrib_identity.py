@@ -295,11 +295,11 @@ class TestSchemaVersion:
         from repro.perf import merge_report_metrics
 
         path = str(tmp_path / "reproduction_report.json")
-        merge_report_metrics(path, "perf_bench", {"trials_per_second": 1.0})
+        merge_report_metrics(path, "section", {"trials_per_second": 1.0})
         with open(path) as handle:
             report = json.load(handle)
         assert report["schema_version"] == REPORT_SCHEMA_VERSION
-        assert report["perf_bench"]["trials_per_second"] == 1.0
+        assert report["section"]["trials_per_second"] == 1.0
 
     def test_reproduction_report_refuses_cross_version_merge(self, tmp_path):
         """Sections written under a different schema version are dropped,
@@ -316,18 +316,18 @@ class TestSchemaVersion:
                 },
                 handle,
             )
-        merge_report_metrics(path, "perf_bench", {"trials_per_second": 2.0})
+        merge_report_metrics(path, "section", {"trials_per_second": 2.0})
         with open(path) as handle:
             report = json.load(handle)
         assert report["schema_version"] == REPORT_SCHEMA_VERSION
         assert "old_bench" not in report
-        assert report["perf_bench"] == {"trials_per_second": 2.0}
+        assert report["section"] == {"trials_per_second": 2.0}
 
         # Same-version sections DO merge and survive.
         merge_report_metrics(path, "runtime_scaling", {"host_cpus": 4})
         with open(path) as handle:
             report = json.load(handle)
-        assert report["perf_bench"] == {"trials_per_second": 2.0}
+        assert report["section"] == {"trials_per_second": 2.0}
         assert report["runtime_scaling"] == {"host_cpus": 4}
 
 
@@ -340,8 +340,8 @@ class TestBatchThroughDistrib:
     Two invariants: the merged artifacts stay byte-identical to a scalar
     single-host run (batching is scheduling, so it must be invisible to
     the store and the report), while the ``batch_size`` the run used
-    *does* survive where it belongs -- the ``campaign.run`` telemetry
-    span and the reproduction report's ``perf_bench`` section.
+    *does* survive where it belongs -- the ``campaign.run`` and
+    ``batch.pack`` telemetry spans.
     """
 
     def test_batched_shards_merge_to_scalar_bytes(self, tmp_path):
@@ -412,21 +412,6 @@ class TestBatchThroughDistrib:
         assert all(
             record.get("attrs", {}).get("batch_size") == 4 for record in packs
         )
-
-    def test_batch_size_survives_report_merge(self, tmp_path):
-        """perf_bench metrics carry batch_size through the reproduction
-        report's section-merge idiom (the shard/merge report path)."""
-        from repro.perf import merge_report_metrics
-
-        path = str(tmp_path / "reproduction_report.json")
-        merge_report_metrics(
-            path, "perf_bench", {"batch_size": 17, "trials_per_second": 5.0}
-        )
-        merge_report_metrics(path, "runtime_scaling", {"host_cpus": 4})
-        with open(path) as handle:
-            report = json.load(handle)
-        assert report["perf_bench"]["batch_size"] == 17
-        assert report["runtime_scaling"] == {"host_cpus": 4}
 
 
 # -- shard-local runner behaviour ----------------------------------------------

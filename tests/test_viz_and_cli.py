@@ -120,3 +120,13 @@ class TestCli:
         captured = capsys.readouterr()
         assert exit_code == 0
         assert "condition-sensitive" in captured.out
+
+    def test_perf_profile_and_retired_bench(self, capsys):
+        exit_code = main(["perf", "profile", "--trials", "2", "--limit", "3"])
+        captured = capsys.readouterr()
+        assert exit_code == 0
+        assert "perf profile: e3-matrix cell 0" in captured.out
+        # Throughput is the campaign ledger's job: no bench subcommand.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["perf", "bench"])
+        assert excinfo.value.code == 2
