@@ -50,7 +50,7 @@ from repro.campaign.spec import (
 from repro.campaign.store import (
     ResultStore,
     StoredOutcome,
-    canonical_encode,
+    canonical_json,
     spec_digest,
     trial_key,
 )
@@ -72,7 +72,7 @@ __all__ = [
     "build_report",
     "builtin_campaign",
     "builtin_names",
-    "canonical_encode",
+    "canonical_json",
     "channel_cell",
     "detect_cell",
     "freeze_params",

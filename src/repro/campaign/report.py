@@ -22,7 +22,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro import __version__ as REPRO_VERSION
 from repro.campaign.spec import CampaignSpec, TrialRef
-from repro.campaign.store import canonical_encode, spec_digest
+from repro.campaign.store import canonical_json, spec_digest
 from repro.kernel.kaslr import randomize_layout
 from repro.runtime.tasks import TrialFailure, TrialResult
 from repro.uarch.config import cpu_model
@@ -266,7 +266,7 @@ def build_report(
 
 
 def _machine_record(machine) -> dict:
-    record = canonical_encode(machine)
+    record = json.loads(canonical_json(machine))
     record.pop("__type__", None)
     return record
 

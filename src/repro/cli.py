@@ -911,7 +911,7 @@ def build_parser() -> argparse.ArgumentParser:
     crun.add_argument(
         "--require-cached", type=float, default=None, metavar="FRACTION",
         help="exit non-zero if the store hit rate is below FRACTION "
-        "(CI uses 0.9 to police the cache)",
+        "(CI uses 1.0 to police the cache)",
     )
     crun.add_argument(
         "--retry", type=int, default=0, metavar="N",

@@ -283,16 +283,17 @@ def training_samples(spec, store) -> List[Tuple[str, FeatureVector, bool]]:
     from repro.defend.scenarios import get_scenario
 
     refs = spec.expand()
-    cached = store.get_many([trial_key(ref.trial) for ref in refs])
+    keys = [trial_key(ref.trial) for ref in refs]
+    cached = store.get_many(keys)
     samples: List[Tuple[str, FeatureVector, bool]] = []
-    for ref in refs:
+    for ref, key in zip(refs, keys):
         cell = spec.cells[ref.cell]
         if cell.kind != "detect":
             continue
         scenario = get_scenario(cell.param("scenario"))
         if scenario.training_label is None:
             continue
-        outcome = cached.get(trial_key(ref.trial))
+        outcome = cached.get(key)
         if outcome is None or not hasattr(outcome, "totes"):
             continue
         samples.append(

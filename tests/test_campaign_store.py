@@ -2,25 +2,46 @@
 
 The contract under test: a trial's key changes iff something that could
 change its outcome changes (machine model, boot seed, trial count, test
-value, repro version), the JSONL store survives process boundaries, and
-damaged records degrade to a warning plus re-execution -- never a wrong
-result.
+value, repro version), keys and record lines are byte-identical to the
+two-pass reference encoding, the JSONL store survives process
+boundaries, and damaged records degrade to a warning plus re-execution
+-- never a wrong result.
+
+The property half runs under Hypothesis when it is installed; a
+seeded-``random`` fallback exercises the same check when it is not (the
+arrangement of ``test_faults_properties.py``).
 """
 
 import dataclasses
+import hashlib
+import json
+import random
 
 import pytest
 
+from repro import __version__ as REPRO_VERSION
 from repro.campaign import (
+    BUILTIN_CAMPAIGNS,
     CampaignSpec,
     ResultStore,
-    canonical_encode,
+    canonical_json,
     channel_cell,
     kaslr_cell,
     spec_digest,
     trial_key,
 )
+from repro.campaign.builtin import MATRIX_CPUS
+from repro.campaign.store import STORE_FORMAT, _record_sum
 from repro.runtime import ChannelTrial, MachineSpec, TrialResult
+from repro.runtime.tasks import DetectTrial, KaslrTrial, TrialFailure
+
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    HAVE_HYPOTHESIS = True
+except ImportError:  # pragma: no cover - depends on environment
+    HAVE_HYPOTHESIS = False
 
 
 def make_trial(**overrides) -> ChannelTrial:
@@ -30,6 +51,97 @@ def make_trial(**overrides) -> ChannelTrial:
         target = spec_fields if key in spec_fields else trial_fields
         target[key] = value
     return ChannelTrial(spec=MachineSpec(**spec_fields), **trial_fields)
+
+
+# -- the two-pass reference encoding -------------------------------------------
+
+
+def canonical_encode(obj):
+    """Reduce *obj* to plain JSON values (the reference encoder).
+
+    Dataclasses carry their type name, bytes become hex, tuples become
+    lists.  ``json.dumps(sort_keys=True, separators=(",", ":"))`` of the
+    result is the text :func:`canonical_json` must write directly.
+    """
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        fields = {
+            field.name: canonical_encode(getattr(obj, field.name))
+            for field in dataclasses.fields(obj)
+        }
+        return {"__type__": type(obj).__name__, **fields}
+    if isinstance(obj, (bytes, bytearray)):
+        return {"__bytes__": bytes(obj).hex()}
+    if isinstance(obj, (tuple, list)):
+        return [canonical_encode(item) for item in obj]
+    if isinstance(obj, dict):
+        return {str(key): canonical_encode(value) for key, value in obj.items()}
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return obj
+    raise TypeError(f"cannot canonically encode {type(obj).__name__}")
+
+
+def reference_json(obj) -> str:
+    return json.dumps(canonical_encode(obj), sort_keys=True, separators=(",", ":"))
+
+
+def reference_digest(payload) -> str:
+    return hashlib.sha256(reference_json(payload).encode()).hexdigest()
+
+
+def reference_trial_key(trial, version=REPRO_VERSION) -> str:
+    return reference_digest({"format": STORE_FORMAT, "version": version, "trial": trial})
+
+
+def reference_spec_digest(spec) -> str:
+    return reference_digest(
+        {"format": STORE_FORMAT, "version": REPRO_VERSION, "spec": spec}
+    )
+
+
+def check_matches_reference(payload):
+    assert canonical_json(payload) == reference_json(payload)
+    assert trial_key(payload) == reference_trial_key(payload)
+
+
+@dataclasses.dataclass(frozen=True)
+class Oddities:
+    """Field names on both sides of ``__type__``: "Upper" < "__type__" <
+    "_under" < "lower"."""
+
+    Upper: object = None
+    _under: object = None
+    lower: object = None
+
+
+@dataclasses.dataclass
+class Mutable:
+    value: object = None
+
+
+# -- keys ----------------------------------------------------------------------
+
+
+#: Keys the two-pass encoder wrote at version 1.0.0.
+PINNED_KEYS = [
+    (
+        ChannelTrial(
+            spec=MachineSpec(model="i7-7700", seed=9), byte=0x41, test=0x41,
+            batches=2, trial_index=3, suppression="tsx",
+        ),
+        "a3db1bcf0693f7a31cadfe6d8b59b9c046da479acc4a470158e2d1adc7f51488",
+    ),
+    (
+        KaslrTrial(
+            spec=MachineSpec(secret=b"\x00\xff", kpti=True),
+            va=0xFFFFFFFF81000000, cr3_switch=True, trial_index=7,
+        ),
+        "bdbdbe51101a719b5c2910660b7e70086757ecc5f16d9693f89a35349780f2db",
+    ),
+    (
+        DetectTrial(spec=MachineSpec(seed=None), scenario="tet-cc", trial_index=5),
+        "b4a31b45efd880f1c4872dd845276cc0a42cb9af8a83ab2615dcef057eef8f89",
+    ),
+]
 
 
 class TestTrialKey:
@@ -58,22 +170,158 @@ class TestTrialKey:
         assert len(key) == 64
         int(key, 16)
 
+    @pytest.mark.parametrize(
+        "trial, key", PINNED_KEYS, ids=["channel-tsx", "kaslr-secret-kpti", "detect-unseeded"]
+    )
+    def test_pinned_keys(self, trial, key):
+        assert trial_key(trial, version="1.0.0") == key
+
 
 class TestCanonicalEncoding:
     def test_bytes_become_hex(self):
-        assert canonical_encode(b"\x01\xff") == {"__bytes__": "01ff"}
+        assert canonical_json(b"\x01\xff") == '{"__bytes__":"01ff"}'
 
     def test_tuples_and_lists_agree(self):
-        assert canonical_encode((1, 2)) == canonical_encode([1, 2])
+        assert canonical_json((1, 2)) == canonical_json([1, 2]) == "[1,2]"
 
     def test_dataclasses_carry_their_type(self):
-        encoded = canonical_encode(MachineSpec(seed=4))
+        encoded = json.loads(canonical_json(MachineSpec(seed=4)))
         assert encoded["__type__"] == "MachineSpec"
         assert encoded["seed"] == 4
 
     def test_unencodable_raises(self):
         with pytest.raises(TypeError):
-            canonical_encode(object())
+            canonical_json(object())
+
+
+class TestReferenceIdentity:
+    @pytest.mark.parametrize("name", sorted(BUILTIN_CAMPAIGNS))
+    def test_builtin_campaigns(self, name):
+        spec = BUILTIN_CAMPAIGNS[name]()
+        assert canonical_json(spec) == reference_json(spec)
+        assert spec_digest(spec) == reference_spec_digest(spec)
+        for ref in spec.expand():
+            assert trial_key(ref.trial) == reference_trial_key(ref.trial)
+
+    def test_equal_specs_keep_their_own_text(self):
+        """``seed=1`` and ``seed=True`` compare and hash equal but encode
+        as ``1`` and ``true``, whichever of the two is keyed first."""
+        for seeds in ((1, True), (True, 1)):
+            specs = [MachineSpec(seed=seed) for seed in seeds]
+            assert specs[0] == specs[1] and hash(specs[0]) == hash(specs[1])
+            for spec in specs:
+                check_matches_reference(
+                    DetectTrial(spec=spec, scenario="tet-cc", trial_index=0)
+                )
+                check_matches_reference(spec)
+        assert canonical_json(MachineSpec(seed=1)) != canonical_json(
+            MachineSpec(seed=True)
+        )
+
+    def test_mutable_values_are_re_encoded(self):
+        box = Mutable(value=1)
+        first = canonical_json(box)
+        box.value = True
+        assert canonical_json(box) == reference_json(box) != first
+        holder = Oddities(lower=[1])
+        first = canonical_json(holder)
+        holder.lower.append(2)
+        assert canonical_json(holder) == reference_json(holder) != first
+
+
+def random_machine(rng: random.Random) -> MachineSpec:
+    return MachineSpec(
+        model=rng.choice(MATRIX_CPUS),
+        seed=rng.choice([None, 0, 1, True, False, 2**63, rng.getrandbits(31)]),
+        kpti=rng.random() < 0.5,
+        secret=rng.choice([None, b"", b"\x00\xff"]),
+        noise_amplitude=rng.choice([0, 2]),
+    )
+
+
+def random_payload(rng: random.Random, depth: int = 0):
+    kind = rng.randrange(12 if depth < 3 else 6)
+    if kind == 0:
+        return None
+    if kind == 1:
+        return rng.random() < 0.5
+    if kind == 2:
+        return rng.choice([0, -1, 2**64, -(2**70), rng.getrandbits(40)])
+    if kind == 3:
+        return rng.choice(
+            [0.0, -0.0, 1e300, 5e-324, float("nan"), float("inf"),
+             float("-inf"), rng.uniform(-1e6, 1e6)]
+        )
+    if kind == 4:
+        alphabet = 'aZ_"\\\n\t\x00\x7fé€\U0001f600 '
+        return "".join(rng.choice(alphabet) for _ in range(rng.randrange(6)))
+    if kind == 5:
+        return rng.choice([bytes, bytearray])(rng.getrandbits(8) for _ in range(3))
+    children = [random_payload(rng, depth + 1) for _ in range(rng.randrange(4))]
+    if kind == 6:
+        return tuple(children)
+    if kind == 7:
+        return children
+    if kind == 8:
+        keys = ["k", "a", "Z", "_", "3", 3, "__type__"]
+        return {rng.choice(keys): child for child in children}
+    if kind == 9:
+        return random_machine(rng)
+    if kind == 10:
+        return ChannelTrial(
+            spec=random_machine(rng), byte=rng.randrange(256),
+            test=rng.randrange(257), batches=rng.randrange(1, 4),
+            trial_index=rng.getrandbits(20),
+            suppression=rng.choice([None, "tsx", "signal"]),
+        )
+    return Oddities(*(children + [None] * 3)[:3])
+
+
+class TestSeededReference:
+    def test_random_payloads_match_reference(self):
+        rng = random.Random(0xC0DEC)
+        for _ in range(500):
+            check_matches_reference(random_payload(rng))
+
+
+if HAVE_HYPOTHESIS:
+    leaves = st.one_of(
+        st.none(), st.booleans(), st.integers(), st.floats(),
+        st.text(max_size=8), st.binary(max_size=4),
+    )
+    machines = st.builds(
+        MachineSpec,
+        model=st.sampled_from(MATRIX_CPUS),
+        seed=st.one_of(st.none(), st.booleans(), st.integers()),
+        kpti=st.booleans(),
+        secret=st.one_of(st.none(), st.binary(max_size=4)),
+        noise_amplitude=st.integers(0, 3),
+    )
+    payloads = st.recursive(
+        st.one_of(leaves, machines),
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=4).map(tuple),
+            st.dictionaries(
+                st.one_of(st.text(max_size=4), st.integers(-3, 3)),
+                children, max_size=4,
+            ),
+            st.builds(Oddities, children, children, children),
+            st.builds(
+                ChannelTrial, spec=machines, byte=st.integers(0, 255),
+                test=st.integers(0, 256), batches=st.integers(1, 3),
+                trial_index=st.integers(0, 2**20),
+                suppression=st.sampled_from([None, "tsx", "signal"]),
+            ),
+        ),
+        max_leaves=12,
+    )
+
+    class TestHypothesisReference:
+        @given(payload=payloads)
+        @settings(max_examples=300, deadline=None)
+        def test_payloads_match_reference(self, payload):
+            check_matches_reference(payload)
 
 
 class TestSpecDigest:
@@ -135,6 +383,69 @@ class TestResultStore:
         assert len(ResultStore(str(tmp_path / "nowhere"))) == 0
 
 
+# -- records -------------------------------------------------------------------
+
+
+#: A result and a failure record, byte for byte as the two-pass encoder
+#: wrote them.
+RESULT = TrialResult(totes=(278, 270, 271), cycles=52611)
+RESULT_KEY = PINNED_KEYS[0][1]
+RESULT_LINE = (
+    '{"key":"a3db1bcf0693f7a31cadfe6d8b59b9c046da479acc4a470158e2d1adc7f51488",'
+    '"result":{"cycles":52611,"totes":[278,270,271]},"sum":"af60f39c042510f4"}'
+)
+FAILURE = TrialFailure(
+    attempts=3,
+    faults=("raise", "timeout", "worker-lost"),
+    error="trial exceeded its 2.0 s deadline",
+)
+FAILURE_KEY = PINNED_KEYS[2][1]
+FAILURE_LINE = (
+    '{"failure":{"attempts":3,"error":"trial exceeded its 2.0 s deadline",'
+    '"faults":["raise","timeout","worker-lost"]},'
+    '"key":"b4a31b45efd880f1c4872dd845276cc0a42cb9af8a83ab2615dcef057eef8f89",'
+    '"sum":"b1f991741c6359d0"}'
+)
+PINNED_RECORDS = [(RESULT_KEY, RESULT, RESULT_LINE), (FAILURE_KEY, FAILURE, FAILURE_LINE)]
+
+
+class TestRecordCodec:
+    @pytest.mark.parametrize("key, outcome, line", PINNED_RECORDS, ids=["result", "failure"])
+    def test_pinned_line_round_trips(self, tmp_path, key, outcome, line):
+        store = ResultStore(str(tmp_path))
+        assert store._encode_record(key, outcome) == line
+        store.put(key, outcome)
+        with open(store.path) as handle:
+            assert handle.read() == line + "\n"
+        assert ResultStore(str(tmp_path)).get(key) == outcome
+
+    def test_every_single_character_flip_is_skipped(self, tmp_path):
+        """The FaultyStore damage (XOR 0x02) at every position of both
+        lines: each one is caught, none replays."""
+        flipped = [
+            line[:at] + chr(ord(line[at]) ^ 0x02) + line[at + 1 :]
+            for _, _, line in PINNED_RECORDS
+            for at in range(len(line))
+        ]
+        assert len(flipped) == 358
+        store = ResultStore(str(tmp_path))
+        with open(store.path, "w") as handle:
+            handle.write("\n".join(flipped) + "\n")
+        with pytest.warns(UserWarning, match="corrupt store record") as caught:
+            assert len(store) == 0
+        skipped = [w for w in caught if "corrupt store record" in str(w.message)]
+        assert len(skipped) == len(flipped)
+
+    def test_non_canonical_line_reexecutes(self, tmp_path):
+        """A valid record re-spaced by another JSON writer no longer
+        carries the bytes its checksum covers: it is skipped, not replayed."""
+        store = ResultStore(str(tmp_path))
+        with open(store.path, "w") as handle:
+            handle.write(json.dumps(json.loads(RESULT_LINE)) + "\n")
+        with pytest.warns(UserWarning, match="corrupt store record"):
+            assert store.get(RESULT_KEY) is None
+
+
 class TestCorruptRecords:
     def fill(self, tmp_path, count=3) -> ResultStore:
         store = ResultStore(str(tmp_path))
@@ -165,8 +476,9 @@ class TestCorruptRecords:
 
     def test_wrong_shape_skipped_with_warning(self, tmp_path):
         store = self.fill(tmp_path, count=1)
+        text = '{"key":"k9","result":{"cycles":1}}'  # checksummed, but no totes
         with open(store.path, "a") as handle:
-            handle.write('{"key": "k9", "result": {"cycles": 1}}\n')  # no totes
+            handle.write(text[:-1] + ',"sum":"' + _record_sum(text) + '"}\n')
         with pytest.warns(UserWarning, match="corrupt store record"):
             assert ResultStore(str(tmp_path)).get("k9") is None
 
