@@ -20,9 +20,11 @@ command       what it does
               determinism-of-failure contract live
 ``perf``      the hot-path harness: ``profile`` a campaign cell under
               cProfile
-``obs``       recorded-run observability: ``report|trace|tail`` replay a
-              ``campaign run --trace-out`` JSONL, ``overhead`` gates
-              telemetry's cost (disabled <2%, enabled <15%)
+``obs``       recorded-run observability: ``report|trace|tail|flame``
+              replay a ``campaign run --trace-out`` JSONL or a shard's
+              stream spool, ``top|fold`` tail and fold a fleet's
+              spools, ``overhead`` gates telemetry's cost (disabled
+              <2%, enabled <15%)
 ``defend``    the detection arms race (``repro.defend``): ``calibrate``
               fits the deterministic detector on seeded benign/attack
               traffic, ``score`` inspects one scenario's windows,
@@ -273,7 +275,7 @@ def cmd_obs_flame(args) -> int:
 def cmd_obs_fold(args) -> int:
     from repro.telemetry.live import run_obs_fold
 
-    return run_obs_fold(args.root, output=args.output, check=args.check)
+    return run_obs_fold(args.root, output=args.output)
 
 
 def cmd_obs_overhead(args) -> int:
@@ -419,7 +421,7 @@ def cmd_campaign_run(args) -> int:
 
 def cmd_campaign_shard(args) -> int:
     from repro.campaign import CampaignAborted, Shard
-    from repro.distrib import manifest_path, run_shard_observed
+    from repro.distrib import manifest_path, run_shard
 
     try:
         spec = _campaign_spec(args.name)
@@ -436,25 +438,15 @@ def cmd_campaign_shard(args) -> int:
         from repro.faults import ResiliencePolicy
 
         policy = ResiliencePolicy(max_retries=args.retry)
-    trace_out = args.trace_out
-    if args.stream_out and not trace_out:
-        # Streaming without a sidecar would leave nothing for the fold
-        # identity check; record the conventional sidecar alongside.
-        from repro.distrib import telemetry_sidecar
-
-        trace_out = telemetry_sidecar(args.store)
     pool = _trial_pool(args)
     label = f"{spec.name} {shard}"
-    observed = {}
     try:
-        store, stats = run_shard_observed(
+        store, stats = run_shard(
             spec,
             shard,
             args.store,
-            trace_path=trace_out,
             stream_path=args.stream_out,
             stream_every=args.stream_every,
-            observed=observed,
             pool=pool,
             batch_size=args.batch_size,
             policy=policy,
@@ -467,16 +459,10 @@ def cmd_campaign_shard(args) -> int:
     finally:
         if pool is not None:
             pool.close()
-        if trace_out:
-            print(
-                f"[{label}] wrote {observed.get('records', 0)} telemetry "
-                f"records to {trace_out}",
-                file=sys.stderr,
-            )
         if args.stream_out:
             print(
-                f"[{label}] streamed live telemetry to {args.stream_out} "
-                f"(tail with `repro obs top`)",
+                f"[{label}] streamed telemetry to {args.stream_out} "
+                f"(tail with `repro obs top`, replay with `repro obs report`)",
                 file=sys.stderr,
             )
     print(f"{label}: {stats}")
@@ -489,8 +475,9 @@ def cmd_campaign_shard(args) -> int:
 
 def cmd_campaign_merge(args) -> int:
     from repro.campaign import CampaignRunner, ResultStore
-    from repro.distrib import MergeError, merge_stores, merge_telemetry
+    from repro.distrib import MergeError, merge_stores
     from repro.distrib.coordinator import FLEET_TELEMETRY
+    from repro.telemetry.stream import fold_streams
 
     try:
         spec = _campaign_spec(args.name)
@@ -505,12 +492,12 @@ def cmd_campaign_merge(args) -> int:
         print(f"merge refused: {exc}", file=sys.stderr)
         return 2
     print(f"merged   : {stats}")
-    sidecars = merge_telemetry(
+    folded = fold_streams(
         args.segments, os.path.join(args.store, FLEET_TELEMETRY)
     )
-    if sidecars:
+    if folded:
         print(
-            f"telemetry: {len(sidecars)} fleet metrics -> "
+            f"telemetry: {len(folded)} fleet metrics -> "
             f"{os.path.join(args.store, FLEET_TELEMETRY)} "
             f"(render with `repro obs report`)"
         )
@@ -548,7 +535,6 @@ def cmd_campaign_fleet(args) -> int:
         workers=args.workers,
         batch_size=args.batch_size,
         retry=args.retry,
-        trace=args.trace,
         stream=args.stream,
         stream_every=args.stream_every,
     )
@@ -585,7 +571,7 @@ def cmd_campaign_fleet(args) -> int:
     if args.stream:
         print(
             f"stream   : repro obs top {args.store} --once; "
-            f"repro obs fold {args.store} --check"
+            f"repro obs fold {args.store}"
         )
     if result.report is not None:
         json_path, text_path = _artifact_paths(args.store, spec.name)
@@ -966,16 +952,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="abort (after checkpointing) once more than M trials failed",
     )
     cshard.add_argument(
-        "--trace-out", default=None, metavar="PATH",
-        help="record this shard's telemetry sidecar (fleet merges fold "
-        "segment sidecars into one `repro obs` view)",
-    )
-    cshard.add_argument(
         "--stream-out", default=None, metavar="PATH",
         help="append live framed telemetry (spans, metric snapshots, "
-        "heartbeats) to this spool while the shard runs; implies a "
-        "telemetry sidecar, and folding the spool is byte-identical to "
-        "merging the sidecar",
+        "heartbeats) to this spool while the shard runs; fleet merges "
+        "fold segment spools into one `repro obs` view",
     )
     cshard.add_argument(
         "--stream-every", type=int, default=None, metavar="N",
@@ -1039,15 +1019,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-trial retries inside each shard worker (default: 0)",
     )
     cfleet.add_argument(
-        "--trace", action="store_true",
-        help="record per-segment telemetry sidecars and aggregate them "
-        "into the fleet obs view",
-    )
-    cfleet.add_argument(
         "--stream", action="store_true",
         help="arm the live plane: shards append framed spools, the "
-        "coordinator tails them concurrently (implies --trace; watch "
-        "with `repro obs top`, check with `repro obs fold --check`)",
+        "coordinator tails them concurrently and folds them into the "
+        "fleet obs view (watch with `repro obs top`)",
     )
     cfleet.add_argument(
         "--stream-every", type=int, default=None, metavar="N",
@@ -1139,12 +1114,16 @@ def build_parser() -> argparse.ArgumentParser:
         "obs", help="recorded-run observability (repro.telemetry)"
     )
     osub = obs.add_subparsers(dest="obs_command", required=True)
+    recorded_run = (
+        "JSONL file from `campaign run --trace-out`, or a shard's "
+        "stream.jsonl spool"
+    )
 
     oreport = osub.add_parser(
         "report",
         help="summarise a recorded run: span tree, cycle attribution, metrics",
     )
-    oreport.add_argument("trace", help="JSONL file from `campaign run --trace-out`")
+    oreport.add_argument("trace", help=recorded_run)
     oreport.add_argument(
         "--limit", type=int, default=10,
         help="cycle-attribution rows to print (default: 10)",
@@ -1156,7 +1135,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="convert a recorded run to Chrome trace_event JSON "
         "(chrome://tracing / Perfetto)",
     )
-    otrace.add_argument("trace", help="JSONL file from `campaign run --trace-out`")
+    otrace.add_argument("trace", help=recorded_run)
     otrace.add_argument(
         "--output", default=None, metavar="PATH",
         help="output path (default: <trace>.trace.json)",
@@ -1171,7 +1150,7 @@ def build_parser() -> argparse.ArgumentParser:
     otail = osub.add_parser(
         "tail", help="print a recorded run's last records (post-mortems)"
     )
-    otail.add_argument("trace", help="JSONL file from `campaign run --trace-out`")
+    otail.add_argument("trace", help=recorded_run)
     otail.add_argument(
         "--count", type=int, default=20,
         help="records to print (default: 20)",
@@ -1208,10 +1187,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="export collapsed stacks (flamegraph.pl / speedscope input) "
         "from a recorded run or a live spool",
     )
-    oflame.add_argument(
-        "trace",
-        help="JSONL trace from --trace-out, or a stream spool",
-    )
+    oflame.add_argument("trace", help=recorded_run)
     oflame.add_argument(
         "--output", default=None, metavar="PATH",
         help="output path (default: <trace>.folded)",
@@ -1220,8 +1196,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ofold = osub.add_parser(
         "fold",
-        help="fold completed stream spools into one metrics artifact; "
-        "--check asserts byte-identity with the sidecar merge",
+        help="fold completed stream spools into one metrics artifact",
     )
     ofold.add_argument(
         "root", help="fleet store root, segment root, or spool file"
@@ -1229,11 +1204,6 @@ def build_parser() -> argparse.ArgumentParser:
     ofold.add_argument(
         "--output", default=None, metavar="PATH",
         help="write the folded recorded run here (repro obs report reads it)",
-    )
-    ofold.add_argument(
-        "--check", action="store_true",
-        help="also merge the segments' telemetry sidecars and exit "
-        "non-zero unless the bytes match (CI obs-stream-smoke)",
     )
     ofold.set_defaults(func=cmd_obs_fold)
 

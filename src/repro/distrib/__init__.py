@@ -57,18 +57,15 @@ from repro.distrib.merge import (
     MergeStats,
     SchemaMismatch,
     merge_stores,
-    merge_telemetry,
 )
 from repro.distrib.shard import (
     ShardManifest,
     manifest_path,
     read_manifest,
     run_shard,
-    run_shard_observed,
     segment_root,
     shard_spec_positions,
     stream_spool_args,
-    telemetry_sidecar,
     write_manifest,
 )
 
@@ -88,13 +85,10 @@ __all__ = [
     "StubWorker",
     "manifest_path",
     "merge_stores",
-    "merge_telemetry",
     "read_manifest",
     "run_shard",
-    "run_shard_observed",
     "segment_root",
     "shard_spec_positions",
     "stream_spool_args",
-    "telemetry_sidecar",
     "write_manifest",
 ]

@@ -24,8 +24,8 @@ Completed segments are ingested (merged into the destination) the
 moment they land; merge order cannot matter because the merged bytes
 are canonical (see :mod:`repro.distrib.merge`).  Fleet-wide metrics --
 shard attempts, retries, merged record counts, per-shard wall times,
-plus every segment's telemetry sidecar -- aggregate into one recorded
-run that the existing ``repro obs report`` view renders.
+plus the fold of every segment's stream spool -- aggregate into one
+recorded run that the existing ``repro obs report`` view renders.
 """
 
 from __future__ import annotations
@@ -41,15 +41,8 @@ from repro.campaign.report import CampaignReport
 from repro.campaign.runner import CampaignRunner, RunStats
 from repro.campaign.spec import CampaignSpec, Shard
 from repro.campaign.store import ResultStore
-from repro.distrib.merge import MergeStats, merge_stores, merge_telemetry
-from repro.distrib.shard import (
-    run_shard,
-    run_shard_observed,
-    segment_root,
-    stream_spool_args,
-    telemetry_sidecar,
-    telemetry_sidecar_args,
-)
+from repro.distrib.merge import MergeStats, merge_stores
+from repro.distrib.shard import run_shard, segment_root, stream_spool_args
 from repro.faults.resilience import ResiliencePolicy
 
 FLEET_TELEMETRY = "fleet_telemetry.jsonl"
@@ -144,7 +137,6 @@ class LocalProcessWorker:
         workers: int = 0,
         batch_size: Optional[int] = None,
         retry: int = 0,
-        trace: bool = False,
         stream: bool = False,
         stream_every: Optional[int] = None,
         python: str = sys.executable,
@@ -154,9 +146,6 @@ class LocalProcessWorker:
         self.workers = workers
         self.batch_size = batch_size
         self.retry = retry
-        # Streaming implies tracing: the spool's end frame must carry
-        # the same snapshot the sidecar is written from (fold identity).
-        self.trace = trace or stream
         self.stream = stream
         self.stream_every = stream_every
         self.python = python
@@ -189,8 +178,6 @@ class LocalProcessWorker:
             cmd += ["--batch-size", str(self.batch_size)]
         if self.retry > 0:
             cmd += ["--retry", str(self.retry)]
-        if self.trace:
-            cmd += telemetry_sidecar_args(segment)
         if self.stream:
             from repro.telemetry.stream import DEFAULT_STREAM_EVERY
 
@@ -225,26 +212,23 @@ class StubWorker:
     exactly like a real host losing power mid-run, and the retried
     attempt resumes past them.
 
-    ``stream=True`` (optionally with ``trace=True`` for the sidecar)
-    routes through :func:`~repro.distrib.shard.run_shard_observed`, so
-    chaos suites can exercise the live spool's attempt/dedup machinery
-    without subprocesses: a scripted death still seals the partial
-    attempt, and the retry appends a fresh (higher) attempt whose end
-    frame supersedes it in the fold.
+    ``stream=True`` arms the segment's spool, so chaos suites can
+    exercise its attempt/dedup machinery without subprocesses: a
+    scripted death still seals the partial attempt, and the retry
+    appends a fresh (higher) attempt whose end frame supersedes it in
+    the fold.
     """
 
     def __init__(
         self,
         spec: CampaignSpec,
         chaos: Optional[Callable[[Shard, int], Optional[int]]] = None,
-        trace: bool = False,
         stream: bool = False,
         stream_every: Optional[int] = None,
         **runner_kwargs,
     ) -> None:
         self.spec = spec
         self.chaos = chaos
-        self.trace = trace or stream
         self.stream = stream
         self.stream_every = stream_every
         self.runner_kwargs = runner_kwargs
@@ -264,23 +248,17 @@ class StubWorker:
                     raise _WorkerDied(message)
 
             kwargs["progress"] = _killer
-        try:
-            if self.trace:
-                from repro.telemetry.stream import stream_spool
+        from repro.telemetry.stream import stream_spool
 
-                run_shard_observed(
-                    self.spec,
-                    shard,
-                    segment,
-                    trace_path=telemetry_sidecar(segment),
-                    stream_path=(
-                        stream_spool(segment) if self.stream else None
-                    ),
-                    stream_every=self.stream_every,
-                    **kwargs,
-                )
-            else:
-                run_shard(self.spec, shard, segment, **kwargs)
+        try:
+            run_shard(
+                self.spec,
+                shard,
+                segment,
+                stream_path=stream_spool(segment) if self.stream else None,
+                stream_every=self.stream_every,
+                **kwargs,
+            )
         except _WorkerDied as died:
             raise ShardWorkerError(
                 shard, attempt, f"worker died mid-run ({died})"
@@ -466,9 +444,10 @@ class Coordinator:
         return asyncio.run(self.run_async())
 
     def _aggregate_metrics(self, result: FleetResult) -> None:
-        """Fold fleet counters and segment sidecars into one obs view."""
+        """Fold fleet counters and segment spools into one obs view."""
         from repro.telemetry.export import write_jsonl
         from repro.telemetry.metrics import MetricsRegistry, merge_snapshots
+        from repro.telemetry.stream import fold_streams
 
         registry = MetricsRegistry()
         registry.gauge("fleet.shards.of").set(len(self.shards))
@@ -484,10 +463,10 @@ class Coordinator:
         if result.merge is not None:
             registry.gauge("fleet.records.merged").set(result.merge.unique)
             registry.gauge("fleet.records.failures").set(result.merge.failures)
-        sidecars = merge_telemetry(
+        spools = fold_streams(
             segment_root(self.dest_root, shard) for shard in self.shards
         )
-        result.metrics = merge_snapshots(registry.snapshot(), sidecars)
+        result.metrics = merge_snapshots(registry.snapshot(), spools)
         write_jsonl(
             [],
             os.path.join(self.dest_root, FLEET_TELEMETRY),

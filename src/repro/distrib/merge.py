@@ -26,10 +26,8 @@ spec digest, schema version and store format before any record is read
 pre-distrib single-host ``.campaigns`` directory -- merge without
 fencing, trusting their record checksums.
 
-Telemetry sidecars merge separately (:func:`merge_telemetry`): metric
-snapshots are commutative monoids (see ``repro.telemetry.metrics``), so
-fleet-wide counters fold into one snapshot the existing ``repro obs``
-view renders.
+Telemetry is not merged here: each segment's stream spool folds
+through :func:`repro.telemetry.stream.fold_streams`.
 """
 
 from __future__ import annotations
@@ -39,12 +37,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.campaign.store import ResultStore, StoredOutcome
-from repro.distrib.shard import (
-    ShardManifest,
-    read_manifest,
-    telemetry_sidecar,
-    write_manifest,
-)
+from repro.distrib.shard import ShardManifest, read_manifest, write_manifest
 from repro.runtime.tasks import TrialFailure
 
 
@@ -226,32 +219,3 @@ def merge_stores(
         )
     return stats
 
-
-def merge_telemetry(
-    segment_roots: Iterable[str],
-    dest_path: Optional[str] = None,
-) -> Dict[str, dict]:
-    """Fold the segments' telemetry sidecars into one metrics snapshot.
-
-    Reads each segment's ``telemetry.jsonl`` (recorded by ``campaign
-    shard --trace-out``; segments without one contribute nothing) and
-    merges their metric snapshots -- a commutative, associative fold, so
-    the fleet-wide view is independent of completion order.  When
-    *dest_path* is given the merged snapshot is written as a recorded
-    run that ``repro obs report`` renders directly.
-    """
-    from repro.telemetry.export import read_jsonl, split_metrics, write_jsonl
-    from repro.telemetry.metrics import merge_snapshots
-
-    snapshots = []
-    for root in segment_roots:
-        path = telemetry_sidecar(root)
-        if not os.path.exists(path):
-            continue
-        _, metrics = split_metrics(read_jsonl(path))
-        if metrics:
-            snapshots.append(metrics)
-    merged = merge_snapshots(*snapshots)
-    if dest_path is not None:
-        write_jsonl([], dest_path, metrics=merged)
-    return merged

@@ -16,6 +16,10 @@ shard arithmetic) and under which schema/store/format versions it was
 produced.  :mod:`repro.distrib.merge` uses manifests to refuse merges
 that would silently mix incompatible runs; a segment that died before
 its first checkpoint still carries one.
+
+A streamed shard adds one telemetry artifact to its segment, the
+``stream.jsonl`` spool (:mod:`repro.telemetry.stream`), which is tailed
+live, folded into fleet metrics and replayed by ``repro obs``.
 """
 
 from __future__ import annotations
@@ -26,28 +30,13 @@ from dataclasses import asdict, dataclass
 from typing import List, Optional, Tuple
 
 from repro import __version__ as REPRO_VERSION
+from repro import telemetry
 from repro.campaign.report import REPORT_SCHEMA_VERSION
 from repro.campaign.runner import CampaignRunner, RunStats
 from repro.campaign.spec import CampaignSpec, Shard
 from repro.campaign.store import STORE_FORMAT, ResultStore, spec_digest
 
 MANIFEST_NAME = "manifest.json"
-
-#: Telemetry sidecar recorded next to a segment's ``results.jsonl`` by
-#: ``campaign shard --trace-out`` (the coordinator's ``trace`` mode);
-#: :func:`repro.distrib.merge.merge_telemetry` folds these into the
-#: fleet-wide ``repro obs`` view.
-TELEMETRY_SIDECAR = "telemetry.jsonl"
-
-
-def telemetry_sidecar(root: str) -> str:
-    """The conventional telemetry sidecar path inside a segment root."""
-    return os.path.join(root, TELEMETRY_SIDECAR)
-
-
-def telemetry_sidecar_args(root: str) -> List[str]:
-    """The ``campaign shard`` CLI arguments that record the sidecar."""
-    return ["--trace-out", telemetry_sidecar(root)]
 
 
 def stream_spool_args(root: str, every: int) -> List[str]:
@@ -147,6 +136,8 @@ def run_shard(
     spec: CampaignSpec,
     shard: Shard,
     store_root: str,
+    stream_path: Optional[str] = None,
+    stream_every: Optional[int] = None,
     **runner_kwargs,
 ) -> Tuple[ResultStore, RunStats]:
     """Execute one shard into its segment store; returns (store, stats).
@@ -158,55 +149,23 @@ def run_shard(
     the missing outcomes execute.  *runner_kwargs* pass through to
     :class:`~repro.campaign.runner.CampaignRunner` (pool, policy,
     batch_size, trial_fn, ...).
+
+    *stream_path* arms the shard's one telemetry artifact, the live
+    spool (``stream.jsonl``): telemetry is enabled for the run, a
+    :class:`~repro.telemetry.stream.StreamWriter` is fed from the
+    runner's per-batch ``stream`` hook every *stream_every* completed
+    trials, and the pool heartbeat cadence (trial counts, never wall
+    clocks) is armed for the duration.  The spool is sealed in a
+    ``finally``, with the drained metrics registry as its ``end``
+    snapshot: an aborted or crashed shard still leaves a tailable,
+    replayable spool.
     """
-    write_manifest(store_root, ShardManifest.for_shard(spec, shard))
-    store = ResultStore(store_root)
-    runner = CampaignRunner(spec, store=store, shard=shard, **runner_kwargs)
-    _, stats = runner.run()
-    return store, stats
-
-
-def run_shard_observed(
-    spec: CampaignSpec,
-    shard: Shard,
-    store_root: str,
-    trace_path: Optional[str] = None,
-    stream_path: Optional[str] = None,
-    stream_every: Optional[int] = None,
-    observed: Optional[dict] = None,
-    **runner_kwargs,
-) -> Tuple[ResultStore, RunStats]:
-    """:func:`run_shard` with the observability plane armed around it.
-
-    One code path seals both telemetry artifacts so their contents can
-    never drift apart:
-
-    * *trace_path* -- the end-of-shard sidecar (``telemetry.jsonl``),
-      written from a **single** drain of the recorder and registry;
-    * *stream_path* -- the live spool (``stream.jsonl``): a
-      :class:`~repro.telemetry.stream.StreamWriter` is fed from the
-      runner's per-batch ``stream`` hook and its ``end`` frame carries
-      the *same* drained metrics snapshot the sidecar was written from.
-      That shared dict is the whole byte-identity contract: folding the
-      spool reproduces exactly what ``merge_telemetry`` reads.
-
-    Streaming also arms the pool heartbeat cadence (trial counts, never
-    wall clocks) for the duration of the run and disarms it after.
-    Artifacts are sealed in a ``finally`` -- an aborted or crashed shard
-    still leaves a tailable spool and a replayable sidecar.  *observed*,
-    when given, is filled with ``{"records": N, "metrics": {...}}`` so
-    callers can report what was sealed even when the run raised.
-    """
-    from repro import telemetry
-    from repro.telemetry.export import write_jsonl
-    from repro.telemetry.stream import DEFAULT_STREAM_EVERY, StreamWriter
-
-    if trace_path is None and stream_path is None:
-        return run_shard(spec, shard, store_root, **runner_kwargs)
-    every = DEFAULT_STREAM_EVERY if stream_every is None else stream_every
-    telemetry.enable(wall_clock=True)
     writer = None
     if stream_path is not None:
+        from repro.telemetry.stream import DEFAULT_STREAM_EVERY, StreamWriter
+
+        every = DEFAULT_STREAM_EVERY if stream_every is None else stream_every
+        telemetry.enable(wall_clock=True)
         telemetry.set_heartbeat_cadence(every)
         writer = StreamWriter(
             stream_path,
@@ -217,19 +176,13 @@ def run_shard_observed(
         )
         runner_kwargs["stream"] = writer.on_batch
     try:
-        return run_shard(spec, shard, store_root, **runner_kwargs)
+        write_manifest(store_root, ShardManifest.for_shard(spec, shard))
+        store = ResultStore(store_root)
+        runner = CampaignRunner(spec, store=store, shard=shard, **runner_kwargs)
+        _, stats = runner.run()
+        return store, stats
     finally:
-        metrics = telemetry.metrics_registry().drain()
-        # Seal the spool before draining the recorder: close() collects
-        # the final span delta (spans closed since the last cadence
-        # flush) straight from the live recorder.
         if writer is not None:
-            writer.close(snapshot=metrics)
-        records = telemetry.recorder().drain()
-        telemetry.disable()
-        telemetry.set_heartbeat_cadence(0)
-        if trace_path is not None:
-            write_jsonl(records, trace_path, metrics=metrics)
-        if observed is not None:
-            observed["records"] = len(records)
-            observed["metrics"] = metrics
+            writer.close(snapshot=telemetry.metrics_registry().drain())
+            telemetry.disable()
+            telemetry.set_heartbeat_cadence(0)

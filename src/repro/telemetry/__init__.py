@@ -17,8 +17,8 @@ Five modules:
   JSON, text cycle attribution, collapsed flamegraph stacks,
   sidecar-stripped checksums;
 * :mod:`repro.telemetry.stream` -- the live fleet plane: framed
-  per-shard spools, deterministic heartbeats, the tail-then-fold
-  contract (fold == end-of-shard ``merge_telemetry``, byte for byte);
+  per-shard spools (each shard's only telemetry artifact),
+  deterministic heartbeats, the tail-then-fold contract;
 * :mod:`repro.telemetry.live` -- the ``--progress`` renderer and the
   ``repro obs report|trace|tail|top|flame|fold|overhead`` CLI bodies.
 

@@ -6,7 +6,9 @@ Three consumers, three formats:
 * **JSONL** -- the canonical recorded-run artifact (`repro campaign run
   --trace-out run.jsonl`).  One record per line, ending with a single
   ``{"kind": "metrics", ...}`` record carrying the run's merged metrics
-  snapshot.  ``repro obs report|trace|tail`` all replay this file.
+  snapshot.  ``repro obs report|trace|tail|flame`` all replay this
+  file, and read a shard's stream spool the same way (see
+  :func:`load_trace`).
 * **Chrome trace JSON** -- load the converted file in
   ``chrome://tracing`` or https://ui.perfetto.dev to see the campaign
   as a flame chart.  When records carry ``wall`` sidecar times those
@@ -112,7 +114,14 @@ def load_trace(path: str, warn=None) -> List[dict]:
     torn record -- a writer killed mid-append, exactly the damage the
     store's torn-tail healing absorbs -- is skipped with a *warn*
     callback note rather than poisoning the whole replay.
+
+    A stream spool (``campaign shard --stream-out``) loads as the
+    recorded run its shard sealed, via
+    :func:`~repro.telemetry.stream.spool_trace`: the selected attempt's
+    records sorted by ``seq``, then its metrics record.
     """
+    from repro.telemetry.stream import is_frame, spool_trace
+
     if not os.path.exists(path):
         raise TraceUnreadable(
             f"no recorded run at {path} (record one with --trace-out)"
@@ -137,6 +146,8 @@ def load_trace(path: str, warn=None) -> List[dict]:
             continue
         if isinstance(record, dict):
             records.append(record)
+    if records and is_frame(records[0]):
+        records = spool_trace(records)
     if not records:
         if torn:
             raise TraceUnreadable(

@@ -7,21 +7,20 @@ Three consumers:
   the batch layer's eviction/stand-down counters stream to stderr while
   the campaign executes (stderr only -- the report artifact stays
   byte-identical).
-* ``repro obs report|trace|tail`` replay a run recorded with
-  ``--trace-out``: ``report`` prints the span-tree rollup, cycle
-  attribution and metrics table; ``trace`` converts to Chrome
-  ``trace_event`` JSON for ``chrome://tracing`` / Perfetto; ``tail``
-  prints the last N records (what was the campaign doing when it
-  died?).  All three load through the tolerant
-  :func:`~repro.telemetry.export.load_trace`: a missing or empty file
-  is a one-line error, a torn trailing record a skipped warning.
-* ``repro obs top|flame|fold`` consume the live plane
+* ``repro obs report|trace|tail|flame`` replay a run recorded with
+  ``--trace-out`` or a shard's stream spool: ``report`` prints the
+  span-tree rollup, cycle attribution and metrics table; ``trace``
+  converts to Chrome ``trace_event`` JSON for ``chrome://tracing`` /
+  Perfetto; ``tail`` prints the last N records (what was the campaign
+  doing when it died?); ``flame`` exports collapsed stacks
+  (``flamegraph.pl`` / speedscope input).  All four load through the
+  tolerant :func:`~repro.telemetry.export.load_trace`: a missing or
+  empty file is a one-line error, a torn trailing record a skipped
+  warning.
+* ``repro obs top|fold`` consume the live plane
   (:mod:`repro.telemetry.stream`): ``top`` tails every shard spool
-  under a fleet root into one refreshing dashboard, ``flame`` exports
-  collapsed stacks (``flamegraph.pl`` / speedscope input) from a trace
-  or a spool, and ``fold`` folds completed spools -- with ``--check``
-  asserting the fold is byte-identical to the end-of-shard
-  ``merge_telemetry`` artifact (the CI determinism gate).
+  under a fleet root into one refreshing dashboard, and ``fold`` folds
+  completed spools into one fleet metrics artifact.
 """
 
 from __future__ import annotations
@@ -282,20 +281,13 @@ def run_obs_flame(
 ) -> int:
     """The ``repro obs flame`` body: collapsed-stack cycle export.
 
-    Accepts a recorded sidecar *or* a live spool (span frames are
-    unwrapped); writes one ``frame;frame count`` line per span path --
-    pipe straight into ``flamegraph.pl`` or import into speedscope.
+    Accepts a recorded run or a stream spool; writes one ``frame;frame
+    count`` line per span path -- pipe straight into ``flamegraph.pl``
+    or import into speedscope.
     """
-    from repro.telemetry.stream import FRAME_KINDS, spool_records
-
     records = _load_tolerant(path, out)
     if records is None:
         return 2
-    first = records[0]
-    if first.get("kind") in FRAME_KINDS and isinstance(
-        first.get("body"), dict
-    ):
-        records = spool_records(records)
     trace, _ = split_metrics(records)
     stacks = collapsed_stacks(trace)
     if not stacks:
@@ -313,23 +305,15 @@ def run_obs_flame(
     return 0
 
 
-def run_obs_fold(
-    root: str,
-    output: Optional[str] = None,
-    check: bool = False,
-    out=print,
-) -> int:
-    """The ``repro obs fold`` body: fold spools; ``--check`` pins identity.
+def run_obs_fold(root: str, output: Optional[str] = None, out=print) -> int:
+    """The ``repro obs fold`` body: fold completed spools.
 
     Folds every segment spool under *root* into one recorded-run
-    metrics artifact.  With *check*, also folds the segments'
-    end-of-shard sidecars through ``merge_telemetry`` and asserts the
-    two artifacts are byte-identical -- the streaming determinism
-    contract, run standalone by the CI ``obs-stream-smoke`` step.
+    metrics artifact (written to *output* when given) and prints the
+    sha256 of its bytes.
     """
     import hashlib
 
-    from repro.distrib.merge import merge_telemetry
     from repro.telemetry.stream import discover_spools, fold_streams
 
     spools = discover_spools(root)
@@ -341,32 +325,14 @@ def run_obs_fold(
         return 2
     segments = sorted(os.path.dirname(path) for path in spools.values())
     folded = fold_streams(segments, dest_path=output)
-
-    def artifact_bytes(snapshot: Dict[str, dict]) -> bytes:
-        return (
-            json.dumps(
-                {"kind": "metrics", "snapshot": snapshot}, sort_keys=True
-            )
-            + "\n"
-        ).encode()
-
-    fold_bytes = artifact_bytes(folded)
-    fold_sum = hashlib.sha256(fold_bytes).hexdigest()
+    fold_bytes = (
+        json.dumps({"kind": "metrics", "snapshot": folded}, sort_keys=True)
+        + "\n"
+    ).encode()
     out(
         f"folded {len(spools)} spool(s): {len(folded)} metrics, "
-        f"sha256 {fold_sum}"
+        f"sha256 {hashlib.sha256(fold_bytes).hexdigest()}"
     )
     if output:
         out(f"wrote fold to {output}")
-    if check:
-        merged = merge_telemetry(segments)
-        merge_bytes = artifact_bytes(merged)
-        merge_sum = hashlib.sha256(merge_bytes).hexdigest()
-        if fold_bytes != merge_bytes:
-            out(
-                f"FOLD MISMATCH: stream fold sha256 {fold_sum} != "
-                f"sidecar merge sha256 {merge_sum}"
-            )
-            return 1
-        out(f"fold == merge_telemetry: ok (sha256 {merge_sum})")
     return 0

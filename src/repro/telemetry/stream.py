@@ -1,46 +1,42 @@
 """The live fleet telemetry plane: framed, tail-able shard spools.
 
-PR 6 made fleet telemetry an *end-of-shard* artifact: every shard
-writes its ``telemetry.jsonl`` sidecar when it exits, and
-:func:`repro.distrib.merge.merge_telemetry` folds the sidecars after
-the fact.  This module makes the same telemetry *streamable while the
-shard runs* without touching a single artifact byte.
-
 A shard armed with ``--stream-out`` appends **frames** -- one JSON
 object per line -- to a per-shard spool (``stream.jsonl`` in the
-segment root).  Frames are sequence-numbered per attempt and carry one
-of five kinds:
+segment root).  The spool is the shard's only telemetry artifact:
+``repro obs top`` tails it while the shard runs, :func:`fold_streams`
+folds sealed spools into one fleet metrics snapshot, and
+``repro obs report|trace|tail|flame`` replay it as a recorded run
+(:func:`spool_trace`).  Frames are sequence-numbered per attempt and
+carry one of five kinds:
 
 * ``open`` -- the attempt started (campaign, shard arithmetic, trial
   counts);
-* ``spans`` -- a delta batch of newly closed span/event records (the
-  same record dicts the sidecar will eventually contain);
+* ``spans`` -- a delta batch of newly closed span/event records;
 * ``metrics`` -- a **cumulative** snapshot of the shard's metrics
   registry at a trial-count boundary;
 * ``heartbeat`` -- the deterministic progress pulse: done/total/cached/
   failure counts, batch-eviction and stand-down counters, retry and
   detector counters, with host-dependent facts (trials/sec, wall
   seconds) quarantined under the frame body's ``host`` key exactly like
-  the span sidecar fields;
-* ``end`` -- the attempt completed; its body carries the *exact*
-  metrics snapshot the end-of-shard sidecar records.
+  the ``wall``/``host`` sidecar fields of span records;
+* ``end`` -- the attempt completed; its body carries the shard's final
+  metrics snapshot.
 
 Everything is emitted at a **deterministic trial-count cadence**
 (``--stream-every N``), never on a wall-clock timer: two runs of the
 same shard produce frame streams whose deterministic content is
 identical, so the stream is as replayable as every other artifact.
 
-The determinism contract (pinned by ``tests/test_obs_stream.py`` and
-the CI ``obs-stream-smoke`` checksum diff):
+The determinism contract (pinned by ``tests/test_obs_stream.py``):
 
 1. **Prefix property** -- metrics frames are cumulative, so the live
    fold after any frame prefix is a *prefix* of the final fold: every
    deterministic counter is ``<=`` its final value and nothing appears
    that the final fold lacks.
-2. **Fold identity** -- :func:`fold_streams` over completed spools
-   writes bytes identical to :func:`~repro.distrib.merge.merge_telemetry`
-   over the same segments' sidecars, at any shard count, any retry
-   interleaving, with torn tails and duplicated frames healed.
+2. **Stable fold** -- each spool folds to the snapshot of its highest
+   sealed attempt, so the deterministic view of :func:`fold_streams`
+   over completed spools is a pure function of what the shards ran;
+   torn tails and duplicated frames do not change it.
 
 Chaos-safety falls out of the frame keying: a retried attempt appends
 with a higher ``attempt`` number (the spool is append-only across
@@ -71,12 +67,12 @@ __all__ = [
     "fold_stream",
     "fold_streams",
     "read_frames",
-    "spool_records",
+    "spool_trace",
     "stream_spool",
 ]
 
 #: The conventional spool filename inside a segment root (next to the
-#: segment's ``results.jsonl`` and ``telemetry.jsonl``).
+#: segment's ``manifest.json`` and ``results.jsonl``).
 STREAM_SPOOL = "stream.jsonl"
 
 #: Default heartbeat/snapshot cadence in completed trials.
@@ -103,13 +99,12 @@ class StreamWriter:
     """Append framed telemetry deltas to one shard's spool.
 
     The writer is armed by the shard process (``campaign shard
-    --stream-out``) next to -- never instead of -- the end-of-shard
-    sidecar.  ``on_batch`` is the runner's post-checkpoint hook: when
-    the completed-trial count crosses a cadence boundary it emits a
+    --stream-out``, see :func:`repro.distrib.shard.run_shard`).
+    ``on_batch`` is the runner's post-checkpoint hook: when the
+    completed-trial count crosses a cadence boundary it emits a
     ``spans`` delta, a cumulative ``metrics`` snapshot and a
     ``heartbeat``.  ``close`` seals the attempt with an ``end`` frame
-    carrying the exact snapshot the sidecar records, which is what makes
-    :func:`fold_streams` byte-identical to the sidecar fold.
+    carrying the shard's final metrics snapshot.
 
     Resume-safety: a fresh writer on an existing spool (a retried shard
     attempt) heals any torn trailing line and continues under the next
@@ -195,9 +190,8 @@ class StreamWriter:
     def _collect_spans(self) -> List[dict]:
         """Newly closed records since the last flush (non-destructive).
 
-        The recorder is never drained here -- the end-of-shard sidecar
-        still receives every record -- so the spool is a live *mirror*
-        of the trace, not a competing owner of it.
+        The recorder is read, never drained: records still open at one
+        flush are picked up by a later one.
         """
         recorder = telemetry.recorder()
         if recorder is None:
@@ -290,9 +284,9 @@ class StreamWriter:
     ) -> None:
         """Seal the attempt: final spans delta plus the ``end`` frame.
 
-        *snapshot* must be the exact metrics snapshot the end-of-shard
-        sidecar records (the CLI computes it once and hands it to both
-        writers) -- that equality is the whole fold-identity contract.
+        *snapshot* is the shard's final metrics snapshot
+        (:func:`~repro.distrib.shard.run_shard` drains the registry and
+        hands it over); by default the live registry is snapshotted.
         """
         if self._closed:
             return
@@ -305,7 +299,7 @@ class StreamWriter:
         final_update = update if update is not None else self._last_update
         if final_update:
             # Counters come from the sealed snapshot: the registry may
-            # already be drained by the sidecar writer at close time.
+            # already be drained at close time.
             body["heartbeat"] = self._heartbeat_body(
                 final_update, snapshot=snapshot
             )
@@ -321,23 +315,32 @@ class StreamWriter:
 # -- reading ---------------------------------------------------------------
 
 
+def is_frame(obj) -> bool:
+    """Is *obj* a well-formed spool frame?"""
+    return (
+        isinstance(obj, dict)
+        and obj.get("kind") in FRAME_KINDS
+        and isinstance(obj.get("attempt"), int)
+        and isinstance(obj.get("seq"), int)
+        and isinstance(obj.get("body"), dict)
+    )
+
+
 def _parse_frame(line: str) -> Optional[dict]:
     """One spool line as a validated frame, or None for damage."""
     try:
         frame = json.loads(line)
     except ValueError:
         return None
-    if not isinstance(frame, dict):
-        return None
-    if frame.get("kind") not in FRAME_KINDS:
-        return None
-    if not isinstance(frame.get("attempt"), int):
-        return None
-    if not isinstance(frame.get("seq"), int):
-        return None
-    if not isinstance(frame.get("body"), dict):
-        return None
-    return frame
+    return frame if is_frame(frame) else None
+
+
+def _canonical(frames: Iterable[dict]) -> List[dict]:
+    """First write wins per ``(attempt, seq)``, ordered by that key."""
+    unique: Dict[Tuple[int, int], dict] = {}
+    for frame in frames:
+        unique.setdefault((frame["attempt"], frame["seq"]), frame)
+    return [unique[key] for key in sorted(unique)]
 
 
 class StreamCursor:
@@ -401,7 +404,6 @@ def read_frames(path: str, dedup: bool = True) -> Tuple[List[dict], int]:
     """
     frames: List[dict] = []
     torn = 0
-    seen: set = set()
     with open(path, "rb") as handle:
         data = handle.read()
     lines = data.split(b"\n")
@@ -416,29 +418,30 @@ def read_frames(path: str, dedup: bool = True) -> Tuple[List[dict], int]:
         if frame is None:
             torn += 1
             continue
-        if dedup:
-            key = (frame["attempt"], frame["seq"])
-            if key in seen:
-                continue
-            seen.add(key)
         frames.append(frame)
-    if dedup:
-        frames.sort(key=lambda frame: (frame["attempt"], frame["seq"]))
-    return frames, torn
-
-
-def spool_records(frames: Iterable[dict]) -> List[dict]:
-    """Every span/event record carried by ``spans`` frames, in frame
-    order -- lets ``repro obs flame``/``report`` consume a spool
-    directly."""
-    records: List[dict] = []
-    for frame in frames:
-        if frame.get("kind") == "spans":
-            records.extend(frame["body"].get("records", []))
-    return records
+    return (_canonical(frames) if dedup else frames), torn
 
 
 # -- folding (the determinism contract) ------------------------------------
+
+
+def _selected(frames: Iterable[dict]) -> Tuple[int, Dict[str, dict]]:
+    """The attempt :func:`fold_frames` selects, and its snapshot."""
+    ends: Dict[int, Dict[str, dict]] = {}
+    latest: Dict[int, Dict[str, dict]] = {}
+    top = 0
+    for frame in frames:
+        attempt = frame["attempt"]
+        top = max(top, attempt)
+        if frame["kind"] == "end":
+            ends[attempt] = frame["body"].get("snapshot", {})
+        elif frame["kind"] == "metrics":
+            latest[attempt] = frame["body"].get("snapshot", {})
+    for snapshots in (ends, latest):
+        if snapshots:
+            attempt = max(snapshots)
+            return attempt, snapshots[attempt]
+    return top, {}
 
 
 def fold_frames(frames: Iterable[dict]) -> Dict[str, dict]:
@@ -446,25 +449,33 @@ def fold_frames(frames: Iterable[dict]) -> Dict[str, dict]:
 
     Snapshots are cumulative, so folding is *selection*, not
     accumulation: the ``end`` frame of the highest attempt that has one
-    wins outright (that snapshot is byte-for-byte what the sidecar
-    recorded).  A spool whose every attempt died mid-run falls back to
-    the latest ``metrics`` frame of its highest attempt -- the best
+    wins outright.  A spool whose every attempt died mid-run falls back
+    to the latest ``metrics`` frame of its highest attempt -- the best
     prefix available -- and an empty or span-only spool folds to ``{}``,
-    contributing nothing, exactly like a segment without a sidecar.
+    contributing nothing to :func:`fold_streams`.
     """
-    ends: Dict[int, Dict[str, dict]] = {}
-    latest: Dict[int, Dict[str, dict]] = {}
-    for frame in frames:
-        attempt = frame["attempt"]
-        if frame["kind"] == "end":
-            ends[attempt] = frame["body"].get("snapshot", {})
-        elif frame["kind"] == "metrics":
-            latest[attempt] = frame["body"].get("snapshot", {})
-    if ends:
-        return ends[max(ends)]
-    if latest:
-        return latest[max(latest)]
-    return {}
+    return _selected(frames)[1]
+
+
+def spool_trace(frames: Iterable[dict]) -> List[dict]:
+    """One spool as the recorded run ``repro obs`` replays.
+
+    Malformed frames drop and replayed ones dedup as in
+    :func:`read_frames`.  The result has the layout of a ``campaign run
+    --trace-out`` file: the span and event records of the attempt
+    :func:`fold_frames` selects, sorted by ``seq``, then one ``metrics``
+    record carrying that attempt's snapshot.
+    """
+    frames = _canonical(frame for frame in frames if is_frame(frame))
+    attempt, snapshot = _selected(frames)
+    records = [
+        record
+        for frame in frames
+        if frame["kind"] == "spans" and frame["attempt"] == attempt
+        for record in frame["body"].get("records", [])
+    ]
+    records.sort(key=lambda record: record["seq"])
+    return records + [{"kind": "metrics", "snapshot": snapshot}]
 
 
 def fold_stream(path: str) -> Dict[str, dict]:
@@ -481,10 +492,11 @@ def fold_streams(
 ) -> Dict[str, dict]:
     """Fold every segment's spool into one fleet snapshot.
 
-    The streaming twin of :func:`repro.distrib.merge.merge_telemetry`:
-    same commutative snapshot merge, same recorded-run output format,
-    and -- for completed streams -- byte-identical output, because each
-    spool's ``end`` frame carries the exact snapshot its sidecar holds.
+    Snapshot merging is commutative (see :mod:`repro.telemetry.metrics`),
+    so the fleet view is independent of completion order; segments
+    without a spool contribute nothing.  When *dest_path* is given the
+    merged snapshot is written as a recorded run that ``repro obs
+    report`` renders directly.
     """
     from repro.telemetry.export import write_jsonl
 

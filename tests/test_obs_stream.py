@@ -4,33 +4,37 @@ Two properties carry this module (see ``repro.telemetry.stream``):
 
 * **prefix** -- the live fold after any frame prefix is a prefix of the
   final fold (cumulative snapshots only ever grow);
-* **fold identity** -- folding completed spools is byte-identical to
-  the end-of-shard ``merge_telemetry`` fold, at 1/3/8 shards, under
-  chaos (killed workers, torn spool tails, duplicated frame replays).
+* **stable fold** -- folds and spool replays match digests pinned when
+  each shard still wrote a ``telemetry.jsonl`` sidecar beside its
+  spool, at 1/3/8 shards and under chaos (killed workers, torn spool
+  tails, duplicated frame replays).
 
 Everything runs on stub trials (``payload_fingerprint``) so the suite
 stays fast while exercising the real runner/pool/spool machinery.
 """
 
+import hashlib
+import io
 import json
 import os
 
 import pytest
 
 from repro.campaign import ResultStore, Shard, builtin_campaign
-from repro.distrib import (
-    Coordinator,
-    StubWorker,
-    merge_telemetry,
-    run_shard_observed,
-    telemetry_sidecar,
-)
+from repro import telemetry
+from repro.cli import main
+from repro.distrib import Coordinator, StubWorker, run_shard
 from repro.faults import ResiliencePolicy, payload_fingerprint
 from repro.runtime import TrialResult
-from repro.telemetry.export import (
-    read_jsonl,
-    records_checksum,
-    split_metrics,
+from repro.telemetry.export import load_trace, records_checksum, split_metrics
+from repro.telemetry.live import (
+    ProgressRenderer,
+    run_obs_flame,
+    run_obs_fold,
+    run_obs_report,
+    run_obs_tail,
+    run_obs_top,
+    run_obs_trace,
 )
 from repro.telemetry.metrics import deterministic_view
 from repro.telemetry.stream import (
@@ -42,9 +46,21 @@ from repro.telemetry.stream import (
     fold_stream,
     fold_streams,
     read_frames,
-    spool_records,
     stream_spool,
 )
+
+#: The ci-smoke fold over N stub-trial shards (batch 4, cadence 2): its
+#: ``_digest`` and the ``records_checksum`` of shard 0's replay, by N.
+FOLD_DIGESTS = {
+    1: "b8f644226718d26adf9cf0a37ca8c938faac045d3c5e913e403e7520a711cdcd",
+    3: "1c981e9e3fec333a3575cb29cf7cd731d2ff04d754133bf7210219848229b1f3",
+    8: "e19799e1fecb4501f2fda5d4dfcba6db90e67649361f63235dae2cc1547b799d",
+}
+SHARD0_TRACE_CHECKSUMS = {
+    1: "2757485f344a72e86ea8cd9d7f5483efe93287b20402ecfa8a2d9226a48fa466",
+    3: "a9f77229f338a8eb22e587e507835829bad6d153c489cc4c6d46c39702e417e9",
+    8: "c318eb0bba23323688e42599bb904a2c669204f296519b5f3da866ee8e68d9b7",
+}
 
 
 def _stub_trial(trial):
@@ -58,22 +74,20 @@ def _stub_trial(trial):
 def _stream_shard(spec, shard, root, every=4, **kwargs):
     kwargs.setdefault("trial_fn", _stub_trial)
     kwargs.setdefault("batch_size", 4)
-    return run_shard_observed(
-        spec,
-        shard,
-        str(root),
-        trace_path=telemetry_sidecar(str(root)),
-        stream_path=stream_spool(str(root)),
-        stream_every=every,
-        **kwargs,
+    spool = stream_spool(str(root))
+    return run_shard(
+        spec, shard, str(root), stream_path=spool, stream_every=every, **kwargs
     )
 
 
-def _artifact_bytes(snapshot):
-    return (
-        json.dumps({"kind": "metrics", "snapshot": snapshot}, sort_keys=True)
-        + "\n"
-    ).encode()
+def _digest(snapshot):
+    text = json.dumps(deterministic_view(snapshot), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _spool_trace_checksum(root):
+    trace, _ = split_metrics(load_trace(stream_spool(str(root))))
+    return records_checksum(trace)
 
 
 class TestSpoolFraming:
@@ -127,34 +141,31 @@ class TestSpoolFraming:
 
     def test_spool_spans_mirror_the_sidecar_trace(self, tmp_path):
         """The spool streams span deltas without draining the recorder:
-        its concatenated records are exactly the sidecar's trace."""
+        replayed, it is the whole trace (in seq order) the retired
+        end-of-shard sidecar recorded, sealed by the fold's snapshot."""
         spec = builtin_campaign("ci-smoke")
-        root = tmp_path / "seg"
-        _stream_shard(spec, Shard(0, 1), root)
-        frames, _ = read_frames(stream_spool(str(root)))
-        streamed = sorted(spool_records(frames), key=lambda r: r["seq"])
-        sidecar, _ = split_metrics(read_jsonl(telemetry_sidecar(str(root))))
-        sidecar = sorted(sidecar, key=lambda r: r["seq"])
-        assert len(streamed) == len(sidecar) > 0
-        assert records_checksum(streamed) == records_checksum(sidecar)
+        _stream_shard(spec, Shard(0, 1), tmp_path / "seg")
+        spool = stream_spool(str(tmp_path / "seg"))
+        trace, metrics = split_metrics(load_trace(spool))
+        assert records_checksum(trace) == (
+            "a8b82e145f4e6f57d1bbea4bb0df6be3d247c2192b3e230f6e80918af7541e38"
+        )
+        assert metrics == fold_stream(spool) and metrics
 
     def test_heartbeats_stay_off_without_streaming(self, tmp_path):
         """The cadence defaults to 0: a plain traced run records no
         pool.heartbeat events (the serial-vs-pooled trace identity in
         test_telemetry depends on this)."""
-        from repro import telemetry
-
         assert telemetry.heartbeat_cadence() == 0
         spec = builtin_campaign("ci-smoke")
-        run_shard_observed(
-            spec,
-            Shard(0, 1),
-            str(tmp_path / "seg"),
-            trace_path=telemetry_sidecar(str(tmp_path / "seg")),
-            trial_fn=_stub_trial,
-            batch_size=4,
-        )
-        records = read_jsonl(telemetry_sidecar(str(tmp_path / "seg")))
+        telemetry.enable()
+        try:
+            run_shard(spec, Shard(0, 1), str(tmp_path / "seg"),
+                      trial_fn=_stub_trial, batch_size=4)
+            records = telemetry.recorder().drain()
+        finally:
+            telemetry.disable()
+        assert any(r.get("name") == "campaign.run" for r in records)
         assert not any(r.get("name") == "pool.heartbeat" for r in records)
         assert telemetry.heartbeat_cadence() == 0
 
@@ -218,8 +229,9 @@ class TestSpoolDamage:
 class TestFoldContract:
     @pytest.mark.parametrize("shards", [1, 3, 8])
     def test_fold_matches_merge_telemetry_bytes(self, tmp_path, shards):
-        """The headline identity at 1/3/8 shards: folding the spools
-        writes the exact bytes merge_telemetry writes."""
+        """The headline identity at 1/3/8 shards: the fold (written as a
+        recorded run) and shard 0's replayed trace match the pinned
+        digests of the retired sidecars."""
         spec = builtin_campaign("ci-smoke")
         segments = []
         for index in range(shards):
@@ -227,12 +239,13 @@ class TestFoldContract:
             _stream_shard(spec, Shard(index, shards), root, every=2)
             segments.append(str(root))
         fold_path = str(tmp_path / "fold.jsonl")
-        merge_path = str(tmp_path / "merge.jsonl")
         folded = fold_streams(segments, dest_path=fold_path)
-        merged = merge_telemetry(segments, dest_path=merge_path)
-        assert folded == merged and folded
-        with open(fold_path, "rb") as a, open(merge_path, "rb") as b:
-            assert a.read() == b.read()
+        assert _digest(folded) == FOLD_DIGESTS[shards]
+        _, metrics = split_metrics(load_trace(fold_path))
+        assert metrics == folded
+        assert _spool_trace_checksum(segments[0]) == (
+            SHARD0_TRACE_CHECKSUMS[shards]
+        )
 
     def test_fold_identity_survives_killed_worker_retries(self, tmp_path):
         """A shard dies mid-run; the retry resumes under attempt 1 and
@@ -262,17 +275,20 @@ class TestFoldContract:
             os.path.dirname(path)
             for path in discover_spools(dest).values()
         )
-        frames, _ = read_frames(
-            stream_spool(os.path.join(dest, "segments", "shard1of3"))
-        )
+        retried = os.path.join(dest, "segments", "shard1of3")
+        frames, _ = read_frames(stream_spool(retried))
         assert max(f["attempt"] for f in frames) == 1  # the retry appended
-        assert _artifact_bytes(fold_streams(segments)) == _artifact_bytes(
-            merge_telemetry(segments)
+        assert _digest(fold_streams(segments)) == (
+            "acd526aa2f7f152106e958faf12066f17a85e44f0ae46962a1cd2d26421b8f29"
+        )
+        # The replay is the retry's trace alone, as its sidecar was.
+        assert _spool_trace_checksum(retried) == (
+            "9a29a7d951e630a8de5a74e9e37e76fe3600e07ed4b0d84872522e5f66a0f988"
         )
 
     def test_fold_identity_survives_torn_spool_and_replay(self, tmp_path):
         """Tear the spool tail AND duplicate frames, then resume the
-        shard: the fold still matches the sidecar merge byte for byte."""
+        shard: the fold still gives the pinned digest."""
         spec = builtin_campaign("ci-smoke")
         root = tmp_path / "seg"
         _stream_shard(spec, Shard(0, 2), root, every=2)
@@ -288,9 +304,8 @@ class TestFoldContract:
         _stream_shard(spec, Shard(0, 2), root, every=2)
         other = tmp_path / "seg1"
         _stream_shard(spec, Shard(1, 2), other, every=2)
-        segments = [str(root), str(other)]
-        assert _artifact_bytes(fold_streams(segments)) == _artifact_bytes(
-            merge_telemetry(segments)
+        assert _digest(fold_streams([str(root), str(other)])) == (
+            "4fa6b311a6f328a58dad61bf205a05ba1168b1f9668da63f67f9bb2df5f25794"
         )
 
     def test_live_fold_is_a_prefix_of_the_final_fold(self, tmp_path):
@@ -315,8 +330,8 @@ class TestFoldContract:
         assert deterministic_view(fold_frames(frames)) == final
 
     def test_streaming_never_perturbs_campaign_artifacts(self, tmp_path):
-        """The whole point of the sidecar discipline: a streamed fleet's
-        report and store bytes equal a plain fleet's."""
+        """Telemetry observes, never perturbs: a streamed fleet's report
+        and store bytes equal a plain fleet's."""
         spec = builtin_campaign("ci-smoke")
         outputs = {}
         for mode, stream in (("plain", False), ("streamed", True)):
@@ -398,12 +413,6 @@ class TestObsCli:
         return root
 
     def test_obs_commands_reject_missing_and_empty_files(self, tmp_path):
-        from repro.telemetry.live import (
-            run_obs_report,
-            run_obs_tail,
-            run_obs_trace,
-        )
-
         lines = []
         missing = str(tmp_path / "nope.jsonl")
         empty = str(tmp_path / "empty.jsonl")
@@ -415,90 +424,81 @@ class TestObsCli:
         assert any("no recorded run" in line for line in lines)
         assert any("is empty" in line for line in lines)
 
-    def test_obs_report_heals_torn_tail_with_warning(self, tmp_path):
-        from repro.telemetry.live import run_obs_report
-
-        root = self._record(tmp_path)
-        trace = telemetry_sidecar(str(root))
-        with open(trace, "ab") as handle:
-            handle.write(b'{"kind": "span", "na')
+    def test_obs_commands_replay_a_sealed_spool(self, tmp_path):
+        """report, trace --validate and tail read a shard's spool as a
+        recorded run (they used to die on its frames with a KeyError);
+        a spool whose every line is damaged is a one-line error."""
+        spool = stream_spool(str(self._record(tmp_path)))
         lines = []
-        assert run_obs_report(trace, out=lines.append) == 0
+        assert run_obs_report(spool, out=lines.append) == 0
+        assert "trace    : 2 spans, 16 events" in lines
+        assert ["pool.trials.executed", "counter", "32"] in [
+            line.split() for line in lines
+        ]
+        lines = []
+        target = str(tmp_path / "spool.trace.json")
+        assert run_obs_trace(
+            spool, output=target, validate=True, out=lines.append
+        ) == 0
+        assert lines[-1] == "trace_event schema: ok"
+        lines = []
+        assert run_obs_tail(spool, count=3, out=lines.append) == 0
+        assert [line.split()[:3] for line in lines] == [
+            [str(seq), "event", "pool.heartbeat"] for seq in (15, 16, 17)
+        ]
+        with open(spool, "rb") as handle:
+            frames = handle.read().splitlines()
+        with open(spool, "wb") as handle:
+            handle.writelines(line[: len(line) // 2] + b"\n" for line in frames)
+        for body in (run_obs_report, run_obs_trace, run_obs_tail):
+            lines = []
+            assert body(spool, out=lines.append) == 2
+            assert [line for line in lines if line.startswith("error: ")] == [
+                f"error: {spool}: every record is damaged "
+                f"({len(frames)} torn lines)"
+            ]
+
+    def test_obs_report_heals_torn_tail_with_warning(self, tmp_path):
+        spool = stream_spool(str(self._record(tmp_path)))
+        with open(spool, "ab") as handle:
+            handle.write(b'{"kind": "spans", "att')
+        lines = []
+        assert run_obs_report(spool, out=lines.append) == 0
         assert any(
             line.startswith("warning: ") and "torn telemetry record" in line
             for line in lines
         )
 
-    def test_obs_top_once_and_fold_check(self, tmp_path):
-        from repro.telemetry.live import run_obs_fold, run_obs_top
-
+    def test_obs_top_once_and_fold(self, tmp_path):
         self._record(tmp_path)
         lines = []
         assert run_obs_top(str(tmp_path), once=True, out=lines.append) == 0
         assert any("1 shards" in line for line in lines)
         lines = []
-        assert run_obs_fold(
-            str(tmp_path), check=True, out=lines.append
-        ) == 0
-        assert any("fold == merge_telemetry: ok" in line for line in lines)
+        target = str(tmp_path / "fold.jsonl")
+        assert run_obs_fold(str(tmp_path), output=target, out=lines.append) == 0
+        with open(target, "rb") as handle:
+            digest = hashlib.sha256(handle.read()).hexdigest()
+        assert lines[0].startswith("folded 1 spool(s): ")
+        assert lines[0].endswith(f"sha256 {digest}")
 
-    def test_obs_fold_check_fails_on_divergence(self, tmp_path):
-        from repro.telemetry.live import run_obs_fold
-
-        root = self._record(tmp_path)
-        # Corrupt the *sidecar* (the spool stays sealed): the byte
-        # identity must break loudly, not silently pass.
-        records = read_jsonl(telemetry_sidecar(str(root)))
-        for record in records:
-            if record.get("kind") == "metrics":
-                record["snapshot"]["pool.trials.executed"]["value"] += 1
-        with open(telemetry_sidecar(str(root)), "w") as handle:
-            for record in records:
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
-        lines = []
-        assert run_obs_fold(
-            str(tmp_path), check=True, out=lines.append
-        ) == 1
-        assert any("FOLD MISMATCH" in line for line in lines)
-
-    def test_obs_flame_exports_collapsed_stacks_from_both_inputs(
-        self, tmp_path
-    ):
-        from repro.telemetry.live import run_obs_flame
-
-        # Real trials here: only core.run spans carry cycle counts, and
-        # the export must be identical from the sidecar and the spool.
+    def test_obs_flame_exports_collapsed_stacks_from_a_spool(self, tmp_path):
+        # Real trials here: only core.run spans carry cycle counts.  The
+        # export equals the one the retired sidecar gave (pinned).
         spec = builtin_campaign("ci-smoke")
-        root = tmp_path / "segments" / "seg0"
-        run_shard_observed(
-            spec,
-            Shard(0, 1),
-            str(root),
-            trace_path=telemetry_sidecar(str(root)),
-            stream_path=stream_spool(str(root)),
-            stream_every=8,
-            batch_size=8,
+        spool = stream_spool(str(tmp_path / "seg"))
+        run_shard(spec, Shard(0, 1), str(tmp_path / "seg"),
+                  stream_path=spool, stream_every=8, batch_size=8)
+        target = str(tmp_path / "spool.folded")
+        assert run_obs_flame(spool, output=target, out=lambda _: None) == 0
+        with open(target, "rb") as handle:
+            output = handle.read()
+        assert hashlib.sha256(output).hexdigest() == (
+            "84369dc37223b711dc5e36c5b33b1411a8d7c8f7cc0da19964c40e589f7eb76d"
         )
-        outputs = {}
-        for name, source in (
-            ("trace", telemetry_sidecar(str(root))),
-            ("spool", stream_spool(str(root))),
-        ):
-            target = str(tmp_path / f"{name}.folded")
-            assert run_obs_flame(source, output=target, out=lambda _: None) == 0
-            with open(target) as handle:
-                outputs[name] = handle.read()
-        assert outputs["trace"] == outputs["spool"]
-        for line in outputs["trace"].splitlines():
-            stack, count = line.rsplit(" ", 1)
-            assert stack and int(count) >= 0
-        assert any(
-            ";" in line for line in outputs["trace"].splitlines()
-        )  # real nesting collapsed
+        assert b";" in output  # real nesting collapsed
 
     def test_obs_top_missing_spools_is_one_line_error(self, tmp_path):
-        from repro.telemetry.live import run_obs_top
-
         lines = []
         assert run_obs_top(str(tmp_path), once=True, out=lines.append) == 2
         assert lines == [
@@ -506,13 +506,31 @@ class TestObsCli:
             f"(start the fleet with --stream)"
         ]
 
+    def test_spool_is_the_only_telemetry_artifact(self, tmp_path):
+        """The end-of-shard sidecar and its flags are gone: a streamed
+        shard's segment holds its manifest, its results and its spool."""
+        segment = str(tmp_path / "seg")
+        for retired in (
+            ["campaign", "shard", "ci-smoke", "--index", "0", "--of", "1",
+             "--store", segment, "--trace-out", str(tmp_path / "t.jsonl")],
+            ["campaign", "fleet", "ci-smoke", "--store", segment, "--trace"],
+            ["obs", "fold", segment, "--check"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(retired)
+            assert excinfo.value.code == 2
+        assert main(
+            ["campaign", "shard", "ci-smoke", "--index", "0", "--of", "8",
+             "--store", segment, "--stream-out", stream_spool(segment),
+             "--stream-every", "2"]
+        ) == 0
+        assert sorted(os.listdir(segment)) == [
+            "manifest.json", "results.jsonl", "stream.jsonl"
+        ]
+
 
 class TestProgressRenderer:
     def test_progress_line_surfaces_evictions_and_standdowns(self):
-        import io
-
-        from repro.telemetry.live import ProgressRenderer
-
         sink = io.StringIO()
         renderer = ProgressRenderer(stream=sink, name="demo")
         renderer.on_batch(
@@ -528,10 +546,6 @@ class TestProgressRenderer:
         assert "standdown cache-hitx1,resilience-policyx2" in line
 
     def test_progress_line_stays_quiet_without_batch_counts(self):
-        import io
-
-        from repro.telemetry.live import ProgressRenderer
-
         sink = io.StringIO()
         ProgressRenderer(stream=sink, name="demo").on_batch(
             {"done": 4, "pending": 8, "total": 8, "cached": 0,
