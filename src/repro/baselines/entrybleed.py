@@ -19,7 +19,7 @@ from typing import Dict, Optional
 
 from repro.kernel.layout import (
     KASLR_SLOTS,
-    KERNEL_TEXT_RANGE_START,
+    KASLR_UNMAPPED_REFERENCE,
     KPTI_TRAMPOLINE_OFFSET,
     slot_base,
 )
@@ -59,7 +59,7 @@ class EntryBleedKaslr:
         """Scan the 512 candidate trampoline addresses."""
         start_cycle = self.machine.core.global_cycle
         for _ in range(3):  # warm the gadget code
-            self.probe_latency(KERNEL_TEXT_RANGE_START - 0x200000)
+            self.probe_latency(KASLR_UNMAPPED_REFERENCE)
         totes: Dict[int, int] = {}
         for slot in range(KASLR_SLOTS):
             totes[slot] = self.probe_latency(slot_base(slot) + KPTI_TRAMPOLINE_OFFSET)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.kernel.layout import KASLR_SLOTS, KERNEL_TEXT_RANGE_START, slot_base
+from repro.kernel.layout import KASLR_SLOTS, KASLR_UNMAPPED_REFERENCE, slot_base
 from repro.whisper.analysis import classify_bimodal
 from repro.whisper.attacks.kaslr import KaslrBreakResult
 from repro.whisper.gadgets import RESUME_LABEL
@@ -51,7 +51,7 @@ class FaultTimingKaslr:
         """Scan the 512 slot bases by fault-path timing."""
         start_cycle = self.machine.core.global_cycle
         for _ in range(3):
-            self.probe_latency(KERNEL_TEXT_RANGE_START - 0x200000)
+            self.probe_latency(KASLR_UNMAPPED_REFERENCE)
         totes: Dict[int, int] = {}
         for slot in range(KASLR_SLOTS):
             totes[slot] = self.probe_latency(slot_base(slot))

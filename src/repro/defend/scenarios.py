@@ -140,18 +140,13 @@ def _bind_tet_md(machine) -> ScenarioRunner:
 
 
 def _bind_tet_kaslr(machine) -> ScenarioRunner:
-    from repro.kernel.layout import (
-        KASLR_SLOTS,
-        KERNEL_TEXT_RANGE_START,
-        slot_base,
-    )
+    from repro.kernel.layout import KASLR_SLOTS, KASLR_UNMAPPED_REFERENCE, slot_base
     from repro.whisper.attacks.kaslr import TetKaslr
 
     attack = TetKaslr(machine)
-    reference = KERNEL_TEXT_RANGE_START - 0x200000
 
     def run(rng: random.Random) -> None:
-        attack.probe_tote(reference)
+        attack.probe_tote(KASLR_UNMAPPED_REFERENCE)
         for _ in range(3):
             attack.probe_tote(slot_base(rng.randrange(KASLR_SLOTS)))
 

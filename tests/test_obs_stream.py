@@ -417,12 +417,19 @@ class TestObsCli:
         missing = str(tmp_path / "nope.jsonl")
         empty = str(tmp_path / "empty.jsonl")
         open(empty, "w").close()
-        for body in (run_obs_report, run_obs_trace, run_obs_tail):
-            assert body(missing, out=lines.append) == 2
-            assert body(empty, out=lines.append) == 2
+        # JSONL, but no span, event, metrics record or spool frame.
+        foreign = str(tmp_path / "results.jsonl")
+        with open(foreign, "w") as handle:
+            handle.write(json.dumps({"key": "ab12", "seq": 3}) + "\n")
+        bodies = (run_obs_report, run_obs_trace, run_obs_tail, run_obs_flame)
+        for body in bodies:
+            for path in (missing, empty, foreign):
+                assert body(path, out=lines.append) == 2
+        assert len(lines) == 3 * len(bodies)
         assert all(line.startswith("error: ") for line in lines)
         assert any("no recorded run" in line for line in lines)
         assert any("is empty" in line for line in lines)
+        assert any("holds no telemetry records" in line for line in lines)
 
     def test_obs_commands_replay_a_sealed_spool(self, tmp_path):
         """report, trace --validate and tail read a shard's spool as a
@@ -481,6 +488,32 @@ class TestObsCli:
             digest = hashlib.sha256(handle.read()).hexdigest()
         assert lines[0].startswith("folded 1 spool(s): ")
         assert lines[0].endswith(f"sha256 {digest}")
+
+    def test_obs_fold_rejects_paths_without_spool_frames(self, tmp_path):
+        """An empty file or a non-spool JSONL file is one error line,
+        not the digest of an empty fold; a live spool (frames but no
+        ``end`` frame yet) still folds."""
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        recorded = tmp_path / "run.jsonl"
+        recorded.write_text(json.dumps({"kind": "metrics", "snapshot": {}}) + "\n")
+        for path in (empty, recorded):
+            lines = []
+            assert run_obs_fold(str(path), out=lines.append) == 2
+            assert lines == [
+                f"error: no stream spools under {path} "
+                f"(start the fleet with --stream)"
+            ]
+        spool = stream_spool(str(self._record(tmp_path)))
+        frames, _ = read_frames(spool)
+        with open(spool, "w") as handle:
+            for frame in frames:
+                if frame["kind"] != "end":
+                    handle.write(json.dumps(frame) + "\n")
+        lines = []
+        assert run_obs_fold(spool, out=lines.append) == 0
+        assert lines[0].startswith("folded 1 spool(s): ")
+        assert not lines[0].startswith("folded 1 spool(s): 0 metrics")
 
     def test_obs_flame_exports_collapsed_stacks_from_a_spool(self, tmp_path):
         # Real trials here: only core.run spans carry cycle counts.  The
