@@ -37,6 +37,7 @@ command       what it does
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from typing import List, Optional
@@ -46,6 +47,15 @@ from repro.sim.viz import argmax_series, success_matrix, tote_scan_plot
 from repro.uarch.config import CPU_MODELS
 
 
+class _Refusal(Exception):
+    """A command refuses to go on: :func:`main` prints the message as
+    one stderr line and exits with *code* (2 = bad input)."""
+
+    def __init__(self, message: str, code: int = 2) -> None:
+        super().__init__(message)
+        self.code = code
+
+
 def _add_machine_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--cpu", default="i7-7700", choices=sorted(CPU_MODELS), help="CPU model"
@@ -53,33 +63,33 @@ def _add_machine_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=1, help="KASLR/boot seed")
 
 
-def _workers_parent() -> argparse.ArgumentParser:
-    """The shared ``--workers`` parent parser.
-
-    Every trial-running subcommand (``demo``, ``send``, ``kaslr``,
-    ``matrix``, ``campaign run``) takes it via ``parents=``, so the flag
-    is spelled and documented once.
-    """
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="fan trials across N worker processes (0 = classic serial "
-        "path; results are identical at any worker count)",
-    )
-    return parent
-
-
 def _trial_pool(args):
-    """A TrialPool for ``--workers N`` / ``--batch B``, or None for the
-    legacy path (no fan-out, no lockstep batching)."""
-    batch = getattr(args, "batch", None)
-    if getattr(args, "workers", 0) <= 0 and not (batch and batch > 1):
-        return None
+    """The pool for ``--workers N`` / ``--lanes L``: a TrialPool, or a
+    null context (``as`` binds None) for the legacy path (no fan-out,
+    no lockstep lanes)."""
+    lanes = getattr(args, "lanes", None)
+    if args.workers <= 0 and not (lanes and lanes > 1):
+        return contextlib.nullcontext()
     from repro.runtime import TrialPool
 
-    return TrialPool(workers=max(1, getattr(args, "workers", 0)), batch_size=batch)
+    return TrialPool(workers=max(1, args.workers), batch_size=lanes)
+
+
+@contextlib.contextmanager
+def _campaign_pool(args):
+    """:func:`_trial_pool` for the campaign-executing commands; an
+    aborted campaign (too many failed trials) exits 1."""
+    from repro.campaign import CampaignAborted
+
+    try:
+        with _trial_pool(args) as pool:
+            yield pool
+    except CampaignAborted as exc:
+        raise _Refusal(f"aborted: {exc}", code=1) from None
+
+
+def _progress(label: str):
+    return lambda message: print(f"[{label}] {message}", file=sys.stderr)
 
 
 def _machine(args, **kwargs) -> Machine:
@@ -92,14 +102,10 @@ def cmd_demo(args) -> int:
     machine = _machine(args)
     secret = args.byte & 0xFF
     print(f"machine: {machine.model.name}; sending byte {secret:#04x}")
-    pool = _trial_pool(args)
-    try:
+    with _trial_pool(args) as pool:
         channel = TetCovertChannel(machine, batches=args.batches, pool=pool)
         machine.write_data(channel.sender_page, bytes([secret]))
         scan = channel.scan_byte()
-    finally:
-        if pool is not None:
-            pool.close()
     print()
     print(tote_scan_plot(scan.totes_by_test, highlight=secret))
     print()
@@ -112,8 +118,7 @@ def cmd_demo(args) -> int:
 def cmd_send(args) -> int:
     machine = _machine(args)
     payload = args.message.encode()
-    pool = _trial_pool(args)
-    try:
+    with _trial_pool(args) as pool:
         if args.fast:
             from repro.whisper.fast_channel import BinarySearchChannel
 
@@ -125,9 +130,6 @@ def cmd_send(args) -> int:
             channel = TetCovertChannel(machine, batches=args.batches, pool=pool)
             label = "TET-CC (linear scan)"
         stats = channel.transmit(payload)
-    finally:
-        if pool is not None:
-            pool.close()
     print(f"{label} on {machine.model.name}")
     print(f"sent     : {payload!r}")
     print(f"received : {stats.received!r}")
@@ -155,12 +157,8 @@ def cmd_kaslr(args) -> int:
     machine = _machine(
         args, kpti=args.kpti, flare=args.flare, container=args.container
     )
-    pool = _trial_pool(args)
-    try:
+    with _trial_pool(args) as pool:
         result = TetKaslr(machine, pool=pool).break_auto()
-    finally:
-        if pool is not None:
-            pool.close()
     print(f"TET-KASLR on {machine.model.name} "
           f"(kpti={args.kpti}, flare={args.flare}, container={args.container})")
     print(result)
@@ -181,9 +179,8 @@ def cmd_matrix(args) -> int:
     cpus = sorted(CPU_MODELS) if args.all_cpus else [
         "i7-6700", "i7-7700", "i9-10980XE", "i9-13900K", "ryzen-5600G",
     ]
-    pool = _trial_pool(args)
     matrix = {}
-    try:
+    with _trial_pool(args) as pool:
         for cpu in cpus:
             row = {}
             for attack in attacks:
@@ -205,9 +202,6 @@ def cmd_matrix(args) -> int:
                     row[attack] = TetKaslr(machine, pool=pool).break_kaslr().success
             matrix[cpu] = row
             print(f"[{cpu}] done", file=sys.stderr)
-    finally:
-        if pool is not None:
-            pool.close()
     print(success_matrix(matrix, row_order=cpus, column_order=attacks))
     return 0
 
@@ -320,30 +314,45 @@ def _campaign_store(args):
     return ResultStore(args.store)
 
 
-def _campaign_spec(name: str):
+def _campaign_spec(args):
     from repro.campaign import builtin_campaign
 
-    return builtin_campaign(name)
+    try:
+        return builtin_campaign(args.name)
+    except KeyError as exc:
+        raise _Refusal(exc.args[0]) from None
 
 
-def _artifact_paths(store_root: str, name: str):
-    base = os.path.join(store_root, name)
-    return os.path.join(base, "report.json"), os.path.join(base, "report.txt")
+def _policy(args):
+    """The per-trial policy ``--retry`` / ``--max-failures`` ask for, or
+    None for the classic fail-fast path."""
+    if args.retry <= 0 and args.max_failures is None:
+        return None
+    from repro.faults import ResiliencePolicy
+
+    return ResiliencePolicy(max_retries=args.retry)
+
+
+def _write_artifacts(
+    report, store: str, name: str, kind: str = "report", note: str = ""
+) -> None:
+    """Write ``<store>/<name>/<kind>.json`` and ``.txt``, then print the
+    text, *note* (if any) and the ``artifacts:`` line."""
+    json_path, text_path = (
+        os.path.join(store, name, f"{kind}.{ext}") for ext in ("json", "txt")
+    )
+    report.write_json(json_path)
+    report.write_text(text_path)
+    print(report.render_text())
+    if note:
+        print(note)
+    print(f"artifacts: {json_path}, {text_path}")
 
 
 def cmd_campaign_run(args) -> int:
-    from repro.campaign import CampaignAborted, CampaignRunner
+    from repro.campaign import CampaignRunner
 
-    try:
-        spec = _campaign_spec(args.name)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
-    policy = None
-    if args.retry > 0 or args.max_failures is not None:
-        from repro.faults import ResiliencePolicy
-
-        policy = ResiliencePolicy(max_retries=args.retry)
+    spec = _campaign_spec(args)
     renderer = None
     observer = None
     if args.progress:
@@ -351,37 +360,28 @@ def cmd_campaign_run(args) -> int:
 
         renderer = ProgressRenderer(name=spec.name)
         observer = renderer.on_batch
-    tracing = bool(args.trace_out)
-    trace_data = {}
-    if tracing:
+    if args.trace_out:
         from repro import telemetry
 
         # Wall clocks make the Chrome trace human-meaningful; every
         # checksum strips them (they are sidecar fields).
         telemetry.enable(wall_clock=True)
-    pool = _trial_pool(args)
     try:
-        runner = CampaignRunner(
-            spec,
-            store=_campaign_store(args),
-            pool=pool,
-            batch_size=args.batch_size,
-            progress=lambda message: print(f"[{spec.name}] {message}", file=sys.stderr),
-            policy=policy,
-            max_failures=args.max_failures,
-            observer=observer,
-        )
-        report, stats = runner.run()
-    except CampaignAborted as exc:
-        print(f"aborted: {exc}", file=sys.stderr)
-        return 1
+        with _campaign_pool(args) as pool:
+            report, stats = CampaignRunner(
+                spec,
+                store=_campaign_store(args),
+                pool=pool,
+                batch_size=args.checkpoint_every,
+                progress=_progress(spec.name),
+                policy=_policy(args),
+                max_failures=args.max_failures,
+                observer=observer,
+            ).run()
     finally:
-        if pool is not None:
-            pool.close()
         if renderer is not None:
             renderer.close()
-        if tracing:
-            from repro import telemetry
+        if args.trace_out:
             from repro.telemetry.export import write_jsonl
 
             # Written even when the run aborts: `repro obs tail` on the
@@ -389,26 +389,17 @@ def cmd_campaign_run(args) -> int:
             records = telemetry.recorder().drain()
             metrics = telemetry.metrics_registry().drain()
             telemetry.disable()
-            trace_data["metrics"] = metrics
             write_jsonl(records, args.trace_out, metrics=metrics)
             print(
                 f"[{spec.name}] wrote {len(records)} telemetry records to "
                 f"{args.trace_out} (replay with `repro obs report`)",
                 file=sys.stderr,
             )
-    json_path, text_path = _artifact_paths(args.store, spec.name)
-    report.write_json(json_path)
-    report.write_text(text_path)
-    print(report.render_text())
-    print(f"run      : {stats}")
-    print(f"artifacts: {json_path}, {text_path}")
-    if tracing:
+    _write_artifacts(report, args.store, spec.name, note=f"run      : {stats}")
+    if args.trace_out:
         from repro.campaign.report import render_run_observability
 
-        print(
-            render_run_observability(stats, trace_data.get("metrics", {})),
-            file=sys.stderr,
-        )
+        print(render_run_observability(stats, metrics), file=sys.stderr)
     if args.require_cached is not None and stats.hit_rate < args.require_cached:
         print(
             f"cache hit rate {stats.hit_rate:.1%} below required "
@@ -420,45 +411,30 @@ def cmd_campaign_run(args) -> int:
 
 
 def cmd_campaign_shard(args) -> int:
-    from repro.campaign import CampaignAborted, Shard
+    from repro.campaign import Shard
     from repro.distrib import manifest_path, run_shard
 
-    try:
-        spec = _campaign_spec(args.name)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
+    spec = _campaign_spec(args)
     try:
         shard = Shard(args.index, args.of)
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    policy = None
-    if args.retry > 0 or args.max_failures is not None:
-        from repro.faults import ResiliencePolicy
-
-        policy = ResiliencePolicy(max_retries=args.retry)
-    pool = _trial_pool(args)
+        raise _Refusal(str(exc)) from None
     label = f"{spec.name} {shard}"
     try:
-        store, stats = run_shard(
-            spec,
-            shard,
-            args.store,
-            stream_path=args.stream_out,
-            stream_every=args.stream_every,
-            pool=pool,
-            batch_size=args.batch_size,
-            policy=policy,
-            max_failures=args.max_failures,
-            progress=lambda message: print(f"[{label}] {message}", file=sys.stderr),
-        )
-    except CampaignAborted as exc:
-        print(f"aborted: {exc}", file=sys.stderr)
-        return 1
+        with _campaign_pool(args) as pool:
+            store, stats = run_shard(
+                spec,
+                shard,
+                args.store,
+                stream_path=args.stream_out,
+                stream_every=args.stream_every,
+                pool=pool,
+                batch_size=args.checkpoint_every,
+                policy=_policy(args),
+                max_failures=args.max_failures,
+                progress=_progress(label),
+            )
     finally:
-        if pool is not None:
-            pool.close()
         if args.stream_out:
             print(
                 f"[{label}] streamed telemetry to {args.stream_out} "
@@ -474,34 +450,27 @@ def cmd_campaign_shard(args) -> int:
 
 
 def cmd_campaign_merge(args) -> int:
-    from repro.campaign import CampaignRunner, ResultStore
+    from repro.campaign import CampaignRunner
     from repro.distrib import MergeError, merge_stores
     from repro.distrib.coordinator import FLEET_TELEMETRY
-    from repro.telemetry.stream import fold_streams
+    from repro.telemetry.stream import fold_streams, stream_spool
 
-    try:
-        spec = _campaign_spec(args.name)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
+    spec = _campaign_spec(args)
     try:
         stats = merge_stores(
             args.segments, args.store, check_manifests=not args.no_manifests
         )
     except MergeError as exc:
-        print(f"merge refused: {exc}", file=sys.stderr)
-        return 2
+        raise _Refusal(f"merge refused: {exc}") from None
     print(f"merged   : {stats}")
-    folded = fold_streams(
-        args.segments, os.path.join(args.store, FLEET_TELEMETRY)
-    )
+    telemetry_path = os.path.join(args.store, FLEET_TELEMETRY)
+    folded = fold_streams(map(stream_spool, args.segments), telemetry_path)
     if folded:
         print(
-            f"telemetry: {len(folded)} fleet metrics -> "
-            f"{os.path.join(args.store, FLEET_TELEMETRY)} "
+            f"telemetry: {len(folded)} fleet metrics -> {telemetry_path} "
             f"(render with `repro obs report`)"
         )
-    runner = CampaignRunner(spec, store=ResultStore(args.store))
+    runner = CampaignRunner(spec, store=_campaign_store(args))
     report = runner.collect()
     if report is None:
         print(runner.status())
@@ -511,29 +480,20 @@ def cmd_campaign_merge(args) -> int:
             file=sys.stderr,
         )
         return 0 if args.allow_partial else 1
-    json_path, text_path = _artifact_paths(args.store, spec.name)
-    report.write_json(json_path)
-    report.write_text(text_path)
-    print(report.render_text())
-    print(f"artifacts: {json_path}, {text_path}")
+    _write_artifacts(report, args.store, spec.name)
     return 0
 
 
 def cmd_campaign_fleet(args) -> int:
-    from repro.campaign import ResultStore
     from repro.distrib import Coordinator, FleetError, LocalProcessWorker
     from repro.distrib.coordinator import FLEET_TELEMETRY
     from repro.faults import ResiliencePolicy
 
-    try:
-        spec = _campaign_spec(args.name)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
+    spec = _campaign_spec(args)
     worker = LocalProcessWorker(
         spec.name,
         workers=args.workers,
-        batch_size=args.batch_size,
+        batch_size=args.checkpoint_every,
         retry=args.retry,
         stream=args.stream,
         stream_every=args.stream_every,
@@ -552,8 +512,7 @@ def cmd_campaign_fleet(args) -> int:
             max_retries=args.retry_shards, backoff_base=args.backoff
         ),
         parallel=args.parallel,
-        progress=lambda message: print(f"[fleet {spec.name}] {message}",
-                                       file=sys.stderr),
+        progress=_progress(f"fleet {spec.name}"),
         stream=args.stream,
         on_stream=on_stream,
     )
@@ -563,7 +522,7 @@ def cmd_campaign_fleet(args) -> int:
         print(f"fleet failed: {exc}", file=sys.stderr)
         return 1
     print(result)
-    print(f"store    : {ResultStore(args.store).path}")
+    print(f"store    : {_campaign_store(args).path}")
     print(
         f"obs      : repro obs report "
         f"{os.path.join(args.store, FLEET_TELEMETRY)}"
@@ -574,34 +533,21 @@ def cmd_campaign_fleet(args) -> int:
             f"repro obs fold {args.store}"
         )
     if result.report is not None:
-        json_path, text_path = _artifact_paths(args.store, spec.name)
-        result.report.write_json(json_path)
-        result.report.write_text(text_path)
-        print(result.report.render_text())
-        print(f"artifacts: {json_path}, {text_path}")
+        _write_artifacts(result.report, args.store, spec.name)
     return 0
 
 
 def cmd_campaign_status(args) -> int:
     from repro.campaign import CampaignRunner
 
-    try:
-        spec = _campaign_spec(args.name)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
-    print(CampaignRunner(spec, store=_campaign_store(args)).status())
+    print(CampaignRunner(_campaign_spec(args), store=_campaign_store(args)).status())
     return 0
 
 
 def cmd_campaign_report(args) -> int:
     from repro.campaign import CampaignRunner
 
-    try:
-        spec = _campaign_spec(args.name)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
+    spec = _campaign_spec(args)
     runner = CampaignRunner(spec, store=_campaign_store(args))
     report = runner.collect()
     if report is None:
@@ -609,11 +555,7 @@ def cmd_campaign_report(args) -> int:
         print("campaign incomplete; `campaign run` executes the delta",
               file=sys.stderr)
         return 1
-    json_path, text_path = _artifact_paths(args.store, spec.name)
-    report.write_json(json_path)
-    report.write_text(text_path)
-    print(report.render_text())
-    print(f"artifacts: {json_path}, {text_path}")
+    _write_artifacts(report, args.store, spec.name)
     return 0
 
 
@@ -646,16 +588,9 @@ def _load_calibration(args):
     try:
         return Calibration.load(path)
     except FileNotFoundError:
-        print(
-            f"no calibration at {path}; run `repro defend calibrate` first",
-            file=sys.stderr,
-        )
-        return None
-
-
-def _defend_artifact_paths(store_root: str, name: str):
-    base = os.path.join(store_root, name)
-    return os.path.join(base, "defend.json"), os.path.join(base, "defend.txt")
+        raise _Refusal(
+            f"no calibration at {path}; run `repro defend calibrate` first"
+        ) from None
 
 
 def _print_calibration(calibration) -> None:
@@ -670,19 +605,13 @@ def _print_calibration(calibration) -> None:
 def cmd_defend_calibrate(args) -> int:
     from repro.defend import calibrate
 
-    pool = _trial_pool(args)
-    try:
+    with _campaign_pool(args) as pool:
         calibration, stats = calibrate(
             store=_campaign_store(args),
             pool=pool,
-            batch_size=args.batch_size,
-            progress=lambda message: print(
-                f"[defend-calibrate] {message}", file=sys.stderr
-            ),
+            batch_size=args.checkpoint_every,
+            progress=_progress("defend-calibrate"),
         )
-    finally:
-        if pool is not None:
-            pool.close()
     path = _calibration_path(args)
     calibration.save(path)
     _print_calibration(calibration)
@@ -698,15 +627,11 @@ def cmd_defend_score(args) -> int:
     try:
         scenario = get_scenario(args.scenario)
     except KeyError:
-        print(
+        raise _Refusal(
             f"unknown scenario {args.scenario!r}; "
-            f"choose from: {', '.join(scenario_names())}",
-            file=sys.stderr,
-        )
-        return 2
+            f"choose from: {', '.join(scenario_names())}"
+        ) from None
     calibration = _load_calibration(args)
-    if calibration is None:
-        return 2
     spec = MachineSpec(model=args.cpu, seed=args.seed)
     print(
         f"{scenario.name} [{scenario.taxonomy}] on {args.cpu} seed {args.seed}: "
@@ -737,15 +662,8 @@ def cmd_defend_score(args) -> int:
 def cmd_defend_eval(args) -> int:
     from repro.defend import StreamingDetector, build_defend_report
 
-    try:
-        spec = _campaign_spec(args.name)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
-    calibration = _load_calibration(args)
-    if calibration is None:
-        return 2
-    detector = StreamingDetector(calibration, spec)
+    spec = _campaign_spec(args)
+    detector = StreamingDetector(_load_calibration(args), spec)
     ingested = detector.ingest_store(_campaign_store(args))
     expected = spec.trial_count()
     if ingested + detector.failed_windows < expected and not args.allow_partial:
@@ -757,27 +675,16 @@ def cmd_defend_eval(args) -> int:
         )
         return 1
     report = build_defend_report(detector, min_auc=args.min_auc)
-    json_path, text_path = _defend_artifact_paths(args.store, spec.name)
-    report.write_json(json_path)
-    report.write_text(text_path)
-    print(report.render_text())
-    print(f"artifacts: {json_path}, {text_path}")
+    _write_artifacts(report, args.store, spec.name, "defend")
     return 0 if report.passed else 1
 
 
 def cmd_defend_stream(args) -> int:
-    from repro.campaign import CampaignAborted, CampaignRunner
+    from repro.campaign import CampaignRunner
     from repro.defend import StreamingDetector, build_defend_report
 
-    try:
-        spec = _campaign_spec(args.name)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
-    calibration = _load_calibration(args)
-    if calibration is None:
-        return 2
-    detector = StreamingDetector(calibration, spec)
+    spec = _campaign_spec(args)
+    detector = StreamingDetector(_load_calibration(args), spec)
     seen = set()
 
     def sink(ref, outcome):
@@ -792,31 +699,17 @@ def cmd_defend_stream(args) -> int:
             file=sys.stderr,
         )
 
-    pool = _trial_pool(args)
-    try:
-        runner = CampaignRunner(
+    with _campaign_pool(args) as pool:
+        CampaignRunner(
             spec,
             store=_campaign_store(args),
             pool=pool,
-            batch_size=args.batch_size,
-            progress=lambda message: print(
-                f"[{spec.name}] {message}", file=sys.stderr
-            ),
+            batch_size=args.checkpoint_every,
+            progress=_progress(spec.name),
             sink=sink,
-        )
-        runner.run()
-    except CampaignAborted as exc:
-        print(f"aborted: {exc}", file=sys.stderr)
-        return 1
-    finally:
-        if pool is not None:
-            pool.close()
+        ).run()
     report = build_defend_report(detector, min_auc=args.min_auc)
-    json_path, text_path = _defend_artifact_paths(args.store, spec.name)
-    report.write_json(json_path)
-    report.write_text(text_path)
-    print(report.render_text())
-    print(f"artifacts: {json_path}, {text_path}")
+    _write_artifacts(report, args.store, spec.name, "defend")
     return 0 if report.passed else 1
 
 
@@ -826,7 +719,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="Whisper (DAC 2024) reproduction on a simulated CPU",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    workers = _workers_parent()
+    # Shared flags are spelled once, in parent parsers: every
+    # trial-running command takes ``--workers``; the five that execute
+    # campaigns (``campaign run|shard|fleet``, ``defend calibrate|stream``)
+    # also take ``--checkpoint-every``.
+    workers = argparse.ArgumentParser(add_help=False)
+    workers.add_argument(
+        "--workers",
+        type=int,
+        default=0,
+        help="fan trials across N worker processes (0 = classic serial "
+        "path; results are identical at any worker count)",
+    )
+    execution = argparse.ArgumentParser(add_help=False, parents=[workers])
+    execution.add_argument(
+        "--checkpoint-every", type=int, default=128, metavar="K",
+        help="checkpoint the result store every K completed trials "
+        "(default: 128)",
+    )
 
     demo = sub.add_parser(
         "demo", parents=[workers], help="see the Figure 1 channel"
@@ -878,19 +788,28 @@ def build_parser() -> argparse.ArgumentParser:
             help="result-store directory (default: .campaigns)",
         )
 
+    def _resilience(sub_parser):
+        sub_parser.add_argument(
+            "--retry", type=int, default=0, metavar="N",
+            help="retry each failing trial up to N times before "
+            "quarantining it as a structured failure (0 = classic "
+            "fail-fast path)",
+        )
+        sub_parser.add_argument(
+            "--max-failures", type=int, default=None, metavar="M",
+            help="abort (after checkpointing) once more than M trials have "
+            "failed every retry; implies the resilient path",
+        )
+
     crun = csub.add_parser(
-        "run", parents=[workers],
+        "run", parents=[execution],
         help="run a campaign (cached trials replay for free)",
     )
     crun.add_argument("name", help="built-in campaign name (see `campaign list`)")
     _campaign_common(crun)
     crun.add_argument(
-        "--batch-size", type=int, default=128,
-        help="trials per checkpoint batch (default: 128)",
-    )
-    crun.add_argument(
-        "--batch", type=int, default=None, metavar="B",
-        help="step pack-eligible trials B lanes at a time through the "
+        "--lanes", "--batch", type=int, default=None, metavar="L",
+        help="step pack-eligible trials L lanes at a time through the "
         "lockstep batch executor (results are byte-identical to the "
         "scalar path; divergent lanes fall back automatically)",
     )
@@ -899,20 +818,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit non-zero if the store hit rate is below FRACTION "
         "(CI uses 1.0 to police the cache)",
     )
-    crun.add_argument(
-        "--retry", type=int, default=0, metavar="N",
-        help="retry each failing trial up to N times before quarantining "
-        "it as a structured failure (0 = classic fail-fast path)",
-    )
-    crun.add_argument(
-        "--max-failures", type=int, default=None, metavar="M",
-        help="abort (after checkpointing) once more than M trials have "
-        "failed every retry; implies the resilient path",
-    )
+    _resilience(crun)
     crun.add_argument(
         "--progress", action="store_true",
         help="stream per-cell throughput, ETA and failure counts to "
-        "stderr after every checkpointed batch",
+        "stderr after every checkpoint",
     )
     crun.add_argument(
         "--trace-out", default=None, metavar="PATH",
@@ -922,7 +832,7 @@ def build_parser() -> argparse.ArgumentParser:
     crun.set_defaults(func=cmd_campaign_run)
 
     cshard = csub.add_parser(
-        "shard", parents=[workers],
+        "shard", parents=[execution],
         help="run one deterministic slice of a campaign into a store "
         "segment (repro.distrib)",
     )
@@ -939,18 +849,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--store", default=".campaigns",
         help="segment store directory (one per shard; default: .campaigns)",
     )
-    cshard.add_argument(
-        "--batch-size", type=int, default=128,
-        help="trials per checkpoint batch (default: 128)",
-    )
-    cshard.add_argument(
-        "--retry", type=int, default=0, metavar="N",
-        help="retry each failing trial up to N times before quarantining it",
-    )
-    cshard.add_argument(
-        "--max-failures", type=int, default=None, metavar="M",
-        help="abort (after checkpointing) once more than M trials failed",
-    )
+    _resilience(cshard)
     cshard.add_argument(
         "--stream-out", default=None, metavar="PATH",
         help="append live framed telemetry (spans, metric snapshots, "
@@ -986,9 +885,10 @@ def build_parser() -> argparse.ArgumentParser:
     cmerge.set_defaults(func=cmd_campaign_merge)
 
     cfleet = csub.add_parser(
-        "fleet", parents=[workers],
+        "fleet", parents=[execution],
         help="shard a campaign across local subprocess workers, merge as "
-        "segments complete (the asyncio coordinator)",
+        "segments complete (the asyncio coordinator); --workers and "
+        "--checkpoint-every apply inside each shard",
     )
     cfleet.add_argument("name", help="built-in campaign name")
     _campaign_common(cfleet)
@@ -1009,10 +909,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--backoff", type=float, default=0.0, metavar="SECONDS",
         help="seeded exponential backoff base between shard retries "
         "(default: 0, retry immediately)",
-    )
-    cfleet.add_argument(
-        "--batch-size", type=int, default=128,
-        help="per-shard trials per checkpoint batch (default: 128)",
     )
     cfleet.add_argument(
         "--retry", type=int, default=0, metavar="N",
@@ -1227,6 +1123,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ooverhead.set_defaults(func=cmd_obs_overhead)
 
+
     defend = sub.add_parser(
         "defend", help="the detection arms race (repro.defend)"
     )
@@ -1245,15 +1142,11 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     dcal = dsub.add_parser(
-        "calibrate", parents=[workers],
+        "calibrate", parents=[execution],
         help="run the seeded benign/attack training mix and fit the "
         "deterministic detector (TET held out)",
     )
     _defend_common(dcal)
-    dcal.add_argument(
-        "--batch-size", type=int, default=128,
-        help="trials per checkpoint batch (default: 128)",
-    )
     dcal.set_defaults(func=cmd_defend_calibrate)
 
     dscore = dsub.add_parser(
@@ -1291,16 +1184,12 @@ def build_parser() -> argparse.ArgumentParser:
     deval.set_defaults(func=cmd_defend_eval)
 
     dstream = dsub.add_parser(
-        "stream", parents=[workers],
+        "stream", parents=[execution],
         help="run a campaign with the streaming detector attached "
         "(flags print live, report renders at the end)",
     )
     dstream.add_argument("name", help="built-in campaign name (e.g. e11-detect)")
     _defend_common(dstream)
-    dstream.add_argument(
-        "--batch-size", type=int, default=128,
-        help="trials per checkpoint batch (default: 128)",
-    )
     dstream.add_argument(
         "--min-auc", type=float, default=None, metavar="FLOOR",
         help="arm the cache-family AUC gate in the final report",
@@ -1319,9 +1208,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except _Refusal as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -175,7 +175,7 @@ class LocalProcessWorker:
         if self.workers > 0:
             cmd += ["--workers", str(self.workers)]
         if self.batch_size is not None:
-            cmd += ["--batch-size", str(self.batch_size)]
+            cmd += ["--checkpoint-every", str(self.batch_size)]
         if self.retry > 0:
             cmd += ["--retry", str(self.retry)]
         if self.stream:
@@ -447,7 +447,7 @@ class Coordinator:
         """Fold fleet counters and segment spools into one obs view."""
         from repro.telemetry.export import write_jsonl
         from repro.telemetry.metrics import MetricsRegistry, merge_snapshots
-        from repro.telemetry.stream import fold_streams
+        from repro.telemetry.stream import fold_streams, stream_spool
 
         registry = MetricsRegistry()
         registry.gauge("fleet.shards.of").set(len(self.shards))
@@ -464,7 +464,8 @@ class Coordinator:
             registry.gauge("fleet.records.merged").set(result.merge.unique)
             registry.gauge("fleet.records.failures").set(result.merge.failures)
         spools = fold_streams(
-            segment_root(self.dest_root, shard) for shard in self.shards
+            stream_spool(segment_root(self.dest_root, shard))
+            for shard in self.shards
         )
         result.metrics = merge_snapshots(registry.snapshot(), spools)
         write_jsonl(

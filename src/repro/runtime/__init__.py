@@ -33,7 +33,6 @@ from repro.runtime.pool import (
     ProcessExecutor,
     SerialExecutor,
     TrialPool,
-    TrialTimeout,
     WorkerCrew,
     WorkerLostError,
     default_workers,
@@ -63,7 +62,6 @@ __all__ = [
     "TrialPool",
     "TrialFailure",
     "TrialResult",
-    "TrialTimeout",
     "WorkerCrew",
     "WorkerLostError",
     "default_workers",

@@ -48,7 +48,6 @@ __all__ = [
     "ProcessExecutor",
     "WorkerCrew",
     "WorkerLostError",
-    "TrialTimeout",
     "default_workers",
 ]
 
@@ -128,11 +127,6 @@ class WorkerLostError(RuntimeError):
         #: The dead worker's final stderr lines (diagnostics only -- never
         #: serialised into trial results, which must stay deterministic).
         self.stderr_tail = stderr_tail
-
-
-class TrialTimeout(RuntimeError):
-    """A trial exceeded the policy deadline (kept for API symmetry;
-    the resilient path records timeouts as retries, not raises)."""
 
 
 def _call_trial(fn: Callable, payload, attempt: int):

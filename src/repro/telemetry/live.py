@@ -329,8 +329,9 @@ def run_obs_fold(root: str, output: Optional[str] = None, out=print) -> int:
             f"(start the fleet with --stream)"
         )
         return 2
-    segments = sorted(os.path.dirname(path) for path in spools.values())
-    folded = fold_streams(segments, dest_path=output)
+    folded = fold_streams(
+        sorted(spools.values(), key=os.path.dirname), dest_path=output
+    )
     fold_bytes = (
         json.dumps({"kind": "metrics", "snapshot": folded}, sort_keys=True)
         + "\n"

@@ -487,22 +487,22 @@ def fold_stream(path: str) -> Dict[str, dict]:
 
 
 def fold_streams(
-    segment_roots: Iterable[str],
+    spools: Iterable[str],
     dest_path: Optional[str] = None,
 ) -> Dict[str, dict]:
-    """Fold every segment's spool into one fleet snapshot.
+    """Fold spool files into one fleet snapshot.
 
     Snapshot merging is commutative (see :mod:`repro.telemetry.metrics`),
-    so the fleet view is independent of completion order; segments
-    without a spool contribute nothing.  When *dest_path* is given the
-    merged snapshot is written as a recorded run that ``repro obs
-    report`` renders directly.
+    so the fleet view is independent of completion order; a missing
+    spool contributes nothing.  When *dest_path* is given the merged
+    snapshot is written as a recorded run that ``repro obs report``
+    renders directly.
     """
     from repro.telemetry.export import write_jsonl
 
     snapshots = []
-    for root in segment_roots:
-        folded = fold_stream(stream_spool(root))
+    for path in spools:
+        folded = fold_stream(path)
         if folded:
             snapshots.append(folded)
     merged = merge_snapshots(*snapshots)

@@ -260,6 +260,77 @@ class TestBuiltins:
         assert report1.summary()["kaslr"] == {"sweeps": 3, "broken": 3}
 
 
+def _unknown_campaign(argv):
+    def row(store):
+        return [*argv, "--store", store], (
+            f"unknown campaign 'e99-nope'; built-ins: {', '.join(builtin_names())}"
+        )
+
+    return row
+
+
+def _missing_calibration(argv):
+    def row(store):
+        path = f"{store}/defend/calibration.json"
+        return [*argv, "--store", store], (
+            f"no calibration at {path}; run `repro defend calibrate` first"
+        )
+
+    return row
+
+
+def _merge_of_different_campaigns(store):
+    from repro.distrib import Shard, ShardManifest, write_manifest
+
+    segments = []
+    for index, name in enumerate(("ci-smoke", "e9-kaslr")):
+        spec = builtin_campaign(name)
+        segment = f"{store}/seg{index}"
+        write_manifest(segment, ShardManifest.for_shard(spec, Shard(index, 2)))
+        segments.append((segment, spec_digest(spec)[:16]))
+    (first, first_digest), (second, second_digest) = segments
+    return ["campaign", "merge", "ci-smoke", first, second, "--store", store], (
+        f"merge refused: cannot merge {second} (campaign e9-kaslr, spec "
+        f"{second_digest}) with {first} (campaign ci-smoke, spec "
+        f"{first_digest}): segments slice different campaigns"
+    )
+
+
+def _unknown_scenario(store):
+    from repro.defend import scenario_names
+
+    return ["defend", "score", "--scenario", "nope", "--store", store], (
+        f"unknown scenario 'nope'; choose from: {', '.join(scenario_names())}"
+    )
+
+
+#: Every CLI refusal: a row builds ``(argv, stderr line)`` for a store.
+REFUSALS = {
+    "run-unknown": _unknown_campaign(["campaign", "run", "e99-nope"]),
+    "shard-unknown": _unknown_campaign(
+        ["campaign", "shard", "e99-nope", "--index", "0", "--of", "1"]
+    ),
+    "merge-unknown": _unknown_campaign(["campaign", "merge", "e99-nope", "seg"]),
+    "fleet-unknown": _unknown_campaign(["campaign", "fleet", "e99-nope"]),
+    "status-unknown": _unknown_campaign(["campaign", "status", "e99-nope"]),
+    "report-unknown": _unknown_campaign(["campaign", "report", "e99-nope"]),
+    "eval-unknown": _unknown_campaign(["defend", "eval", "e99-nope"]),
+    "stream-unknown": _unknown_campaign(["defend", "stream", "e99-nope"]),
+    "shard-arithmetic": lambda store: (
+        ["campaign", "shard", "ci-smoke", "--index", "2", "--of", "2",
+         "--store", store],
+        "shard index must be in [0, 2), not 2",
+    ),
+    "merge-refused": _merge_of_different_campaigns,
+    "score-uncalibrated": _missing_calibration(
+        ["defend", "score", "--scenario", "tet-cc"]
+    ),
+    "eval-uncalibrated": _missing_calibration(["defend", "eval", "e11-detect"]),
+    "stream-uncalibrated": _missing_calibration(["defend", "stream", "e11-detect"]),
+    "score-unknown-scenario": _unknown_scenario,
+}
+
+
 class TestCli:
     def run_cli(self, *argv):
         from repro.cli import main
@@ -311,6 +382,98 @@ class TestCli:
         assert self.run_cli(
             "campaign", "run", "e99-nope", "--store", str(tmp_path)
         ) == 2
+
+    @pytest.mark.parametrize("row", sorted(REFUSALS))
+    def test_refusal_is_one_stderr_line_and_exit_2(self, tmp_path, capsys, row):
+        argv, message = REFUSALS[row](str(tmp_path))
+        assert self.run_cli(*argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == message + "\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", [
+        ("campaign", "run", "broken"),
+        ("campaign", "shard", "broken", "--index", "0", "--of", "1"),
+    ])
+    def test_aborted_campaign_exits_1(self, tmp_path, capsys, monkeypatch, command):
+        from repro.campaign import builtin
+
+        # Every trial raises: the CPU model does not exist.
+        broken = CampaignSpec(name="broken", cells=(channel_cell(
+            MachineSpec(model="no-such-cpu"), payload=b"\x01", values=range(4),
+        ),))
+        monkeypatch.setitem(builtin.BUILTIN_CAMPAIGNS, "broken", lambda: broken)
+        assert self.run_cli(
+            *command, "--store", str(tmp_path), "--max-failures", "0"
+        ) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[-1] == (
+            "aborted: broken: 4 trial failures exceed --max-failures 0 "
+            "(progress checkpointed; rerun to resume)"
+        )
+        assert captured.out == ""
+
+    def _artifacts(self, store):
+        return [
+            (store / "ci-smoke" / name).read_bytes()
+            for name in ("report.json", "report.txt")
+        ]
+
+    def test_lanes_and_batch_alias_match_the_scalar_run(self, tmp_path, capsys):
+        assert self.run_cli(
+            "campaign", "run", "ci-smoke", "--store", str(tmp_path / "scalar")
+        ) == 0
+        scalar = self._artifacts(tmp_path / "scalar")
+        for flag in ("--lanes", "--batch"):
+            store = tmp_path / flag.strip("-")
+            assert self.run_cli(
+                "campaign", "run", "ci-smoke", "--store", str(store), flag, "4"
+            ) == 0
+            assert self._artifacts(store) == scalar
+
+    @pytest.mark.parametrize(
+        "extra, batches", [((), 1), (("--checkpoint-every", "8"), 4)]
+    )
+    def test_checkpoint_every_sets_the_checkpoint_cadence(
+        self, tmp_path, capsys, extra, batches
+    ):
+        assert self.run_cli(
+            "campaign", "run", "ci-smoke", "--store", str(tmp_path), *extra
+        ) == 0
+        assert f"32 executed in {batches} batches" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", [
+        ("campaign", "run", "ci-smoke"),
+        ("campaign", "shard", "ci-smoke", "--index", "0", "--of", "1"),
+        ("campaign", "fleet", "ci-smoke"),
+        ("defend", "calibrate"),
+        ("defend", "stream", "e11-detect"),
+    ])
+    def test_batch_size_flag_is_gone(self, tmp_path, command):
+        with pytest.raises(SystemExit) as excinfo:
+            self.run_cli(*command, "--store", str(tmp_path), "--batch-size", "4")
+        assert excinfo.value.code == 2
+
+    def test_fleet_worker_command_parses_as_campaign_shard(self, tmp_path):
+        """The shard command line a fleet spawns is one `campaign shard`
+        accepts, with the fleet's execution flags carried through."""
+        from repro.cli import build_parser, cmd_campaign_shard
+        from repro.distrib import LocalProcessWorker, Shard
+        from repro.telemetry.stream import DEFAULT_STREAM_EVERY, stream_spool
+
+        segment = str(tmp_path / "seg")
+        worker = LocalProcessWorker(
+            "ci-smoke", workers=2, batch_size=8, retry=1, stream=True
+        )
+        args = build_parser().parse_args(worker.command(Shard(1, 3), segment)[3:])
+        assert args.func is cmd_campaign_shard
+        assert (args.name, args.index, args.of, args.store) == (
+            "ci-smoke", 1, 3, segment
+        )
+        assert (args.workers, args.checkpoint_every, args.retry) == (2, 8, 1)
+        assert (args.stream_out, args.stream_every) == (
+            stream_spool(segment), DEFAULT_STREAM_EVERY
+        )
 
 
 class TestRunStats:

@@ -239,7 +239,7 @@ class TestFoldContract:
             _stream_shard(spec, Shard(index, shards), root, every=2)
             segments.append(str(root))
         fold_path = str(tmp_path / "fold.jsonl")
-        folded = fold_streams(segments, dest_path=fold_path)
+        folded = fold_streams(map(stream_spool, segments), dest_path=fold_path)
         assert _digest(folded) == FOLD_DIGESTS[shards]
         _, metrics = split_metrics(load_trace(fold_path))
         assert metrics == folded
@@ -271,14 +271,11 @@ class TestFoldContract:
             policy=ResiliencePolicy(max_retries=1, backoff_base=0.0),
         ).run()
         assert deaths == [0]
-        segments = sorted(
-            os.path.dirname(path)
-            for path in discover_spools(dest).values()
-        )
+        spools = sorted(discover_spools(dest).values())
         retried = os.path.join(dest, "segments", "shard1of3")
         frames, _ = read_frames(stream_spool(retried))
         assert max(f["attempt"] for f in frames) == 1  # the retry appended
-        assert _digest(fold_streams(segments)) == (
+        assert _digest(fold_streams(spools)) == (
             "acd526aa2f7f152106e958faf12066f17a85e44f0ae46962a1cd2d26421b8f29"
         )
         # The replay is the retry's trace alone, as its sidecar was.
@@ -304,7 +301,7 @@ class TestFoldContract:
         _stream_shard(spec, Shard(0, 2), root, every=2)
         other = tmp_path / "seg1"
         _stream_shard(spec, Shard(1, 2), other, every=2)
-        assert _digest(fold_streams([str(root), str(other)])) == (
+        assert _digest(fold_streams([spool, stream_spool(str(other))])) == (
             "4fa6b311a6f328a58dad61bf205a05ba1168b1f9668da63f67f9bb2df5f25794"
         )
 
@@ -379,11 +376,8 @@ class TestCoordinatorTailing:
         assert view is not None and view.all_done()
         # The final tailed state is the complete stream: its merged
         # metrics equal the end-of-shard fold exactly.
-        segments = [
-            os.path.dirname(path)
-            for path in discover_spools(str(tmp_path / "fleet")).values()
-        ]
-        assert view.merged_metrics() == fold_streams(segments)
+        spools = discover_spools(str(tmp_path / "fleet")).values()
+        assert view.merged_metrics() == fold_streams(spools)
         assert "3 shards" in seen[-1] and "done" in seen[-1]
 
     def test_fleet_view_renders_waiting_running_done(self, tmp_path):
@@ -514,6 +508,21 @@ class TestObsCli:
         assert run_obs_fold(spool, out=lines.append) == 0
         assert lines[0].startswith("folded 1 spool(s): ")
         assert not lines[0].startswith("folded 1 spool(s): 0 metrics")
+
+    def test_obs_fold_reads_a_spool_under_any_name(self, tmp_path):
+        """A spool copied to another name folds its own frames, not the
+        (absent) ``stream.jsonl`` beside it."""
+        spool = stream_spool(str(self._record(tmp_path)))
+        renamed = tmp_path / "other" / "renamed.jsonl"
+        renamed.parent.mkdir()
+        renamed.write_bytes(open(spool, "rb").read())
+        folds = []
+        for path in (spool, str(renamed)):
+            lines = []
+            assert run_obs_fold(path, out=lines.append) == 0
+            folds.append(lines[0])
+        assert folds[0] == folds[1]
+        assert not folds[0].startswith("folded 1 spool(s): 0 metrics")
 
     def test_obs_flame_exports_collapsed_stacks_from_a_spool(self, tmp_path):
         # Real trials here: only core.run spans carry cycle counts.  The
