@@ -14,8 +14,9 @@ The runner never writes wall-clock or provenance into the report; those
 live in :class:`RunStats` (``executed`` counts live trials via
 ``TrialPool.trials_executed``, ``cached`` counts store replays).
 
-Under a :class:`~repro.faults.resilience.ResiliencePolicy` the runner
-degrades gracefully instead of dying: trials that fail every retry are
+When its pool runs under a
+:class:`~repro.faults.resilience.ResiliencePolicy` the runner degrades
+gracefully instead of dying: trials that fail every retry are
 checkpointed as :class:`~repro.runtime.tasks.TrialFailure` records under
 the same content address their success would have used -- so resume
 replays failures rather than re-poisoning itself -- and the report grows
@@ -34,7 +35,6 @@ from repro import telemetry
 from repro.campaign.report import CampaignReport, build_report
 from repro.campaign.spec import CampaignSpec, Shard, TrialRef
 from repro.campaign.store import ResultStore, StoredOutcome, trial_key
-from repro.faults.resilience import ResiliencePolicy
 from repro.runtime.pool import TrialPool
 from repro.runtime.tasks import TrialFailure, run_trial
 
@@ -138,7 +138,6 @@ class CampaignRunner:
         pool: Optional[TrialPool] = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
         progress: Optional[Callable[[str], None]] = None,
-        policy: Optional[ResiliencePolicy] = None,
         max_failures: Optional[int] = None,
         trial_fn: Callable = run_trial,
         observer: Optional[Callable[[Dict], None]] = None,
@@ -163,7 +162,6 @@ class CampaignRunner:
         self.store = store if store is not None else ResultStore()
         self.pool = pool
         self.batch_size = batch_size
-        self.policy = policy
         self.max_failures = max_failures
         #: The worker-side trial function; overridable so chaos tests can
         #: sweep campaign-sized grids with a cheap stub.
@@ -262,8 +260,6 @@ class CampaignRunner:
         if not pending:
             return 0, 0
         pool = self.pool if self.pool is not None else TrialPool(workers=1)
-        if self.policy is not None:
-            pool.policy = self.policy
         observing = telemetry.enabled()
         failures = sum(
             1 for result in results if isinstance(result, TrialFailure)
@@ -380,7 +376,7 @@ class CampaignRunner:
             # Lockstep lanes per pack (1 = scalar dispatch).  Span-only:
             # batching is scheduling, so it must never reach the report
             # artifacts -- batched and scalar runs checksum identically.
-            batch_size=getattr(self.pool, "batch_size", None) or 1,
+            batch_size=getattr(self.pool, "lanes", None) or 1,
         ):
             executed, batches = self._run_pending(
                 refs, keys, results, pending, cells_total, executed_before

@@ -64,25 +64,29 @@ def _add_machine_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _trial_pool(args):
-    """The pool for ``--workers N`` / ``--lanes L``: a TrialPool, or a
-    null context (``as`` binds None) for the legacy path (no fan-out,
-    no lockstep lanes)."""
-    lanes = getattr(args, "lanes", None)
-    if args.workers <= 0 and not (lanes and lanes > 1):
+    """The pool for ``--workers N``: a TrialPool, or a null context
+    (``as`` binds None) for the legacy path (no fan-out)."""
+    if args.workers <= 0:
         return contextlib.nullcontext()
     from repro.runtime import TrialPool
 
-    return TrialPool(workers=max(1, args.workers), batch_size=lanes)
+    return TrialPool(workers=args.workers)
 
 
 @contextlib.contextmanager
-def _campaign_pool(args):
-    """:func:`_trial_pool` for the campaign-executing commands; an
-    aborted campaign (too many failed trials) exits 1."""
+def _campaign_pool(args, policy=None):
+    """The TrialPool a campaign-executing command runs on (``--workers
+    N``, ``--lanes L``, the retry *policy*); an aborted campaign (too
+    many failed trials) exits 1."""
     from repro.campaign import CampaignAborted
+    from repro.runtime import TrialPool
 
     try:
-        with _trial_pool(args) as pool:
+        with TrialPool(
+            workers=max(1, args.workers),
+            policy=policy,
+            lanes=getattr(args, "lanes", None),
+        ) as pool:
             yield pool
     except CampaignAborted as exc:
         raise _Refusal(f"aborted: {exc}", code=1) from None
@@ -367,14 +371,13 @@ def cmd_campaign_run(args) -> int:
         # checksum strips them (they are sidecar fields).
         telemetry.enable(wall_clock=True)
     try:
-        with _campaign_pool(args) as pool:
+        with _campaign_pool(args, _policy(args)) as pool:
             report, stats = CampaignRunner(
                 spec,
                 store=_campaign_store(args),
                 pool=pool,
                 batch_size=args.checkpoint_every,
                 progress=_progress(spec.name),
-                policy=_policy(args),
                 max_failures=args.max_failures,
                 observer=observer,
             ).run()
@@ -421,7 +424,7 @@ def cmd_campaign_shard(args) -> int:
         raise _Refusal(str(exc)) from None
     label = f"{spec.name} {shard}"
     try:
-        with _campaign_pool(args) as pool:
+        with _campaign_pool(args, _policy(args)) as pool:
             store, stats = run_shard(
                 spec,
                 shard,
@@ -430,7 +433,6 @@ def cmd_campaign_shard(args) -> int:
                 stream_every=args.stream_every,
                 pool=pool,
                 batch_size=args.checkpoint_every,
-                policy=_policy(args),
                 max_failures=args.max_failures,
                 progress=_progress(label),
             )

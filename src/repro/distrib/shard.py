@@ -147,8 +147,8 @@ def run_shard(
     then runs the shard-filtered campaign with normal per-batch
     checkpointing.  Re-invoking on an existing segment resumes it: only
     the missing outcomes execute.  *runner_kwargs* pass through to
-    :class:`~repro.campaign.runner.CampaignRunner` (pool, policy,
-    batch_size, trial_fn, ...).
+    :class:`~repro.campaign.runner.CampaignRunner` (pool, batch_size,
+    trial_fn, ...).
 
     *stream_path* arms the shard's one telemetry artifact, the live
     spool (``stream.jsonl``): telemetry is enabled for the run, a

@@ -6,16 +6,16 @@ aggregate.  This package turns that shape into throughput:
 
 * :class:`MachineSpec` -- a frozen, picklable machine recipe with
   deterministic per-trial seed derivation (:func:`derive_seed`);
-* :class:`TrialPool` -- fans trials across worker processes (serial
-  fallback included) with bit-identical results at any worker count,
-  plus the resilience surface (retries, timeouts, dead-worker respawn,
-  quarantine) driven by :mod:`repro.faults`;
+* :class:`TrialPool` -- runs trials in-process or across a
+  :class:`WorkerCrew` of worker processes with bit-identical results at
+  any worker count, plus the resilience surface (retries, timeouts,
+  dead-worker respawn, quarantine) driven by :mod:`repro.faults`;
 * :mod:`repro.runtime.tasks` -- the worker-side trial functions for the
   TET-CC byte scan and the TET-KASLR probe sweep;
 * :mod:`repro.runtime.batch` -- the lockstep batch executor
   (:class:`LockstepBatch`): N pack-eligible trials stepped over one
   shared leader execution, divergent lanes evicted to the scalar path,
-  results byte-identical to scalar dispatch (``TrialPool(batch_size=N)``
+  results byte-identical to scalar dispatch (``TrialPool(lanes=N)``
   turns it on).
 
 See ``docs/RUNTIME.md`` for the architecture and a worked example, and
@@ -30,8 +30,6 @@ from repro.runtime.batch import (
     run_trials_batched,
 )
 from repro.runtime.pool import (
-    ProcessExecutor,
-    SerialExecutor,
     TrialPool,
     WorkerCrew,
     WorkerLostError,
@@ -57,8 +55,6 @@ __all__ = [
     "KaslrTrial",
     "LockstepBatch",
     "MachineSpec",
-    "ProcessExecutor",
-    "SerialExecutor",
     "TrialPool",
     "TrialFailure",
     "TrialResult",

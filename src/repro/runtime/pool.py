@@ -2,9 +2,9 @@
 
 Every Whisper attack is a statistical sampling campaign -- thousands of
 independent gadget trials whose results are aggregated by a decoder or a
-classifier.  :class:`TrialPool` runs those trials either in-process
-(:class:`SerialExecutor`) or across its own crew of worker processes
-(:class:`ProcessExecutor`), behind one interface:
+classifier.  :class:`TrialPool` runs those trials in one of two places,
+behind one interface: in the calling process (``workers=1``) or across
+its own lazily spawned :class:`WorkerCrew` of worker processes.
 
 * trial functions are module-level callables taking one picklable
   payload (see :mod:`repro.runtime.tasks`);
@@ -15,7 +15,9 @@ classifier.  :class:`TrialPool` runs those trials either in-process
   never on which worker ran it or what ran there before.
 
 That last property is the determinism contract: ``TrialPool(workers=1)``
-and ``TrialPool(workers=8)`` produce bit-identical results.
+and ``TrialPool(workers=8)`` produce bit-identical results.  Both places
+run one attempt loop against the same :class:`_RetryLedger`, so they
+cannot drift apart.
 
 The pool is also the resilience boundary (see ``docs/FAULTS.md``).  A
 worker that dies mid-trial surfaces as :class:`WorkerLostError` naming
@@ -25,8 +27,8 @@ instead retries failing trials with seeded exponential backoff, enforces
 per-trial deadlines, respawns dead workers, and quarantines payloads
 that fail every retry as :class:`~repro.runtime.tasks.TrialFailure`
 values.  The determinism contract extends to failure: under a
-deterministic fault source, retry counts, quarantine lists and failure
-records are byte-identical at any worker count.
+deterministic fault source, retry counts, quarantine lists, failure
+records and heartbeats are byte-identical at any worker count.
 """
 
 from __future__ import annotations
@@ -37,15 +39,13 @@ import os
 import tempfile
 import time
 from collections import deque
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro import telemetry
 from repro.runtime.tasks import TrialFailure
 
 __all__ = [
     "TrialPool",
-    "SerialExecutor",
-    "ProcessExecutor",
     "WorkerCrew",
     "WorkerLostError",
     "default_workers",
@@ -137,60 +137,89 @@ def _call_trial(fn: Callable, payload, attempt: int):
     return fn(payload)
 
 
-def _classify_ok(value, policy):
-    """Why a returned *value* is unacceptable, or None if it is fine."""
-    if getattr(value, "is_hang_token", False):
-        describe = getattr(value, "describe", None)
-        return ("hang", describe() if describe else "trial returned a hang token")
-    if policy.validate:
-        from repro.faults.resilience import trial_result_validator
-
-        if not trial_result_validator(value):
-            return ("garbage", f"garbage result: {value!r}")
-    return None
-
-
 class _RetryLedger:
-    """Attempt bookkeeping shared by the serial and pooled resilient
-    paths, so failure handling (and therefore report bytes) cannot
-    diverge between them."""
+    """Attempt bookkeeping for one map, shared by both dispatch loops
+    (in-process and :meth:`WorkerCrew.run`), so failure handling -- and
+    therefore report bytes -- cannot diverge between them.
+
+    Without a policy the ledger is fail-fast: one attempt per payload,
+    no result validation, and the first failure raises the error the
+    loop hands it.  Under a policy a failed attempt is retried after its
+    seeded backoff, and a payload that fails every attempt comes back as
+    a :class:`~repro.runtime.tasks.TrialFailure` and a quarantine entry.
+    """
 
     def __init__(self, payloads: Sequence, policy, stats) -> None:
-        from repro.faults.resilience import QuarantineEntry
-
-        self._entry_type = QuarantineEntry
         self.payloads = payloads
         self.policy = policy
         self.stats = stats
+        #: The per-trial deadline the crew enforces (None = none).
+        self.timeout = policy.timeout if policy is not None else None
+        #: ``(payload_index, attempt)`` pairs still to dispatch.
+        self.pending = deque((index, 0) for index in range(len(payloads)))
         self.results: List = [None] * len(payloads)
         self.done = [False] * len(payloads)
         self.completed = 0
         self.faults = {}
         self.quarantine: List = []
 
-    def accept(self, index: int, value) -> None:
+    def settle(self, index: int, attempt: int, value) -> None:
+        """Record an attempt that returned *value*: accepted, unless the
+        policy rejects it as a hang or as garbage."""
         if self.done[index]:
             return
+        if self.policy is not None:
+            rejected = self._reject(value)
+            if rejected is not None:
+                self.fail(index, attempt, *rejected)
+                return
         self.results[index] = value
         self.done[index] = True
         self.completed += 1
 
-    def fail(self, index: int, attempt: int, category: str, message: str):
-        """Record a failed attempt; the next attempt number, or None if
-        the payload is now quarantined."""
+    def _reject(self, value):
+        """``(category, message)`` if the policy rejects *value*."""
+        if getattr(value, "is_hang_token", False):
+            describe = getattr(value, "describe", None)
+            return ("hang", describe() if describe else "trial returned a hang token")
+        if self.policy.validate:
+            from repro.faults.resilience import trial_result_validator
+
+            if not trial_result_validator(value):
+                return ("garbage", f"garbage result: {value!r}")
+        return None
+
+    def fail(
+        self, index: int, attempt: int, category: str, message: str,
+        error: Optional[BaseException] = None,
+    ) -> None:
+        """Record a failed attempt.  Fail-fast: raise *error*.  Under a
+        policy: queue the next attempt after its backoff, or quarantine
+        the payload once its attempts are spent."""
+        if self.policy is None:
+            raise error
         if self.done[index]:
-            return None
+            return
         history = self.faults.setdefault(index, [])
         history.append(category)
         self.stats.note(category, message)
         if attempt + 1 < self.policy.attempts:
             self.stats.retries += 1
-            return attempt + 1
+            delay = self.policy.delay(attempt)
+            if delay > 0:
+                time.sleep(delay)
+            # Depth-first: a payload's retry runs before the payloads
+            # queued behind it, mirroring how a human would re-run a
+            # flaky experiment.
+            self.pending.appendleft((index, attempt + 1))
+            return
+        from repro.faults.resilience import QuarantineEntry
+
         self.results[index] = TrialFailure(
             attempts=attempt + 1, faults=tuple(history), error=message
         )
         self.quarantine.append(
-            self._entry_type(
+            QuarantineEntry(
                 index=index,
                 payload=self.payloads[index],
                 attempts=attempt + 1,
@@ -201,7 +230,6 @@ class _RetryLedger:
         self.stats.quarantined += 1
         self.done[index] = True
         self.completed += 1
-        return None
 
     def finish(self) -> List:
         # Quarantine in payload order, whatever order trials completed in
@@ -210,63 +238,32 @@ class _RetryLedger:
         return self.results
 
 
-def _map_serial_resilient(fn: Callable, payloads: Sequence, policy, stats):
-    """The in-process resilient loop (reference semantics for the crew)."""
+def _run_in_process(fn: Callable, ledger: _RetryLedger) -> None:
+    """The in-process attempt loop (``workers=1``).
+
+    Trials record their telemetry inline, so a heartbeat lands right
+    after the trial that crossed its boundary.  A simulated worker death
+    (a ``kill`` fault with no process to kill) is recorded exactly like
+    the crew records a real one.
+    """
     from repro.faults.inject import SimulatedWorkerDeath, lost_worker_message
 
-    ledger = _RetryLedger(payloads, policy, stats)
-    pending = deque((index, 0) for index in range(len(payloads)))
+    payloads, pending = ledger.payloads, ledger.pending
+    started = time.monotonic()
+    beats = 0
     while pending:
         index, attempt = pending.popleft()
-        failed = None
-        value = None
         try:
             value = _call_trial(fn, payloads[index], attempt)
-        except SimulatedWorkerDeath:
-            failed = ("worker-lost", lost_worker_message(payloads[index], attempt))
+        except SimulatedWorkerDeath as exc:
+            ledger.fail(index, attempt, "worker-lost",
+                        lost_worker_message(payloads[index], attempt), exc)
         except Exception as exc:
-            failed = ("raise", f"{type(exc).__name__}: {exc}")
+            ledger.fail(index, attempt, "raise",
+                        f"{type(exc).__name__}: {exc}", exc)
         else:
-            failed = _classify_ok(value, policy)
-        if failed is None:
-            ledger.accept(index, value)
-            continue
-        next_attempt = ledger.fail(index, attempt, *failed)
-        if next_attempt is not None:
-            delay = policy.delay(attempt)
-            if delay > 0:
-                time.sleep(delay)
-            # Depth-first: finish a payload's retries before moving on,
-            # mirroring how a human would re-run a flaky experiment.
-            pending.appendleft((index, next_attempt))
-    return ledger
-
-
-class SerialExecutor:
-    """Runs trials in the calling process.  The reference executor: the
-    parallel path must match its output bit for bit."""
-
-    workers = 1
-
-    def map(self, fn: Callable, payloads: Iterable) -> List:
-        if not telemetry.heartbeat_cadence():
-            return [fn(payload) for payload in payloads]
-        payloads = list(payloads)
-        started = time.monotonic()
-        results: List = []
-        beats = 0
-        for payload in payloads:
-            results.append(fn(payload))
-            beats = _emit_heartbeats(
-                beats, len(results), len(payloads), started
-            )
-        return results
-
-    def run_resilient(self, fn: Callable, payloads: Sequence, policy, stats):
-        return _map_serial_resilient(fn, payloads, policy, stats)
-
-    def close(self) -> None:
-        pass
+            ledger.settle(index, attempt, value)
+        beats = _emit_heartbeats(beats, ledger.completed, len(payloads), started)
 
 
 # -- chunked dispatch ----------------------------------------------------------
@@ -287,8 +284,8 @@ class _ChunkError:
 class _ChunkCall:
     """Run a contiguous slice of payloads in one worker round-trip.
 
-    Used only on the unprotected (no-policy) path: the resilient path
-    keeps per-payload dispatch so retries, deadlines and quarantine stay
+    Used only on the fail-fast path: the resilient path keeps
+    per-payload dispatch so retries, deadlines and quarantine stay
     attributable to single trials.  Results come back as a list in slice
     order, so flattening chunk results preserves payload order -- the
     byte-identity contract does not care how payloads were grouped.
@@ -466,21 +463,19 @@ class WorkerCrew:
             host={"pid": self.members[slot].process.pid},
         )
 
-    def run(self, fn: Callable, payloads: Sequence, policy=None, stats=None):
-        """Run *payloads* through the crew.
+    def run(self, fn: Callable, ledger: _RetryLedger) -> None:
+        """The crew's attempt loop: run the ledger's payloads and hand
+        every outcome to *ledger*.
 
-        Without a policy: returns results in payload order; a worker
-        exception re-raises as ``RuntimeError`` and a worker death as
-        :class:`WorkerLostError` (after respawning, so the crew stays
-        usable).  With a policy: returns the :class:`_RetryLedger` after
-        retrying/timing-out/quarantining per the policy.
+        Fail-fast (no policy), a worker exception raises
+        ``RuntimeError`` and a worker death :class:`WorkerLostError`
+        (after respawning, so the crew stays usable).  Under a policy
+        the ledger retries, times out and quarantines instead.
         """
-        payloads = list(payloads)
+        from repro.faults.inject import lost_worker_message
+
+        payloads = ledger.payloads
         count = len(payloads)
-        ledger = _RetryLedger(payloads, policy, stats) if policy is not None else None
-        results: List = [None] * count
-        completed = 0
-        pending = deque((index, 0) for index in range(count))
         # Workers abandoned mid-map by a previous exception finish their
         # stale task eventually; new tasks queue up behind it and stale
         # results are dropped below by task-id mismatch.
@@ -493,14 +488,6 @@ class WorkerCrew:
         batches: List = []
         map_started = time.monotonic()
         beats = 0
-
-        def fail(index: int, attempt: int, category: str, message: str) -> None:
-            next_attempt = ledger.fail(index, attempt, category, message)
-            if next_attempt is not None:
-                delay = policy.delay(attempt)
-                if delay > 0:
-                    time.sleep(delay)
-                pending.append((index, next_attempt))
 
         def sweep() -> None:
             """Detect dead workers and blown deadlines between results."""
@@ -522,15 +509,12 @@ class WorkerCrew:
                         host={"pid": member.process.pid, "stderr_tail": tail},
                     )
                     self._respawn(slot)
-                    if policy is None:
-                        raise WorkerLostError(index, stderr_tail=tail)
-                    from repro.faults.inject import lost_worker_message
-
                     # The tail stays out of the failure message: retry and
                     # quarantine records are part of the byte-identity
                     # contract, and stderr content is host noise.
-                    fail(index, attempt, "worker-lost",
-                         lost_worker_message(payloads[index], attempt))
+                    ledger.fail(index, attempt, "worker-lost",
+                                lost_worker_message(payloads[index], attempt),
+                                WorkerLostError(index, stderr_tail=tail))
                 elif deadline is not None and now > deadline:
                     member.task = None
                     telemetry.event(
@@ -541,23 +525,21 @@ class WorkerCrew:
                         host={"pid": member.process.pid},
                     )
                     self._respawn(slot)  # the worker is wedged; replace it
-                    fail(index, attempt, "timeout",
-                         f"trial exceeded {policy.timeout:g}s deadline "
-                         f"(attempt {attempt})")
+                    ledger.fail(index, attempt, "timeout",
+                                f"trial exceeded {ledger.timeout:g}s deadline "
+                                f"(attempt {attempt})")
 
         try:
-            while (ledger.completed if ledger else completed) < count:
+            while ledger.completed < count:
                 for member in self.members:
-                    if not pending:
+                    if not ledger.pending:
                         break
                     if member.task is None and member.process.is_alive():
-                        index, attempt = pending.popleft()
+                        index, attempt = ledger.pending.popleft()
                         self._task_counter += 1
                         member.send(
                             self._task_counter, fn, payloads[index], attempt,
-                            index,
-                            policy.timeout if policy is not None else None,
-                            observe,
+                            index, ledger.timeout, observe,
                         )
                 by_conn = {member.result_conn: member for member in self.members}
                 ready = multiprocessing.connection.wait(
@@ -582,26 +564,13 @@ class WorkerCrew:
                         if batch.get("records"):
                             batches.append(((index, attempt), batch["records"]))
                     if status == "ok":
-                        if policy is None:
-                            results[index] = value
-                            completed += 1
-                            continue
-                        failed = _classify_ok(value, policy)
-                        if failed is None:
-                            ledger.accept(index, value)
-                        else:
-                            fail(index, attempt, *failed)
+                        ledger.settle(index, attempt, value)
                     else:  # status == "error"
-                        if policy is None:
-                            raise RuntimeError(
-                                f"trial payload {index} failed in worker: {value}"
-                            )
-                        fail(index, attempt, "raise", value)
+                        ledger.fail(index, attempt, "raise", value, RuntimeError(
+                            f"trial payload {index} failed in worker: {value}"
+                        ))
                 beats = _emit_heartbeats(
-                    beats,
-                    ledger.completed if ledger else completed,
-                    count,
-                    map_started,
+                    beats, ledger.completed, count, map_started
                 )
                 sweep()
         finally:
@@ -613,7 +582,6 @@ class WorkerCrew:
                     (f"p{index}.{attempt}", records)
                     for (index, attempt), records in batches
                 )
-        return ledger if ledger is not None else results
 
     def close(self) -> None:
         for member in self.members:
@@ -622,42 +590,185 @@ class WorkerCrew:
         self.members = []
 
 
-class ProcessExecutor:
-    """Runs trials across a persistent :class:`WorkerCrew`.
+class TrialPool:
+    """The public face: run trials in-process or across a worker crew.
 
-    The crew is created lazily on first :meth:`map` and reused across
-    calls, so a multi-byte transmission pays the worker start-up cost
-    once.  ``fork`` is preferred (workers inherit loaded modules and any
-    already-built machine contexts); where it is unavailable the default
-    start method is used and workers rebuild their contexts on demand.
+    ``workers <= 1`` runs trials in the calling process; anything above
+    fans them out across a :class:`WorkerCrew`, spawned on the first
+    map that has payloads and reused until :meth:`close` (so a
+    multi-byte transmission pays the worker start-up cost once).  Usable
+    as a context manager; :meth:`close` is idempotent.
 
-    Dispatch granularity adapts to the workload.  The first :meth:`map`
-    on a fresh executor goes per payload (there is no timing estimate
-    yet, and per-payload attribution keeps :class:`WorkerLostError`
-    exact); each map feeds an EWMA of per-payload wall time, and once a
-    payload is cheap enough that queue round-trips matter, later maps
-    group payloads into contiguous chunks targeting
-    :data:`TARGET_CHUNK_SECONDS` of work per message.  An explicit
-    ``chunk_size`` pins the granularity instead.  Chunking never reorders
-    or alters results -- flattened chunk results are byte-identical to
-    per-payload dispatch.
+    Fail-fast maps on the crew adapt their dispatch granularity (see
+    :meth:`_run_crew`); ``chunk_size`` pins it instead.
+
+    With a :class:`~repro.faults.resilience.ResiliencePolicy` as
+    ``policy``, failed trials retry with seeded backoff, payloads that
+    fail every retry land in :attr:`quarantine` and come back as
+    :class:`~repro.runtime.tasks.TrialFailure` results, and
+    :attr:`fault_stats` counts what went wrong.  ``install_faults``
+    (testing only) arms the dispatcher with a deterministic
+    :class:`~repro.faults.plan.FaultPlan`.
+
+    ``lanes > 1`` turns on the lockstep batch executor
+    (:mod:`repro.runtime.batch`): pack-eligible ``run_trial`` payloads
+    are grouped into packs of up to that many lanes and stepped in
+    lockstep over one shared leader execution, with divergent lanes
+    falling back to the scalar path.  Results stay byte-identical to
+    scalar dispatch -- batching is scheduling, not semantics.  The
+    resilient path and fault injection keep per-trial dispatch (their
+    attribution is per payload), so batching stands down whenever
+    either is armed; under telemetry each stand-down emits a
+    ``batch.standdown`` event carrying the structured reason
+    (``resilience-policy``, ``fault-injection``, ``wrapped-fn`` or
+    ``ineligible-trial-kind``).
     """
 
-    def __init__(self, workers: int, chunk_size: Optional[int] = None) -> None:
-        if workers < 2:
-            raise ValueError("ProcessExecutor needs at least 2 workers")
-        self.workers = workers
-        #: Explicit dispatch granularity; ``None`` selects the adaptive
-        #: heuristic (see class docstring).
+    def __init__(
+        self,
+        workers: int = 1,
+        chunk_size: Optional[int] = None,
+        policy=None,
+        lanes: Optional[int] = None,
+    ) -> None:
+        from repro.faults.resilience import FaultStats
+
+        self.workers = max(1, int(workers))
+        #: Trials dispatched through this pool over its lifetime.  Campaign
+        #: reports read it to tell freshly executed trials from store hits
+        #: (a cache replay never touches the pool).  Retries count: each
+        #: re-dispatch is a real execution.
+        self.trials_executed = 0
+        #: The resilience policy; None = the classic fail-fast path.
+        self.policy = policy
+        #: Lockstep lanes per pack (None/1 = scalar dispatch).  Read by
+        #: the campaign runner for span attribution; the value never
+        #: reaches trial results or reports (batching is invisible there).
+        self.lanes = int(lanes) if lanes else None
+        #: Payloads that failed every retry, in payload order per map call.
+        self.quarantine: List = []
+        #: Counters over this pool's lifetime (deterministic under a plan).
+        self.fault_stats = FaultStats()
+        self._fault_plan = None
+        self._crew: Optional[WorkerCrew] = None
+        #: Explicit crew dispatch granularity; ``None`` selects the
+        #: adaptive heuristic (see :meth:`_run_crew`).
         self.chunk_size = chunk_size
         #: EWMA of seconds of worker compute per payload (None = no data).
         self._per_payload_est: Optional[float] = None
-        self._pool: Optional[WorkerCrew] = None
 
-    def _ensure_pool(self) -> WorkerCrew:
-        if self._pool is None:
-            self._pool = WorkerCrew(self.workers)
-        return self._pool
+    def install_faults(self, plan) -> None:
+        """Arm the dispatcher with a :class:`~repro.faults.plan.FaultPlan`
+        (testing only): every subsequent trial consults the plan first."""
+        self._fault_plan = plan
+
+    def map(self, fn: Callable, payloads: Sequence) -> List:
+        """Run *fn* over *payloads*; results in payload order.
+
+        Under a policy, entries whose payload exhausted its retries are
+        :class:`~repro.runtime.tasks.TrialFailure` values instead of
+        results -- callers that cannot digest failures should check
+        :attr:`quarantine` afterwards.
+        """
+        payloads = list(payloads)
+        if self._fault_plan is not None:
+            from repro.faults.inject import FaultingFn
+
+            fn = FaultingFn(fn, self._fault_plan, os.getpid())
+        observing = telemetry.enabled()
+        started = time.perf_counter() if observing else None
+        if observing:
+            telemetry.add("pool.trials.dispatched", len(payloads))
+        work, trial_fn = payloads, fn
+        packed = self._batchable(fn)
+        if packed:
+            from repro.runtime.batch import plan_packs, run_trial_group
+
+            work, trial_fn = plan_packs(payloads, self.lanes), run_trial_group
+        elif observing and self.lanes and self.lanes > 1:
+            reason = self._standdown_reason(fn)
+            telemetry.event(
+                "batch.standdown", reason=reason, payloads=len(payloads)
+            )
+            telemetry.add(f"batch.standdown.{reason}", len(payloads))
+        retries_before = self.fault_stats.retries
+        quarantined_before = self.fault_stats.quarantined
+        ledger = _RetryLedger(work, self.policy, self.fault_stats)
+        if self.workers > 1 and work:
+            self._run_crew(trial_fn, ledger)
+        else:
+            _run_in_process(trial_fn, ledger)
+        results = ledger.finish()
+        if packed:
+            results = [result for group in results for result in group]
+        self.quarantine.extend(ledger.quarantine)
+        retried = self.fault_stats.retries - retries_before
+        executed = len(payloads) + retried
+        self.trials_executed += executed
+        if observing and self.policy is not None:
+            telemetry.add("pool.retries", retried)
+            telemetry.add(
+                "pool.quarantined",
+                self.fault_stats.quarantined - quarantined_before,
+            )
+        self._note_metrics(started, executed)
+        return results
+
+    def _run_crew(self, fn: Callable, ledger: _RetryLedger) -> None:
+        """Run *ledger*'s payloads on the crew, spawning it on first use.
+
+        Fail-fast maps adapt their dispatch granularity.  The first map
+        on a fresh pool goes per payload (there is no timing estimate
+        yet, and per-payload attribution keeps :class:`WorkerLostError`
+        exact); each map feeds an EWMA of per-payload wall time, and once
+        a payload is cheap enough that pipe round-trips matter, later
+        maps group payloads into contiguous chunks targeting
+        :data:`TARGET_CHUNK_SECONDS` of work per message.  A policy,
+        fault injection and telemetry keep per-payload dispatch: their
+        attribution is per trial.  Chunking never reorders or alters
+        results -- flattened chunk results are byte-identical to
+        per-payload dispatch.
+        """
+        if self._crew is None:
+            self._crew = WorkerCrew(self.workers)
+        if ledger.policy is not None:
+            self._crew.run(fn, ledger)
+            return
+        payloads = ledger.payloads
+        count = len(payloads)
+        chunk = self._pick_chunk(count)
+        if telemetry.enabled():
+            # Record what the adaptive heuristic chose, then dispatch per
+            # payload anyway: worker telemetry batches are keyed by trial,
+            # and chunked dispatch would blur per-trial attribution.
+            telemetry.observe(
+                "pool.chunk.size", chunk, buckets=CHUNK_BUCKETS, det=False
+            )
+            chunk = 1
+        started = time.monotonic()
+        if chunk <= 1 or getattr(fn, "wants_attempt", False):
+            self._crew.run(fn, ledger)
+            self._note_wall(time.monotonic() - started, count)
+            return
+        chunks = _RetryLedger(
+            [payloads[start : start + chunk] for start in range(0, count, chunk)],
+            None, ledger.stats,
+        )
+        try:
+            self._crew.run(_ChunkCall(fn), chunks)
+        except WorkerLostError as error:
+            # Attribute the loss to the chunk's first payload -- the
+            # worker died somewhere in that contiguous slice.
+            raise WorkerLostError(error.payload_index * chunk) from None
+        self._note_wall(time.monotonic() - started, count)
+        for chunk_index, values in enumerate(chunks.finish()):
+            if isinstance(values, _ChunkError):
+                raise RuntimeError(
+                    f"trial payload {chunk_index * chunk + values.offset} "
+                    f"failed in worker: {values.message}"
+                )
+            for offset, value in enumerate(values):
+                ledger.settle(chunk_index * chunk + offset, 0, value)
 
     def _pick_chunk(self, count: int) -> int:
         """Chunk size for a *count*-payload map (1 = per-payload)."""
@@ -688,196 +799,6 @@ class ProcessExecutor:
             per_payload if previous is None else 0.5 * previous + 0.5 * per_payload
         )
 
-    def map(self, fn: Callable, payloads: Iterable) -> List:
-        payloads = list(payloads)
-        count = len(payloads)
-        if not count:
-            return []
-        crew = self._ensure_pool()
-        chunk = self._pick_chunk(count)
-        if telemetry.enabled():
-            # Record what the adaptive heuristic chose, then dispatch per
-            # payload anyway: worker telemetry batches are keyed by trial,
-            # and chunked dispatch would blur per-trial attribution.
-            telemetry.observe(
-                "pool.chunk.size", chunk, buckets=CHUNK_BUCKETS, det=False
-            )
-            chunk = 1
-        if chunk <= 1 or getattr(fn, "wants_attempt", False):
-            # Per-payload dispatch (also for fault-injecting wrappers,
-            # whose plans are keyed to individual dispatches).
-            started = time.monotonic()
-            results = crew.run(fn, payloads)
-            self._note_wall(time.monotonic() - started, count)
-            return results
-        chunks = [payloads[start : start + chunk] for start in range(0, count, chunk)]
-        started = time.monotonic()
-        try:
-            chunk_results = crew.run(_ChunkCall(fn), chunks)
-        except WorkerLostError as error:
-            # Attribute the loss to the chunk's first payload -- the
-            # worker died somewhere in that contiguous slice.
-            raise WorkerLostError(error.payload_index * chunk) from None
-        self._note_wall(time.monotonic() - started, count)
-        results = []
-        for chunk_index, value in enumerate(chunk_results):
-            if isinstance(value, _ChunkError):
-                raise RuntimeError(
-                    f"trial payload {chunk_index * chunk + value.offset} "
-                    f"failed in worker: {value.message}"
-                )
-            results.extend(value)
-        return results
-
-    def run_resilient(self, fn: Callable, payloads: Sequence, policy, stats):
-        return self._ensure_pool().run(fn, payloads, policy=policy, stats=stats)
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
-    def __del__(self):  # pragma: no cover - GC-timing dependent
-        try:
-            self.close()
-        except Exception:
-            pass
-
-
-class TrialPool:
-    """The public face: pick an executor by worker count.
-
-    ``workers <= 1`` (or unpicklable hosts) selects the serial executor;
-    anything above fans out across processes.  Usable as a context
-    manager; :meth:`close` is idempotent.
-
-    With a :class:`~repro.faults.resilience.ResiliencePolicy` as
-    ``policy``, :meth:`map` runs the resilient path: failed trials retry
-    with seeded backoff, payloads that fail every retry land in
-    :attr:`quarantine` and come back as
-    :class:`~repro.runtime.tasks.TrialFailure` results, and
-    :attr:`fault_stats` counts what went wrong.  ``install_faults``
-    (testing only) arms the dispatcher with a deterministic
-    :class:`~repro.faults.plan.FaultPlan`.
-
-    ``batch_size > 1`` turns on the lockstep batch executor
-    (:mod:`repro.runtime.batch`): pack-eligible ``run_trial`` payloads
-    are grouped into packs of up to that many lanes and stepped in
-    lockstep over one shared leader execution, with divergent lanes
-    falling back to the scalar path.  Results stay byte-identical to
-    scalar dispatch -- batching, like chunking, is scheduling, not
-    semantics.  The resilient path and fault injection keep per-trial
-    dispatch (their attribution is per payload), so batching stands
-    down whenever either is armed; under telemetry each stand-down
-    emits a ``batch.standdown`` event carrying the structured reason
-    (``resilience-policy``, ``fault-injection``, ``wrapped-fn`` or
-    ``ineligible-trial-kind``).
-    """
-
-    def __init__(
-        self,
-        workers: int = 1,
-        chunk_size: Optional[int] = None,
-        policy=None,
-        batch_size: Optional[int] = None,
-    ) -> None:
-        from repro.faults.resilience import FaultStats
-
-        self.workers = max(1, int(workers))
-        if self.workers == 1:
-            self.executor = SerialExecutor()
-        else:
-            self.executor = ProcessExecutor(self.workers, chunk_size=chunk_size)
-        #: Trials dispatched through this pool over its lifetime.  Campaign
-        #: reports read it to tell freshly executed trials from store hits
-        #: (a cache replay never touches the pool).  Retries count: each
-        #: re-dispatch is a real execution.
-        self.trials_executed = 0
-        #: The resilience policy; None = the classic fail-fast path.
-        self.policy = policy
-        #: Lockstep lanes per pack (None/1 = scalar dispatch).  Read by
-        #: the campaign runner for span attribution; the value never
-        #: reaches trial results or reports (batching is invisible there).
-        self.batch_size = int(batch_size) if batch_size else None
-        #: Payloads that failed every retry, in payload order per map call.
-        self.quarantine: List = []
-        #: Counters over this pool's lifetime (deterministic under a plan).
-        self.fault_stats = FaultStats()
-        self._fault_plan = None
-
-    def install_faults(self, plan) -> None:
-        """Arm the dispatcher with a :class:`~repro.faults.plan.FaultPlan`
-        (testing only): every subsequent trial consults the plan first."""
-        self._fault_plan = plan
-
-    def map(self, fn: Callable, payloads: Sequence) -> List:
-        """Run *fn* over *payloads*; results in payload order.
-
-        Under a policy, entries whose payload exhausted its retries are
-        :class:`~repro.runtime.tasks.TrialFailure` values instead of
-        results -- callers that cannot digest failures should check
-        :attr:`quarantine` afterwards.
-        """
-        payloads = list(payloads)
-        if self._fault_plan is not None:
-            from repro.faults.inject import FaultingFn
-
-            fn = FaultingFn(fn, self._fault_plan, os.getpid())
-        observing = telemetry.enabled()
-        started = time.perf_counter() if observing else None
-        if observing:
-            telemetry.add("pool.trials.dispatched", len(payloads))
-        if self.policy is None:
-            if self._batchable(fn):
-                from repro.runtime.batch import plan_packs, run_trial_group
-
-                groups = plan_packs(payloads, self.batch_size)
-                packed = self.executor.map(run_trial_group, groups)
-                results = [result for group in packed for result in group]
-            else:
-                if observing and self.batch_size and self.batch_size > 1:
-                    reason = self._standdown_reason(fn)
-                    telemetry.event(
-                        "batch.standdown",
-                        reason=reason,
-                        payloads=len(payloads),
-                    )
-                    telemetry.add(
-                        f"batch.standdown.{reason}", len(payloads)
-                    )
-                results = self.executor.map(fn, payloads)
-            self.trials_executed += len(payloads)
-            self._note_metrics(started, len(payloads))
-            return results
-        if observing and self.batch_size and self.batch_size > 1:
-            telemetry.event(
-                "batch.standdown",
-                reason="resilience-policy",
-                payloads=len(payloads),
-            )
-            telemetry.add(
-                "batch.standdown.resilience-policy", len(payloads)
-            )
-        retries_before = self.fault_stats.retries
-        quarantined_before = self.fault_stats.quarantined
-        ledger = self.executor.run_resilient(
-            fn, payloads, self.policy, self.fault_stats
-        )
-        results = ledger.finish()
-        self.quarantine.extend(ledger.quarantine)
-        executed = len(payloads) + (self.fault_stats.retries - retries_before)
-        self.trials_executed += executed
-        if observing:
-            telemetry.add(
-                "pool.retries", self.fault_stats.retries - retries_before
-            )
-            telemetry.add(
-                "pool.quarantined",
-                self.fault_stats.quarantined - quarantined_before,
-            )
-        self._note_metrics(started, executed)
-        return results
-
     def _batchable(self, fn: Callable) -> bool:
         """Whether this map may go through the lockstep batch executor.
 
@@ -885,9 +806,10 @@ class TrialPool:
         kind-specific ``run_channel_trial`` / ``run_kaslr_trial`` that
         ``run_trial`` reduces to): a wrapped callable (fault injector,
         stub trial function) has per-dispatch semantics a pack would
-        blur.
+        blur.  A policy keeps per-trial dispatch, so it stands batching
+        down too.
         """
-        if not self.batch_size or self.batch_size <= 1:
+        if not self.lanes or self.lanes <= 1 or self.policy is not None:
             return False
         from repro.runtime.tasks import (
             run_channel_trial,
@@ -901,6 +823,8 @@ class TrialPool:
         """Why batching stood down for this map (a ``batch.standdown``
         telemetry attribute; the batch executor itself never sees the
         payloads)."""
+        if self.policy is not None:
+            return "resilience-policy"
         if self._fault_plan is not None:
             return "fault-injection"
         from repro.runtime.tasks import run_detect_trial
@@ -921,7 +845,15 @@ class TrialPool:
             )
 
     def close(self) -> None:
-        self.executor.close()
+        if self._crew is not None:
+            self._crew.close()
+            self._crew = None
+
+    def __del__(self):  # pragma: no cover - GC-timing dependent
+        try:
+            self.close()
+        except Exception:
+            pass
 
     def __enter__(self) -> "TrialPool":
         return self
@@ -930,9 +862,6 @@ class TrialPool:
         self.close()
 
     def __repr__(self) -> str:
-        if self.batch_size:
-            return (
-                f"TrialPool(workers={self.workers}, "
-                f"batch_size={self.batch_size})"
-            )
+        if self.lanes:
+            return f"TrialPool(workers={self.workers}, lanes={self.lanes})"
         return f"TrialPool(workers={self.workers})"

@@ -431,6 +431,22 @@ class TestCli:
             ) == 0
             assert self._artifacts(store) == scalar
 
+    def test_retry_matches_the_plain_run(self, tmp_path, capsys):
+        """``--retry`` installs its policy on the pool the command
+        builds, in-process and in the crew alike; with no fault to
+        retry, the artifacts are the plain run's bytes."""
+        assert self.run_cli(
+            "campaign", "run", "ci-smoke", "--store", str(tmp_path / "plain")
+        ) == 0
+        plain = self._artifacts(tmp_path / "plain")
+        for workers in ("0", "2"):
+            store = tmp_path / f"retry-w{workers}"
+            assert self.run_cli(
+                "campaign", "run", "ci-smoke", "--store", str(store),
+                "--retry", "1", "--workers", workers,
+            ) == 0
+            assert self._artifacts(store) == plain
+
     @pytest.mark.parametrize(
         "extra, batches", [((), 1), (("--checkpoint-every", "8"), 4)]
     )

@@ -335,13 +335,13 @@ class TestSchemaVersion:
 
 
 class TestBatchThroughDistrib:
-    """``TrialPool(batch_size=N)`` on the shard side of a split.
+    """``TrialPool(lanes=N)`` on the shard side of a split.
 
     Two invariants: the merged artifacts stay byte-identical to a scalar
     single-host run (batching is scheduling, so it must be invisible to
-    the store and the report), while the ``batch_size`` the run used
-    *does* survive where it belongs -- the ``campaign.run`` and
-    ``batch.pack`` telemetry spans.
+    the store and the report), while the lanes the run used *do* survive
+    where they belong -- the ``batch_size`` attribute of the
+    ``campaign.run`` and ``batch.pack`` telemetry spans.
     """
 
     def test_batched_shards_merge_to_scalar_bytes(self, tmp_path):
@@ -349,7 +349,7 @@ class TestBatchThroughDistrib:
 
         spec = builtin_campaign("ci-smoke")
         golden = single_host(spec, tmp_path / "single")
-        with TrialPool(workers=1, batch_size=4) as pool:
+        with TrialPool(workers=1, lanes=4) as pool:
             merged, stats, _ = sharded_then_merged(
                 spec, 3, tmp_path, pool=pool
             )
@@ -374,7 +374,7 @@ class TestBatchThroughDistrib:
             ),
         )
         golden = single_host(spec, tmp_path / "single")
-        with TrialPool(workers=1, batch_size=8) as pool:
+        with TrialPool(workers=1, lanes=8) as pool:
             merged, stats, _ = sharded_then_merged(
                 spec, 3, tmp_path, pool=pool
             )
@@ -388,7 +388,7 @@ class TestBatchThroughDistrib:
         spec = builtin_campaign("ci-smoke")
         telemetry.enable()
         try:
-            with TrialPool(workers=1, batch_size=4) as pool:
+            with TrialPool(workers=1, lanes=4) as pool:
                 run_shard(spec, Shard(0, 2), str(tmp_path / "seg"), pool=pool)
             records = telemetry.recorder().drain()
         finally:

@@ -15,10 +15,10 @@ pins that contract two ways:
   per-payload, and pooled with explicit chunking yields structurally
   equal results -- chunk grouping is scheduling, not semantics.
 
-The lockstep batch executor joins the same contract: ``batch_size``
-lanes {1, 4, 17} across serial, pooled and resumed (split-map) runs must
-all yield the scalar bytes -- pack formation, like chunking, may only
-change how trials are scheduled, never what they compute.
+The lockstep batch executor joins the same contract: ``lanes``
+{1, 4, 17} across serial, pooled and resumed (split-map) runs must all
+yield the scalar bytes -- pack formation, like chunking, may only change
+how trials are scheduled, never what they compute.
 """
 
 import pytest
@@ -100,12 +100,14 @@ class TestExecutionShapeIdentity:
         shapes = {}
         for label, kwargs in (
             ("serial", {"workers": 1}),
-            ("pooled", {"workers": 4}),
+            ("pooled-2", {"workers": 2}),
+            ("pooled-4", {"workers": 4}),
             ("chunked", {"workers": 2, "chunk_size": 5}),
         ):
             with TrialPool(**kwargs) as pool:
                 shapes[label] = pool.map(run_trial, payloads)
-        assert shapes["serial"] == shapes["pooled"] == shapes["chunked"]
+        assert shapes["serial"] == shapes["pooled-2"] == shapes["pooled-4"]
+        assert shapes["serial"] == shapes["chunked"]
 
     def test_adaptive_chunking_is_invisible(self):
         """A second map on a warmed pool (where the adaptive heuristic
@@ -138,14 +140,14 @@ class TestBatchShapeIdentity:
         with TrialPool(workers=1) as pool:
             return pool.map(run_trial, payloads)
 
-    @pytest.mark.parametrize("batch_size", [1, 4, 17])
-    def test_serial_pooled_resumed_identical(self, batch_size):
+    @pytest.mark.parametrize("lanes", [1, 4, 17])
+    def test_serial_pooled_resumed_identical(self, lanes):
         payloads = self._payloads()
         scalar = self._scalar(payloads)
         shapes = {}
         for label, kwargs in (
-            ("serial", {"workers": 1, "batch_size": batch_size}),
-            ("pooled", {"workers": 4, "batch_size": batch_size}),
+            ("serial", {"workers": 1, "lanes": lanes}),
+            ("pooled", {"workers": 4, "lanes": lanes}),
         ):
             with TrialPool(**kwargs) as pool:
                 shapes[label] = pool.map(run_trial, payloads)
@@ -154,12 +156,12 @@ class TestBatchShapeIdentity:
         # pending tail as a fresh map, so packs form over a different
         # payload stream than the cold run's.  Split at 5 to cut inside
         # a 4-lane pack.
-        with TrialPool(workers=1, batch_size=batch_size) as pool:
+        with TrialPool(workers=1, lanes=lanes) as pool:
             shapes["resumed"] = pool.map(run_trial, payloads[:5]) + pool.map(
                 run_trial, payloads[5:]
             )
         for label, results in shapes.items():
-            assert results == scalar, (batch_size, label)
+            assert results == scalar, (lanes, label)
 
     def test_golden_constants_hold_under_batching(self):
         """The pre-overhaul golden bytes, through a 4-lane pack."""
@@ -168,7 +170,7 @@ class TestBatchShapeIdentity:
             for key, _ in GOLDEN_CHANNEL
             if key[0] == "i7-7700" and key[1] == 1
         ]
-        with TrialPool(workers=1, batch_size=4) as pool:
+        with TrialPool(workers=1, lanes=4) as pool:
             results = pool.map(run_trial, payloads)
         expected = [
             value
@@ -207,26 +209,26 @@ class TestKaslrBatchShapeIdentity:
         with TrialPool(workers=1) as pool:
             return pool.map(run_trial, payloads)
 
-    @pytest.mark.parametrize("batch_size", [1, 8, 17])
-    def test_serial_pooled_resumed_identical(self, batch_size):
+    @pytest.mark.parametrize("lanes", [1, 8, 17])
+    def test_serial_pooled_resumed_identical(self, lanes):
         payloads = self._payloads()
         scalar = self._scalar(payloads)
         shapes = {}
         for label, kwargs in (
-            ("serial", {"workers": 1, "batch_size": batch_size}),
-            ("pooled", {"workers": 4, "batch_size": batch_size}),
+            ("serial", {"workers": 1, "lanes": lanes}),
+            ("pooled", {"workers": 4, "lanes": lanes}),
         ):
             with TrialPool(**kwargs) as pool:
                 shapes[label] = pool.map(run_trial, payloads)
                 assert pool.trials_executed == len(payloads)
         # "Resumed" splits at 5, cutting inside an 8-lane pack -- the
         # warm second map also replays the first map's cached leader.
-        with TrialPool(workers=1, batch_size=batch_size) as pool:
+        with TrialPool(workers=1, lanes=lanes) as pool:
             shapes["resumed"] = pool.map(run_trial, payloads[:5]) + pool.map(
                 run_trial, payloads[5:]
             )
         for label, results in shapes.items():
-            assert results == scalar, (batch_size, label)
+            assert results == scalar, (lanes, label)
 
     def test_golden_constants_hold_under_batching(self):
         """The pre-overhaul KASLR golden bytes through a live pack; the
@@ -243,7 +245,7 @@ class TestKaslrBatchShapeIdentity:
             )
             for i in order
         ]
-        with TrialPool(workers=1, batch_size=4) as pool:
+        with TrialPool(workers=1, lanes=4) as pool:
             results = pool.map(run_trial, payloads)
         assert [
             (tuple(result.totes), result.cycles) for result in results

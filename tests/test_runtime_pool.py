@@ -1,13 +1,14 @@
 """The TrialPool determinism contract: serial == parallel, bit for bit.
 
 Every test here compares the same campaign run through
-``TrialPool(workers=1)`` (the serial reference executor) and
+``TrialPool(workers=1)`` (trials run in the calling process) and
 ``TrialPool(workers=4)`` (real worker processes).  The contract is not
 "statistically similar" -- it is full structural equality of results,
 including every raw ToTE sample, because each trial's outcome is a pure
 function of ``(MachineSpec, payload)``.
 """
 
+import multiprocessing
 import os
 
 import pytest
@@ -15,8 +16,6 @@ import pytest
 from repro.runtime import (
     ChannelTrial,
     MachineSpec,
-    ProcessExecutor,
-    SerialExecutor,
     TrialPool,
     WorkerLostError,
     derive_seed,
@@ -35,14 +34,27 @@ def _scan(workers: int, byte: int = 0x2A):
         return channel.send_byte(byte)
 
 
+def _pid(payload):
+    """Where a trial ran."""
+    return os.getpid()
+
+
+def _crew_pids():
+    return {child.pid for child in multiprocessing.active_children()}
+
+
 class TestExecutorSelection:
+    """Where trials run: in the calling process at ``workers=1``, in
+    crew processes otherwise -- and no crew outlives ``close()``."""
+
     def test_one_worker_is_serial(self):
-        assert isinstance(TrialPool(workers=1).executor, SerialExecutor)
+        with TrialPool(workers=1) as pool:
+            assert pool.map(_pid, range(4)) == [os.getpid()] * 4
 
     def test_many_workers_is_process(self):
-        pool = TrialPool(workers=4)
-        assert isinstance(pool.executor, ProcessExecutor)
-        pool.close()
+        with TrialPool(workers=2) as pool:
+            pids = set(pool.map(_pid, range(8)))
+        assert pids and os.getpid() not in pids
 
     def test_workers_floor_is_one(self):
         assert TrialPool(workers=0).workers == 1
@@ -51,7 +63,10 @@ class TestExecutorSelection:
     def test_context_manager_closes(self):
         with TrialPool(workers=2) as pool:
             assert pool.map(len, ["ab", "c"]) == [2, 1]
-        assert pool.executor._pool is None
+            pids = set(pool.map(_pid, range(8)))
+            assert pids <= _crew_pids()
+        assert not pids & _crew_pids()
+        pool.close()  # idempotent
 
     def test_empty_payloads(self):
         with TrialPool(workers=2) as pool:
@@ -106,6 +121,15 @@ class TestWorkerLoss:
         with TrialPool(workers=2) as pool:
             with pytest.raises(RuntimeError, match="boom payload"):
                 pool.map(_raise_on_sentinel, ["ab", "boom", "c"])
+            assert pool.map(_raise_on_sentinel, ["abc"]) == [3]
+
+    def test_in_process_exception_is_the_trial_own(self):
+        """At ``workers=1`` a raising trial raises its own exception,
+        unwrapped, and the pool keeps working."""
+        with TrialPool(workers=1) as pool:
+            with pytest.raises(ValueError, match="boom payload") as info:
+                pool.map(_raise_on_sentinel, ["ab", "boom", "c"])
+            assert type(info.value) is ValueError
             assert pool.map(_raise_on_sentinel, ["abc"]) == [3]
 
 
@@ -218,7 +242,7 @@ class TestBatchStanddown:
 
     def test_wrapped_fn_stands_down_with_reason(self):
         payloads = self._payloads()
-        with TrialPool(workers=1, batch_size=4) as pool:
+        with TrialPool(workers=1, lanes=4) as pool:
             events = self._map_observed(
                 pool, lambda trial: run_channel_trial(trial), payloads
             )
@@ -229,7 +253,7 @@ class TestBatchStanddown:
 
         payloads = self._payloads()
         policy = ResiliencePolicy(max_retries=0, backoff_base=0.0)
-        with TrialPool(workers=1, batch_size=4, policy=policy) as pool:
+        with TrialPool(workers=1, lanes=4, policy=policy) as pool:
             events = self._map_observed(pool, run_channel_trial, payloads)
         assert events == [{"reason": "resilience-policy", "payloads": 4}]
 
@@ -237,7 +261,7 @@ class TestBatchStanddown:
         from repro.faults import FaultPlan
 
         payloads = self._payloads()
-        with TrialPool(workers=1, batch_size=4) as pool:
+        with TrialPool(workers=1, lanes=4) as pool:
             events = self._map_observed(
                 pool,
                 run_channel_trial,
@@ -248,6 +272,6 @@ class TestBatchStanddown:
 
     def test_batched_map_emits_no_standdown(self):
         payloads = self._payloads()
-        with TrialPool(workers=1, batch_size=4) as pool:
+        with TrialPool(workers=1, lanes=4) as pool:
             events = self._map_observed(pool, run_channel_trial, payloads)
         assert events == []
