@@ -105,12 +105,12 @@ class RunStats:
 
 
 def _live_batch_counts() -> Dict:
-    """Live lockstep-batching counts for observer/stream updates.
+    """Live lockstep-batching counts for the observer's update.
 
     Read from the coordinator registry after the checkpoint, so the
     worker batches of the map that just finished are already merged.
     Cumulative over the run (the registry is), which is exactly what the
-    progress line and heartbeats want.
+    progress line and the spool heartbeat want.
     """
     registry = telemetry.metrics_registry()
     snapshot = registry.snapshot()
@@ -120,12 +120,7 @@ def _live_batch_counts() -> Dict:
         if name.startswith("batch.standdown.")
     }
     evictions = snapshot.get("batch.lanes.evicted", {}).get("value", 0)
-    retries = snapshot.get("pool.retries", {}).get("value", 0)
-    return {
-        "evictions": evictions,
-        "standdowns": standdowns,
-        "retries": retries,
-    }
+    return {"evictions": evictions, "standdowns": standdowns}
 
 
 class CampaignRunner:
@@ -137,13 +132,11 @@ class CampaignRunner:
         store: Optional[ResultStore] = None,
         pool: Optional[TrialPool] = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        progress: Optional[Callable[[str], None]] = None,
         max_failures: Optional[int] = None,
         trial_fn: Callable = run_trial,
         observer: Optional[Callable[[Dict], None]] = None,
         shard: Optional[Shard] = None,
         sink: Optional[Callable[[TrialRef, StoredOutcome], None]] = None,
-        stream: Optional[Callable[[Dict], None]] = None,
     ) -> None:
         if batch_size < 1:
             raise ValueError("batch_size must be at least 1")
@@ -166,11 +159,12 @@ class CampaignRunner:
         #: The worker-side trial function; overridable so chaos tests can
         #: sweep campaign-sized grids with a cheap stub.
         self.trial_fn = trial_fn
-        self._progress = progress or (lambda message: None)
-        #: Structured progress sink (``--progress`` installs a
-        #: :class:`~repro.telemetry.live.ProgressRenderer` here).  Called
-        #: after every checkpointed batch with a dict of counts; purely
-        #: observational -- never touches results or the store.
+        #: The one per-checkpoint hook, called after every checkpointed
+        #: batch with a dict of counts.  The CLI installs a
+        #: :class:`~repro.telemetry.live.ProgressRenderer` here, and
+        #: :func:`~repro.distrib.shard.run_shard` also hands the update
+        #: to its spool writer.  Purely observational -- never touches
+        #: results or the store.
         self._observer = observer or (lambda update: None)
         #: Per-trial outcome hook (the streaming-detector ingest path):
         #: called exactly once per ``(ref, outcome)`` -- for cached
@@ -180,13 +174,6 @@ class CampaignRunner:
         #: order-independent conclusions (detectors do) must make each
         #: ingestion a pure function of the single ``(ref, outcome)``.
         self._sink = sink or (lambda ref, outcome: None)
-        #: Live telemetry spool hook (``campaign shard --stream-out``
-        #: installs a :class:`~repro.telemetry.stream.StreamWriter`'s
-        #: ``on_batch`` here).  Fired with the same structured update as
-        #: the observer, after every checkpointed batch; the writer
-        #: decides internally whether a cadence boundary was crossed.
-        #: Purely observational -- never touches results or the store.
-        self._stream = stream or (lambda update: None)
 
     # -- queries ---------------------------------------------------------------
 
@@ -301,10 +288,6 @@ class CampaignRunner:
                 if observing:
                     telemetry.add("campaign.batches")
                     telemetry.add("campaign.trials.executed", len(batch))
-                self._progress(
-                    f"batch {batches}: {done}"
-                    f"/{len(pending)} pending trials done"
-                )
                 update = {
                     "name": self.spec.name,
                     "done": done,
@@ -318,7 +301,6 @@ class CampaignRunner:
                 if observing:
                     update.update(_live_batch_counts())
                 self._observer(update)
-                self._stream(update)
                 if (
                     self.max_failures is not None
                     and failures > self.max_failures

@@ -92,8 +92,17 @@ def _campaign_pool(args, policy=None):
         raise _Refusal(f"aborted: {exc}", code=1) from None
 
 
+@contextlib.contextmanager
 def _progress(label: str):
-    return lambda message: print(f"[{label}] {message}", file=sys.stderr)
+    """The runner's observer for a campaign-executing command: one
+    stderr line per checkpoint, then one ``done:`` line."""
+    from repro.telemetry.live import ProgressRenderer
+
+    renderer = ProgressRenderer(name=label)
+    try:
+        yield renderer.on_batch
+    finally:
+        renderer.close()
 
 
 def _machine(args, **kwargs) -> Machine:
@@ -357,13 +366,6 @@ def cmd_campaign_run(args) -> int:
     from repro.campaign import CampaignRunner
 
     spec = _campaign_spec(args)
-    renderer = None
-    observer = None
-    if args.progress:
-        from repro.telemetry.live import ProgressRenderer
-
-        renderer = ProgressRenderer(name=spec.name)
-        observer = renderer.on_batch
     if args.trace_out:
         from repro import telemetry
 
@@ -371,19 +373,16 @@ def cmd_campaign_run(args) -> int:
         # checksum strips them (they are sidecar fields).
         telemetry.enable(wall_clock=True)
     try:
-        with _campaign_pool(args, _policy(args)) as pool:
+        with _campaign_pool(args, _policy(args)) as pool, _progress(spec.name) as observer:
             report, stats = CampaignRunner(
                 spec,
                 store=_campaign_store(args),
                 pool=pool,
                 batch_size=args.checkpoint_every,
-                progress=_progress(spec.name),
                 max_failures=args.max_failures,
                 observer=observer,
             ).run()
     finally:
-        if renderer is not None:
-            renderer.close()
         if args.trace_out:
             from repro.telemetry.export import write_jsonl
 
@@ -424,17 +423,17 @@ def cmd_campaign_shard(args) -> int:
         raise _Refusal(str(exc)) from None
     label = f"{spec.name} {shard}"
     try:
-        with _campaign_pool(args, _policy(args)) as pool:
+        with _campaign_pool(args, _policy(args)) as pool, _progress(label) as observer:
             store, stats = run_shard(
                 spec,
                 shard,
                 args.store,
                 stream_path=args.stream_out,
                 stream_every=args.stream_every,
+                observer=observer,
                 pool=pool,
                 batch_size=args.checkpoint_every,
                 max_failures=args.max_failures,
-                progress=_progress(label),
             )
     finally:
         if args.stream_out:
@@ -514,7 +513,9 @@ def cmd_campaign_fleet(args) -> int:
             max_retries=args.retry_shards, backoff_base=args.backoff
         ),
         parallel=args.parallel,
-        progress=_progress(f"fleet {spec.name}"),
+        progress=lambda message: print(
+            f"[fleet {spec.name}] {message}", file=sys.stderr
+        ),
         stream=args.stream,
         on_stream=on_stream,
     )
@@ -607,12 +608,12 @@ def _print_calibration(calibration) -> None:
 def cmd_defend_calibrate(args) -> int:
     from repro.defend import calibrate
 
-    with _campaign_pool(args) as pool:
+    with _campaign_pool(args) as pool, _progress("defend-calibrate") as observer:
         calibration, stats = calibrate(
             store=_campaign_store(args),
             pool=pool,
             batch_size=args.checkpoint_every,
-            progress=_progress("defend-calibrate"),
+            observer=observer,
         )
     path = _calibration_path(args)
     calibration.save(path)
@@ -701,13 +702,13 @@ def cmd_defend_stream(args) -> int:
             file=sys.stderr,
         )
 
-    with _campaign_pool(args) as pool:
+    with _campaign_pool(args) as pool, _progress(spec.name) as observer:
         CampaignRunner(
             spec,
             store=_campaign_store(args),
             pool=pool,
             batch_size=args.checkpoint_every,
-            progress=_progress(spec.name),
+            observer=observer,
             sink=sink,
         ).run()
     report = build_defend_report(detector, min_auc=args.min_auc)
@@ -821,11 +822,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(CI uses 1.0 to police the cache)",
     )
     _resilience(crun)
-    crun.add_argument(
-        "--progress", action="store_true",
-        help="stream per-cell throughput, ETA and failure counts to "
-        "stderr after every checkpoint",
-    )
     crun.add_argument(
         "--trace-out", default=None, metavar="PATH",
         help="record the run's telemetry (spans, events, metrics) to a "

@@ -310,7 +310,6 @@ def calibrate(
     store=None,
     pool=None,
     spec=None,
-    progress=None,
     **runner_kwargs,
 ):
     """Run (or resume) the training campaign and fit; returns
@@ -322,10 +321,7 @@ def calibrate(
         spec = calibration_campaign()
     if store is None:
         store = ResultStore()
-    runner = CampaignRunner(
-        spec, store=store, pool=pool, progress=progress, **runner_kwargs
-    )
-    _, stats = runner.run()
+    _, stats = CampaignRunner(spec, store=store, pool=pool, **runner_kwargs).run()
     calibration = fit_calibration(training_samples(spec, store))
     return calibration, stats
 

@@ -4,8 +4,8 @@ A :class:`StreamingDetector` binds one fitted
 :class:`~repro.defend.calibrate.Calibration` to one campaign spec and
 consumes ``(TrialRef, outcome)`` pairs as they complete -- via the
 :class:`~repro.campaign.runner.CampaignRunner` ``sink=`` hook on a single
-host, or via :meth:`ingest_store` against the segment stores a
-:class:`~repro.distrib.coordinator.Coordinator` merges as shards finish.
+host, or via :meth:`ingest_store` against any store: a fleet's segment
+stores one by one, or their merge.
 
 Verdict-level determinism is structural, not incidental: each verdict is
 a pure function of the calibration and that one trial's stored feature
@@ -110,21 +110,16 @@ class StreamingDetector:
         """:class:`CampaignRunner` ``sink=`` adapter (drops the return)."""
         self.ingest(ref, outcome)
 
-    def ingest_store(self, store, shard=None) -> int:
+    def ingest_store(self, store) -> int:
         """Ingest every stored outcome of the bound spec; returns the count.
 
-        With *shard*, only that shard's expansion positions are read --
-        the coordinator's ingest-on-completion path calls this once per
-        finished segment, and the dedup above makes the full-store merge
-        pass at the end a no-op for already-seen trials.
+        A store segment holds only its own shard's trials, so ingesting
+        segments one by one reaches the same verdicts as ingesting their
+        merge: the dedup above makes a repeated trial a no-op.
         """
         from repro.campaign.store import trial_key
 
         refs = self.spec.expand()
-        if shard is not None:
-            refs = [
-                ref for position, ref in enumerate(refs) if shard.covers(position)
-            ]
         keys = [trial_key(ref.trial) for ref in refs]
         cached = store.get_many(keys)
         ingested = 0

@@ -238,16 +238,19 @@ class StubWorker:
         kwargs = dict(self.runner_kwargs)
         if surviving is not None:
             seen = {"batches": 0}
-            inner = kwargs.get("progress")
+            inner = kwargs.get("observer")
 
-            def _killer(message: str) -> None:
+            def _killer(update: dict) -> None:
                 if inner is not None:
-                    inner(message)
+                    inner(update)
                 seen["batches"] += 1
                 if seen["batches"] > surviving:
-                    raise _WorkerDied(message)
+                    raise _WorkerDied(
+                        f"batch {seen['batches']}: {update['done']}"
+                        f"/{update['pending']} pending trials done"
+                    )
 
-            kwargs["progress"] = _killer
+            kwargs["observer"] = _killer
         from repro.telemetry.stream import stream_spool
 
         try:
@@ -283,13 +286,6 @@ class Coordinator:
     attempts.  *parallel* bounds in-flight shards (default: shard
     count, capped at 8).
 
-    *detector* is the fleet's ingest-on-completion hook: a
-    :class:`~repro.defend.online.StreamingDetector` (or anything with
-    its ``ingest_store(store, shard=...)`` shape) fed each shard's
-    segment the moment it lands.  Detector ingestion deduplicates per
-    trial coordinate, so retried shards and the round-robin cover's
-    interleaving cannot change what the detector concludes.
-
     ``stream=True`` arms the live plane: the coordinator builds a
     :class:`~repro.telemetry.stream.FleetView` over every shard's
     conventional spool path and tails all of them *concurrently with
@@ -309,7 +305,6 @@ class Coordinator:
         policy: Optional[ResiliencePolicy] = None,
         parallel: Optional[int] = None,
         progress: Optional[Callable[[str], None]] = None,
-        detector=None,
         stream: bool = False,
         stream_interval: float = 0.2,
         on_stream: Optional[Callable] = None,
@@ -324,7 +319,6 @@ class Coordinator:
             max_retries=1, backoff_base=0.0
         )
         self.parallel = parallel if parallel else min(shards, 8)
-        self.detector = detector
         self.stream = stream
         self.stream_interval = stream_interval
         #: The live fleet view (populated only for streaming runs); kept
@@ -364,10 +358,6 @@ class Coordinator:
                 wall = time.perf_counter() - started
                 async with self._lock:
                     result.merge = merge_stores([segment], self.dest_root)
-                    if self.detector is not None:
-                        self.detector.ingest_store(
-                            ResultStore(segment), shard=shard
-                        )
                 attempt_record = ShardAttempt(shard, attempt, True, wall)
                 result.attempts.append(attempt_record)
                 self._progress(

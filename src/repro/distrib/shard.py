@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro import __version__ as REPRO_VERSION
 from repro import telemetry
@@ -138,6 +138,7 @@ def run_shard(
     store_root: str,
     stream_path: Optional[str] = None,
     stream_every: Optional[int] = None,
+    observer: Optional[Callable[[Dict], None]] = None,
     **runner_kwargs,
 ) -> Tuple[ResultStore, RunStats]:
     """Execute one shard into its segment store; returns (store, stats).
@@ -151,38 +152,42 @@ def run_shard(
     trial_fn, ...).
 
     *stream_path* arms the shard's one telemetry artifact, the live
-    spool (``stream.jsonl``): telemetry is enabled for the run, a
-    :class:`~repro.telemetry.stream.StreamWriter` is fed from the
-    runner's per-batch ``stream`` hook every *stream_every* completed
-    trials, and the pool heartbeat cadence (trial counts, never wall
-    clocks) is armed for the duration.  The spool is sealed in a
-    ``finally``, with the drained metrics registry as its ``end``
-    snapshot: an aborted or crashed shard still leaves a tailable,
-    replayable spool.
+    spool (``stream.jsonl``): telemetry is enabled for the run, and each
+    per-checkpoint update goes first to the caller's *observer*, then to
+    a :class:`~repro.telemetry.stream.StreamWriter`, which writes a
+    ``heartbeat`` frame every *stream_every* completed trials.  The
+    spool is sealed in a ``finally``, with the drained metrics registry
+    as its ``end`` snapshot: an aborted or crashed shard still leaves a
+    tailable, replayable spool.
     """
     writer = None
+    hook = observer
     if stream_path is not None:
         from repro.telemetry.stream import DEFAULT_STREAM_EVERY, StreamWriter
 
-        every = DEFAULT_STREAM_EVERY if stream_every is None else stream_every
         telemetry.enable(wall_clock=True)
-        telemetry.set_heartbeat_cadence(every)
         writer = StreamWriter(
             stream_path,
             shard=shard.label,
             campaign=spec.name,
             total=shard.size(spec.trial_count()),
-            every=every,
+            every=DEFAULT_STREAM_EVERY if stream_every is None else stream_every,
         )
-        runner_kwargs["stream"] = writer.on_batch
+
+        def hook(update: Dict) -> None:
+            if observer is not None:
+                observer(update)
+            writer.on_batch(update)
+
     try:
         write_manifest(store_root, ShardManifest.for_shard(spec, shard))
         store = ResultStore(store_root)
-        runner = CampaignRunner(spec, store=store, shard=shard, **runner_kwargs)
+        runner = CampaignRunner(
+            spec, store=store, shard=shard, observer=hook, **runner_kwargs
+        )
         _, stats = runner.run()
         return store, stats
     finally:
         if writer is not None:
             writer.close(snapshot=telemetry.metrics_registry().drain())
             telemetry.disable()
-            telemetry.set_heartbeat_cadence(0)

@@ -1313,8 +1313,8 @@ def run_trial_group(group: Sequence) -> List:
                 },
             )
         # Counters beside the span attrs: spans answer "which pack",
-        # counters feed the live plane (heartbeats, ``--progress``,
-        # ``repro obs top``) without a trace walk.
+        # counters feed the live plane (spool heartbeats, the progress
+        # line, ``repro obs top``) without a trace walk.
         telemetry.add("batch.packs", 1)
         telemetry.add("batch.lanes.packed", len(group))
         if stats.evicted_lanes:

@@ -27,8 +27,8 @@ instead retries failing trials with seeded exponential backoff, enforces
 per-trial deadlines, respawns dead workers, and quarantines payloads
 that fail every retry as :class:`~repro.runtime.tasks.TrialFailure`
 values.  The determinism contract extends to failure: under a
-deterministic fault source, retry counts, quarantine lists, failure
-records and heartbeats are byte-identical at any worker count.
+deterministic fault source, retry counts, quarantine lists and failure
+records are byte-identical at any worker count.
 """
 
 from __future__ import annotations
@@ -75,37 +75,6 @@ STDERR_TAIL_LINES = 10
 def default_workers() -> int:
     """A sensible worker count for this host (``os.cpu_count``)."""
     return os.cpu_count() or 1
-
-
-def _emit_heartbeats(
-    emitted_through: int, completed: int, dispatched: int, started: float
-) -> int:
-    """Emit ``pool.heartbeat`` events for every cadence boundary crossed.
-
-    The cadence (``telemetry.set_heartbeat_cadence``) is a completed
-    *trial count*, never a timer: the number of heartbeats and their
-    deterministic attributes (the boundary, the dispatch size) depend
-    only on the work, at any worker count.  Wall-derived throughput
-    rides in the ``host`` sidecar like every other host fact.  Returns
-    the highest boundary emitted so far.
-    """
-    cadence = telemetry.heartbeat_cadence()
-    if not cadence or not telemetry.enabled():
-        return emitted_through
-    while emitted_through + cadence <= completed:
-        emitted_through += cadence
-        elapsed = time.monotonic() - started
-        telemetry.event(
-            "pool.heartbeat",
-            completed=emitted_through,
-            dispatched=dispatched,
-            host={
-                "trials_per_sec": (
-                    round(completed / elapsed, 1) if elapsed > 0 else 0.0
-                ),
-            },
-        )
-    return emitted_through
 
 
 class WorkerLostError(RuntimeError):
@@ -241,16 +210,13 @@ class _RetryLedger:
 def _run_in_process(fn: Callable, ledger: _RetryLedger) -> None:
     """The in-process attempt loop (``workers=1``).
 
-    Trials record their telemetry inline, so a heartbeat lands right
-    after the trial that crossed its boundary.  A simulated worker death
-    (a ``kill`` fault with no process to kill) is recorded exactly like
-    the crew records a real one.
+    Trials record their telemetry inline.  A simulated worker death (a
+    ``kill`` fault with no process to kill) is recorded exactly like the
+    crew records a real one.
     """
     from repro.faults.inject import SimulatedWorkerDeath, lost_worker_message
 
     payloads, pending = ledger.payloads, ledger.pending
-    started = time.monotonic()
-    beats = 0
     while pending:
         index, attempt = pending.popleft()
         try:
@@ -263,7 +229,6 @@ def _run_in_process(fn: Callable, ledger: _RetryLedger) -> None:
                         f"{type(exc).__name__}: {exc}", exc)
         else:
             ledger.settle(index, attempt, value)
-        beats = _emit_heartbeats(beats, ledger.completed, len(payloads), started)
 
 
 # -- chunked dispatch ----------------------------------------------------------
@@ -486,8 +451,6 @@ class WorkerCrew:
         # the merged trace order depends only on payload identity -- never
         # on which worker ran a trial or when its pipe delivered.
         batches: List = []
-        map_started = time.monotonic()
-        beats = 0
 
         def sweep() -> None:
             """Detect dead workers and blown deadlines between results."""
@@ -569,9 +532,6 @@ class WorkerCrew:
                         ledger.fail(index, attempt, "raise", value, RuntimeError(
                             f"trial payload {index} failed in worker: {value}"
                         ))
-                beats = _emit_heartbeats(
-                    beats, ledger.completed, count, map_started
-                )
                 sweep()
         finally:
             if observe and batches:

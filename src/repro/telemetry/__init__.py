@@ -17,10 +17,12 @@ Five modules:
   JSON, text cycle attribution, collapsed flamegraph stacks,
   sidecar-stripped checksums;
 * :mod:`repro.telemetry.stream` -- the live fleet plane: framed
-  per-shard spools (each shard's only telemetry artifact),
-  deterministic heartbeats, the tail-then-fold contract;
-* :mod:`repro.telemetry.live` -- the ``--progress`` renderer and the
-  ``repro obs report|trace|tail|top|flame|fold|overhead`` CLI bodies.
+  per-shard spools (each shard's only telemetry artifact), whose
+  ``heartbeat`` frames are the one deterministic heartbeat, and the
+  tail-then-fold contract;
+* :mod:`repro.telemetry.live` -- the per-checkpoint progress renderer
+  and the ``repro obs report|trace|tail|top|flame|fold|overhead`` CLI
+  bodies.
 
 This module owns the *process-global* switch.  Telemetry is **off by
 default** and the disabled path is near-free: every hook in the
@@ -69,7 +71,6 @@ __all__ = [
     "enabled",
     "event",
     "gauge_set",
-    "heartbeat_cadence",
     "ingest_batches",
     "merge_snapshots",
     "merge_worker_metrics",
@@ -77,7 +78,6 @@ __all__ = [
     "observe",
     "orphan_records",
     "recorder",
-    "set_heartbeat_cadence",
     "span",
 ]
 
@@ -88,31 +88,6 @@ _RECORDER: Optional[Recorder] = None
 #: touch it when a recorder is active, so a disabled run never pays for
 #: metric lookups.
 _METRICS = MetricsRegistry()
-
-#: Heartbeat cadence in completed trials (0 = off, the default).  Armed
-#: by the streaming path (``campaign shard --stream-out``): the pool's
-#: executors then emit ``pool.heartbeat`` events every N completions.
-#: The cadence is a *trial count*, never a wall-clock timer, so the
-#: heartbeat stream's deterministic attributes are identical at any
-#: worker count.  Off by default because heartbeat events interleave
-#: differently between the serial and pooled trace streams (serial
-#: records trial spans inline; pooled ingests them at end-of-map), and
-#: the serial-vs-pooled trace checksum identity must hold whenever the
-#: caller has not opted into streaming.
-_HEARTBEAT_EVERY = 0
-
-
-def set_heartbeat_cadence(every: int) -> None:
-    """Arm (or, with 0, disarm) pool heartbeat events every N trials."""
-    global _HEARTBEAT_EVERY
-    if every < 0:
-        raise ValueError("heartbeat cadence cannot be negative")
-    _HEARTBEAT_EVERY = int(every)
-
-
-def heartbeat_cadence() -> int:
-    """The armed heartbeat cadence in trials (0 = off)."""
-    return _HEARTBEAT_EVERY
 
 
 def enable(wall_clock: bool = False, origin: str = "m") -> Recorder:

@@ -2,10 +2,11 @@
 
 Three consumers:
 
-* ``repro campaign run --progress`` installs a :class:`ProgressRenderer`
-  as the runner's observer: per-cell throughput, ETA, failure counts and
-  the batch layer's eviction/stand-down counters stream to stderr while
-  the campaign executes (stderr only -- the report artifact stays
+* ``repro campaign run|shard`` and ``repro defend calibrate|stream``
+  install a :class:`ProgressRenderer` as the runner's observer: one
+  stderr line per checkpoint with per-cell throughput, ETA, failure
+  counts and the batch layer's eviction/stand-down counters, then one
+  ``done:`` line (stderr only -- the report artifact stays
   byte-identical).
 * ``repro obs report|trace|tail|flame`` replay a run recorded with
   ``--trace-out`` or a shard's stream spool: ``report`` prints the
@@ -16,7 +17,8 @@ Three consumers:
   (``flamegraph.pl`` / speedscope input).  All four load through the
   tolerant :func:`~repro.telemetry.export.load_trace`: a missing or
   empty file is a one-line error, a torn trailing record a skipped
-  warning.
+  warning.  They import :mod:`repro.telemetry.export` when called, so a
+  campaign that only renders progress never loads it.
 * ``repro obs top|fold`` consume the live plane
   (:mod:`repro.telemetry.stream`): ``top`` tails every shard spool
   under a fleet root into one refreshing dashboard, and ``fold`` folds
@@ -29,18 +31,7 @@ import json
 import os
 import sys
 import time
-from typing import Dict, List, Optional
-
-from repro.telemetry.export import (
-    TraceUnreadable,
-    chrome_trace,
-    collapsed_stacks,
-    cycle_attribution,
-    load_trace,
-    render_attribution,
-    split_metrics,
-    validate_chrome_trace,
-)
+from typing import Dict, List, Optional, Tuple
 
 __all__ = [
     "ProgressRenderer",
@@ -150,27 +141,33 @@ def _span_rollup(records: List[dict], out=print) -> None:
         out(f"  {count:>8}x event {name}")
 
 
-def _load_tolerant(path: str, out) -> Optional[List[dict]]:
-    """Load a recorded run for an obs command, or None after reporting.
+def _load_tolerant(path: str, out) -> Optional[Tuple[List[dict], Dict]]:
+    """Load a recorded run for an obs command as ``(trace, metrics)``,
+    or None after reporting.
 
     The satellite contract for every replay command: damage becomes a
     one-line diagnosis (the caller exits 2), never a traceback.
     """
+    from repro.telemetry.export import TraceUnreadable, load_trace, split_metrics
+
     try:
-        return load_trace(
+        records = load_trace(
             path, warn=lambda message: out(f"warning: {message}")
         )
     except TraceUnreadable as exc:
         out(f"error: {exc}")
         return None
+    return split_metrics(records)
 
 
 def run_obs_report(path: str, limit: int = 10, out=print) -> int:
     """The ``repro obs report`` body: summarise a recorded run."""
-    records = _load_tolerant(path, out)
-    if records is None:
+    from repro.telemetry.export import cycle_attribution, render_attribution
+
+    loaded = _load_tolerant(path, out)
+    if loaded is None:
         return 2
-    trace, metrics = split_metrics(records)
+    trace, metrics = loaded
     out(f"recorded run: {path}")
     _span_rollup(trace, out=out)
     out("")
@@ -188,11 +185,12 @@ def run_obs_trace(
 ) -> int:
     """The ``repro obs trace`` body: convert a recorded run to Chrome
     ``trace_event`` JSON (optionally validating it against the schema)."""
-    records = _load_tolerant(path, out)
-    if records is None:
+    from repro.telemetry.export import chrome_trace, validate_chrome_trace
+
+    loaded = _load_tolerant(path, out)
+    if loaded is None:
         return 2
-    trace_records, _ = split_metrics(records)
-    trace = chrome_trace(trace_records)
+    trace = chrome_trace(loaded[0])
     target = output or (path.rsplit(".", 1)[0] + ".trace.json")
     with open(target, "w") as handle:
         json.dump(trace, handle, sort_keys=True)
@@ -213,10 +211,10 @@ def run_obs_trace(
 
 def run_obs_tail(path: str, count: int = 20, out=print) -> int:
     """The ``repro obs tail`` body: the last *count* records of a run."""
-    records = _load_tolerant(path, out)
-    if records is None:
+    loaded = _load_tolerant(path, out)
+    if loaded is None:
         return 2
-    trace, _ = split_metrics(records)
+    trace = loaded[0]
     for record in trace[-count:]:
         attrs = record.get("attrs", {})
         attr_text = " ".join(f"{k}={v}" for k, v in sorted(attrs.items()))
@@ -285,11 +283,12 @@ def run_obs_flame(
     count`` line per span path -- pipe straight into ``flamegraph.pl``
     or import into speedscope.
     """
-    records = _load_tolerant(path, out)
-    if records is None:
+    from repro.telemetry.export import collapsed_stacks
+
+    loaded = _load_tolerant(path, out)
+    if loaded is None:
         return 2
-    trace, _ = split_metrics(records)
-    stacks = collapsed_stacks(trace)
+    stacks = collapsed_stacks(loaded[0])
     if not stacks:
         out(f"error: {path} carries no spans with cycle counts")
         return 2

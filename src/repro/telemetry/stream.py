@@ -99,11 +99,12 @@ class StreamWriter:
     """Append framed telemetry deltas to one shard's spool.
 
     The writer is armed by the shard process (``campaign shard
-    --stream-out``, see :func:`repro.distrib.shard.run_shard`).
-    ``on_batch`` is the runner's post-checkpoint hook: when the
+    --stream-out``, see :func:`repro.distrib.shard.run_shard`, which
+    hands it every update from the runner's ``observer`` hook).
+    ``on_batch`` takes that per-checkpoint update: when the
     completed-trial count crosses a cadence boundary it emits a
     ``spans`` delta, a cumulative ``metrics`` snapshot and a
-    ``heartbeat``.  ``close`` seals the attempt with an ``end`` frame
+    ``heartbeat``, the product's only heartbeat.  ``close`` seals the attempt with an ``end`` frame
     carrying the shard's final metrics snapshot.
 
     Resume-safety: a fresh writer on an existing spool (a retried shard
@@ -217,7 +218,7 @@ class StreamWriter:
     # -- the runner hook ---------------------------------------------------
 
     def on_batch(self, update: Dict) -> None:
-        """The runner's post-checkpoint hook: flush at cadence boundaries."""
+        """Take one per-checkpoint update: flush at cadence boundaries."""
         if self._closed:
             return
         self._last_update = dict(update)
@@ -545,8 +546,6 @@ class ShardStreamView:
         self.status = "waiting"
         self.attempt = 0
         self.total = 0
-        self.spans = 0
-        self.events = 0
         self.frames = 0
         self.heartbeat: Optional[dict] = None
         self.snapshot: Dict[str, dict] = {}
@@ -568,12 +567,6 @@ class ShardStreamView:
             self.total = int(frame["body"].get("total", self.total))
             if self.status != "done":
                 self.status = "running"
-        elif kind == "spans":
-            for record in frame["body"].get("records", []):
-                if record.get("kind") == "span":
-                    self.spans += 1
-                elif record.get("kind") == "event":
-                    self.events += 1
         elif kind == "metrics":
             if attempt >= self._snapshot_attempt:
                 self.snapshot = frame["body"].get("snapshot", {})

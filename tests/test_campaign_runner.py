@@ -470,6 +470,34 @@ class TestCli:
             self.run_cli(*command, "--store", str(tmp_path), "--batch-size", "4")
         assert excinfo.value.code == 2
 
+    def test_progress_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            self.run_cli(
+                "campaign", "run", "ci-smoke", "--store", str(tmp_path),
+                "--progress",
+            )
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("command, label", [
+        (("campaign", "run", "ci-smoke"), "ci-smoke"),
+        (("campaign", "shard", "ci-smoke", "--index", "0", "--of", "1"),
+         "ci-smoke shard 0/1"),
+    ], ids=["run", "shard"])
+    def test_one_progress_line_per_checkpoint(
+        self, tmp_path, capsys, command, label
+    ):
+        """The renderer on the runner's observer is the only progress
+        output: one stderr line per checkpoint, then one ``done:``."""
+        assert self.run_cli(
+            *command, "--store", str(tmp_path), "--checkpoint-every", "8"
+        ) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 5
+        for done, line in zip((8, 16, 24, 32), lines):
+            assert line.startswith(f"[{label}] cell 0/1 | ")
+            assert line.split(" | ")[1] == f"{done}/32 trials (0 cached)"
+        assert lines[4].startswith(f"[{label}] done: 32 live trials in ")
+
     def test_fleet_worker_command_parses_as_campaign_shard(self, tmp_path):
         """The shard command line a fleet spawns is one `campaign shard`
         accepts, with the fleet's execution flags carried through."""

@@ -133,9 +133,9 @@ class TestTopologyIdentity:
             root = str(tmp_path / f"seg{index}")
             run_shard(spec, Shard(index, 3), root)
             segments.append(root)
-            # The coordinator's ingest-on-completion path: one call per
-            # finished segment, scoped to that shard's positions.
-            incremental.ingest_store(ResultStore(root), shard=Shard(index, 3))
+            # One call per finished segment: a segment holds only its
+            # own shard's trials.
+            incremental.ingest_store(ResultStore(root))
         merged = str(tmp_path / "merged")
         merge_stores(segments, merged)
         one_shot = StreamingDetector(calibration, spec)

@@ -31,3 +31,25 @@ def test_entry_points_load_only_stdlib_and_repro():
     assert "repro" in loaded
     foreign = [name for name in loaded if name != "repro" and name not in sys.stdlib_module_names]
     assert foreign == []
+
+
+RUN_PROBE = """
+import sys
+from repro.cli import main
+main(["campaign", "run", "ci-smoke", "--store", sys.argv[1]])
+print("repro.telemetry.export" in sys.modules)
+"""
+
+
+def test_campaign_run_without_trace_out_skips_the_exporters(tmp_path):
+    """The progress line loads ``repro.telemetry.live``, never the
+    exporters behind ``--trace-out`` and ``repro obs``."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    stdout = subprocess.run(
+        [sys.executable, "-c", RUN_PROBE, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert stdout.splitlines()[-1] == "False"

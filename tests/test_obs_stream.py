@@ -4,10 +4,11 @@ Two properties carry this module (see ``repro.telemetry.stream``):
 
 * **prefix** -- the live fold after any frame prefix is a prefix of the
   final fold (cumulative snapshots only ever grow);
-* **stable fold** -- folds and spool replays match digests pinned when
-  each shard still wrote a ``telemetry.jsonl`` sidecar beside its
-  spool, at 1/3/8 shards and under chaos (killed workers, torn spool
-  tails, duplicated frame replays).
+* **stable fold** -- folds match digests pinned when each shard still
+  wrote a ``telemetry.jsonl`` sidecar beside its spool, at 1/3/8 shards
+  and under chaos (killed workers, torn spool tails, duplicated frame
+  replays); spool replays match those sidecar traces minus the
+  pool's retired heartbeat events (``seq`` and ids renumbered).
 
 Everything runs on stub trials (``payload_fingerprint``) so the suite
 stays fast while exercising the real runner/pool/spool machinery.
@@ -21,11 +22,10 @@ import os
 import pytest
 
 from repro.campaign import ResultStore, Shard, builtin_campaign
-from repro import telemetry
 from repro.cli import main
 from repro.distrib import Coordinator, StubWorker, run_shard
 from repro.faults import ResiliencePolicy, payload_fingerprint
-from repro.runtime import TrialResult
+from repro.runtime import TrialPool, TrialResult
 from repro.telemetry.export import load_trace, records_checksum, split_metrics
 from repro.telemetry.live import (
     ProgressRenderer,
@@ -57,9 +57,9 @@ FOLD_DIGESTS = {
     8: "e19799e1fecb4501f2fda5d4dfcba6db90e67649361f63235dae2cc1547b799d",
 }
 SHARD0_TRACE_CHECKSUMS = {
-    1: "2757485f344a72e86ea8cd9d7f5483efe93287b20402ecfa8a2d9226a48fa466",
-    3: "a9f77229f338a8eb22e587e507835829bad6d153c489cc4c6d46c39702e417e9",
-    8: "c318eb0bba23323688e42599bb904a2c669204f296519b5f3da866ee8e68d9b7",
+    1: "827bcd20d85cfa7aed6795e3182640e2f18deb0e9b08ebffe6ba8074df98afe6",
+    3: "4542cd4e3c40704824d8ace085dcccc9234c54e704f40650a3645e9d2bce2e1d",
+    8: "155ad0871247374b6e37fe7558d427c29993425fd644bae6790a34fb2e822201",
 }
 
 
@@ -121,10 +121,12 @@ class TestSpoolFraming:
         assert beats[-1]["counters"]["pool.trials.executed"] == 32
 
     def test_heartbeat_stream_is_deterministic_across_runs(self, tmp_path):
+        """Two runs beat alike, and so do one worker and a crew of two
+        under a retry policy: heartbeats count trials, not time."""
         spec = builtin_campaign("ci-smoke")
 
-        def deterministic_beats(root):
-            _stream_shard(spec, Shard(0, 1), root, every=8)
+        def deterministic_beats(root, **kwargs):
+            _stream_shard(spec, Shard(0, 1), root, every=8, **kwargs)
             frames, _ = read_frames(stream_spool(str(root)))
             beats = []
             for frame in frames:
@@ -138,36 +140,29 @@ class TestSpoolFraming:
         first = deterministic_beats(tmp_path / "a")
         second = deterministic_beats(tmp_path / "b")
         assert first == second
+        crews = []
+        for workers in (1, 2):
+            with TrialPool(
+                workers=workers, policy=ResiliencePolicy(max_retries=1)
+            ) as pool:
+                crews.append(
+                    deterministic_beats(tmp_path / f"w{workers}", pool=pool)
+                )
+        assert crews[0] == crews[1]
 
     def test_spool_spans_mirror_the_sidecar_trace(self, tmp_path):
         """The spool streams span deltas without draining the recorder:
         replayed, it is the whole trace (in seq order) the retired
-        end-of-shard sidecar recorded, sealed by the fold's snapshot."""
+        end-of-shard sidecar recorded, less the pool's retired heartbeat
+        events, sealed by the fold's snapshot."""
         spec = builtin_campaign("ci-smoke")
         _stream_shard(spec, Shard(0, 1), tmp_path / "seg")
         spool = stream_spool(str(tmp_path / "seg"))
         trace, metrics = split_metrics(load_trace(spool))
         assert records_checksum(trace) == (
-            "a8b82e145f4e6f57d1bbea4bb0df6be3d247c2192b3e230f6e80918af7541e38"
+            "827bcd20d85cfa7aed6795e3182640e2f18deb0e9b08ebffe6ba8074df98afe6"
         )
         assert metrics == fold_stream(spool) and metrics
-
-    def test_heartbeats_stay_off_without_streaming(self, tmp_path):
-        """The cadence defaults to 0: a plain traced run records no
-        pool.heartbeat events (the serial-vs-pooled trace identity in
-        test_telemetry depends on this)."""
-        assert telemetry.heartbeat_cadence() == 0
-        spec = builtin_campaign("ci-smoke")
-        telemetry.enable()
-        try:
-            run_shard(spec, Shard(0, 1), str(tmp_path / "seg"),
-                      trial_fn=_stub_trial, batch_size=4)
-            records = telemetry.recorder().drain()
-        finally:
-            telemetry.disable()
-        assert any(r.get("name") == "campaign.run" for r in records)
-        assert not any(r.get("name") == "pool.heartbeat" for r in records)
-        assert telemetry.heartbeat_cadence() == 0
 
 
 class TestSpoolDamage:
@@ -280,7 +275,7 @@ class TestFoldContract:
         )
         # The replay is the retry's trace alone, as its sidecar was.
         assert _spool_trace_checksum(retried) == (
-            "9a29a7d951e630a8de5a74e9e37e76fe3600e07ed4b0d84872522e5f66a0f988"
+            "ee9ebaed983c1c9859bda31588b8c38fab50eb51763b398d0294011e77729a7b"
         )
 
     def test_fold_identity_survives_torn_spool_and_replay(self, tmp_path):
@@ -432,7 +427,7 @@ class TestObsCli:
         spool = stream_spool(str(self._record(tmp_path)))
         lines = []
         assert run_obs_report(spool, out=lines.append) == 0
-        assert "trace    : 2 spans, 16 events" in lines
+        assert "trace    : 2 spans, 0 events" in lines
         assert ["pool.trials.executed", "counter", "32"] in [
             line.split() for line in lines
         ]
@@ -445,7 +440,7 @@ class TestObsCli:
         lines = []
         assert run_obs_tail(spool, count=3, out=lines.append) == 0
         assert [line.split()[:3] for line in lines] == [
-            [str(seq), "event", "pool.heartbeat"] for seq in (15, 16, 17)
+            ["0", "span", "campaign.run"], ["1", "span", "cell"]
         ]
         with open(spool, "rb") as handle:
             frames = handle.read().splitlines()

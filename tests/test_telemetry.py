@@ -459,31 +459,3 @@ class TestWorkerLifecycle:
         assert "gadget panic" not in failure.error
         assert "stderr" not in failure.error
         assert results[0] == 2 and results[2] == 1
-
-
-# -- heartbeats ----------------------------------------------------------------
-
-
-class TestHeartbeats:
-    def test_resilient_heartbeats_are_worker_count_invariant(self):
-        """Heartbeats are a trial count, so under a retry policy the
-        in-process loop beats at the same boundaries as the crew."""
-        completed = {}
-        for workers in (1, 2):
-            telemetry.enable()
-            telemetry.set_heartbeat_cadence(2)
-            try:
-                with TrialPool(
-                    workers=workers, policy=ResiliencePolicy(max_retries=1)
-                ) as pool:
-                    pool.map(_stub_trial, [f"payload-{i}" for i in range(6)])
-                records = telemetry.recorder().drain()
-            finally:
-                telemetry.set_heartbeat_cadence(0)
-                telemetry.disable()
-            completed[workers] = [
-                record["attrs"]["completed"]
-                for record in records
-                if record.get("name") == "pool.heartbeat"
-            ]
-        assert completed[1] == completed[2] == [2, 4, 6]
