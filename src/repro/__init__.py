@@ -25,7 +25,12 @@ Quickstart::
 
     machine = Machine("i7-7700")
     channel = TetCovertChannel(machine)
-    received = channel.transmit(b"hi")
+    stats = channel.transmit(b"hi")  # ChannelStats: received, error_rate, ...
+    assert stats.received == b"hi"
+
+Package names resolve on first use (:mod:`repro._exports`), so these
+two imports load the machine and the channel, not every attack, tool
+and runtime layer.
 """
 
 __version__ = "1.0.0"

@@ -11,16 +11,11 @@
   stealth claim.
 """
 
-from repro.baselines.detector import CacheAttackDetector, DetectionReport
-from repro.baselines.entrybleed import EntryBleedKaslr
-from repro.baselines.fault_timing_kaslr import FaultTimingKaslr
-from repro.baselines.flush_reload import ClassicMeltdown, FlushReloadChannel
+from repro import _exports
 
-__all__ = [
-    "CacheAttackDetector",
-    "ClassicMeltdown",
-    "DetectionReport",
-    "EntryBleedKaslr",
-    "FaultTimingKaslr",
-    "FlushReloadChannel",
-]
+__getattr__, __dir__, __all__ = _exports.lazy(__name__, {
+    ".detector": ("CacheAttackDetector", "DetectionReport"),
+    ".entrybleed": ("EntryBleedKaslr",),
+    ".fault_timing_kaslr": ("FaultTimingKaslr",),
+    ".flush_reload": ("ClassicMeltdown", "FlushReloadChannel"),
+})

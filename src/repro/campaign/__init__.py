@@ -21,62 +21,27 @@ rules and resume semantics.  From the CLI:
 ``python -m repro campaign run e9-kaslr --workers 4``.
 """
 
-from repro.campaign.builtin import (
-    BUILTIN_CAMPAIGNS,
-    builtin_campaign,
-    builtin_names,
-)
-from repro.campaign.report import (
-    REPORT_SCHEMA_VERSION,
-    CampaignReport,
-    build_report,
-)
-from repro.campaign.runner import (
-    CampaignAborted,
-    CampaignRunner,
-    CampaignStatus,
-    RunStats,
-)
-from repro.campaign.spec import (
-    CampaignCell,
-    CampaignSpec,
-    Shard,
-    TrialRef,
-    channel_cell,
-    detect_cell,
-    freeze_params,
-    kaslr_cell,
-)
-from repro.campaign.store import (
-    ResultStore,
-    StoredOutcome,
-    canonical_json,
-    spec_digest,
-    trial_key,
-)
+from repro import _exports
 
-__all__ = [
-    "BUILTIN_CAMPAIGNS",
-    "CampaignAborted",
-    "CampaignCell",
-    "CampaignReport",
-    "CampaignRunner",
-    "CampaignSpec",
-    "CampaignStatus",
-    "REPORT_SCHEMA_VERSION",
-    "ResultStore",
-    "RunStats",
-    "Shard",
-    "StoredOutcome",
-    "TrialRef",
-    "build_report",
-    "builtin_campaign",
-    "builtin_names",
-    "canonical_json",
-    "channel_cell",
-    "detect_cell",
-    "freeze_params",
-    "kaslr_cell",
-    "spec_digest",
-    "trial_key",
-]
+__getattr__, __dir__, __all__ = _exports.lazy(__name__, {
+    ".builtin": ("BUILTIN_CAMPAIGNS", "builtin_campaign", "builtin_names"),
+    ".report": ("REPORT_SCHEMA_VERSION", "CampaignReport", "build_report"),
+    ".runner": ("CampaignAborted", "CampaignRunner", "CampaignStatus", "RunStats"),
+    ".spec": (
+        "CampaignCell",
+        "CampaignSpec",
+        "Shard",
+        "TrialRef",
+        "channel_cell",
+        "detect_cell",
+        "freeze_params",
+        "kaslr_cell",
+    ),
+    ".store": (
+        "ResultStore",
+        "StoredOutcome",
+        "canonical_json",
+        "spec_digest",
+        "trial_key",
+    ),
+})

@@ -24,7 +24,7 @@ from repro import __version__ as REPRO_VERSION
 from repro.campaign.spec import CampaignSpec, TrialRef
 from repro.campaign.store import canonical_json, spec_digest
 from repro.kernel.kaslr import randomize_layout
-from repro.runtime.tasks import TrialFailure, TrialResult
+from repro.runtime.tasks import TrialFailure, TrialResult, kaslr_strategy
 from repro.uarch.config import cpu_model
 from repro.whisper.analysis import ArgExtremeDecoder, classify_bimodal
 
@@ -417,12 +417,9 @@ def _detect_record(cell_index, cell, pairs) -> dict:
 
 def _kaslr_record(cell_index, cell, pairs) -> dict:
     from repro.kernel.layout import KASLR_SLOTS, slot_base
-    from repro.whisper.attacks.kaslr import TetKaslr
 
     machine = cell.machine
-    strategy, _, _ = TetKaslr.resolve_strategy(
-        machine, cell.param("strategy", "auto")
-    )
+    strategy = kaslr_strategy(machine, cell.param("strategy", "auto"))
     true_base = randomize_layout(
         seed=machine.seed, kaslr=machine.kaslr, fgkaslr=machine.fgkaslr
     ).base

@@ -35,7 +35,6 @@ from repro import telemetry
 from repro.campaign.report import CampaignReport, build_report
 from repro.campaign.spec import CampaignSpec, Shard, TrialRef
 from repro.campaign.store import ResultStore, StoredOutcome, trial_key
-from repro.runtime.pool import TrialPool
 from repro.runtime.tasks import TrialFailure, run_trial
 
 DEFAULT_BATCH_SIZE = 128
@@ -130,7 +129,7 @@ class CampaignRunner:
         self,
         spec: CampaignSpec,
         store: Optional[ResultStore] = None,
-        pool: Optional[TrialPool] = None,
+        pool: Optional["TrialPool"] = None,
         batch_size: int = DEFAULT_BATCH_SIZE,
         max_failures: Optional[int] = None,
         trial_fn: Callable = run_trial,
@@ -246,7 +245,11 @@ class CampaignRunner:
         """
         if not pending:
             return 0, 0
-        pool = self.pool if self.pool is not None else TrialPool(workers=1)
+        pool = self.pool
+        if pool is None:
+            from repro.runtime.pool import TrialPool
+
+            pool = TrialPool(workers=1)
         observing = telemetry.enabled()
         failures = sum(
             1 for result in results if isinstance(result, TrialFailure)

@@ -8,12 +8,13 @@ statistic -- a TET-CC transmission decoded byte-by-byte, or a TET-KASLR
 picklable, and expands into the exact same ordered list of trial
 payloads on every host, every time (:meth:`CampaignSpec.expand`).
 
-The expansion delegates to the attacks' own campaign adapters
-(:meth:`TetCovertChannel.campaign_trials`,
-:meth:`TetKaslr.campaign_trials`), so a campaign replay consumes the same
-``(spec.seed, trial_index)`` seed stream a live ``pool=`` run would --
-the property that lets the result store mix cached and freshly executed
-trials without any statistical seam.
+The expansion calls the same trial builders a live ``pool=`` attack
+does (:func:`~repro.runtime.tasks.channel_trials`,
+:func:`~repro.runtime.tasks.kaslr_trials`), so a campaign replay
+consumes the same ``(spec.seed, trial_index)`` seed stream -- the
+property that lets the result store mix cached and freshly executed
+trials without any statistical seam.  Expanding builds no machine and
+imports no attack.
 """
 
 from __future__ import annotations
@@ -22,6 +23,13 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.runtime.spec import MachineSpec
+from repro.runtime.tasks import (
+    KASLR_SCANS,
+    DetectTrial,
+    channel_trials,
+    kaslr_strategy,
+    kaslr_trials,
+)
 
 #: Frozen parameter bag: sorted ``(key, value)`` pairs, values hashable.
 Params = Tuple[Tuple[str, object], ...]
@@ -286,15 +294,13 @@ class CampaignSpec:
 
 
 def _expand_channel(cell_index: int, cell: CampaignCell) -> List[TrialRef]:
-    from repro.whisper.channel import TetCovertChannel
-
     payload = cell.param("payload")
     if not payload:
         raise ValueError(f"channel cell {cell_index} has an empty payload")
     refs: List[TrialRef] = []
     index = 0
     for rep in range(cell.param("repeats", 1)):
-        pairs, index = TetCovertChannel.campaign_trials(
+        pairs, index = channel_trials(
             cell.machine,
             payload,
             batches=cell.param("batches", 3),
@@ -316,14 +322,16 @@ def _expand_channel(cell_index: int, cell: CampaignCell) -> List[TrialRef]:
 
 
 def _expand_kaslr(cell_index: int, cell: CampaignCell) -> List[TrialRef]:
-    from repro.whisper.attacks.kaslr import TetKaslr
-
+    offset, cr3_switch = KASLR_SCANS[
+        kaslr_strategy(cell.machine, cell.param("strategy", "auto"))
+    ]
     refs: List[TrialRef] = []
     index = 0
     for rep in range(cell.param("repeats", 1)):
-        pairs, index = TetKaslr.campaign_trials(
+        pairs, index = kaslr_trials(
             cell.machine,
-            strategy=cell.param("strategy", "auto"),
+            offset,
+            cr3_switch,
             eviction=cell.param("eviction", "direct"),
             suppression=cell.param("suppression"),
             start_index=index,
@@ -338,8 +346,6 @@ def _expand_kaslr(cell_index: int, cell: CampaignCell) -> List[TrialRef]:
 
 
 def _expand_detect(cell_index: int, cell: CampaignCell) -> List[TrialRef]:
-    from repro.runtime.tasks import DetectTrial
-
     scenario = cell.param("scenario")
     if not scenario:
         raise ValueError(f"detect cell {cell_index} names no scenario")

@@ -42,8 +42,6 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.sim.machine import Machine
-from repro.sim.viz import argmax_series, success_matrix, tote_scan_plot
 from repro.uarch.config import CPU_MODELS
 
 
@@ -105,11 +103,14 @@ def _progress(label: str):
         renderer.close()
 
 
-def _machine(args, **kwargs) -> Machine:
+def _machine(args, **kwargs):
+    from repro.sim import Machine
+
     return Machine(args.cpu, seed=args.seed, **kwargs)
 
 
 def cmd_demo(args) -> int:
+    from repro.sim.viz import argmax_series, tote_scan_plot
     from repro.whisper import TetCovertChannel
 
     machine = _machine(args)
@@ -179,6 +180,8 @@ def cmd_kaslr(args) -> int:
 
 
 def cmd_matrix(args) -> int:
+    from repro.sim import Machine
+    from repro.sim.viz import success_matrix
     from repro.whisper import (
         TetCovertChannel,
         TetKaslr,

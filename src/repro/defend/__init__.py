@@ -25,45 +25,25 @@ evaluation that shards and merges through :mod:`repro.distrib`.  See
 ``docs/DEFEND.md``.
 """
 
-from repro.defend.calibrate import (
-    DEFEND_SCHEMA_VERSION,
-    Calibration,
-    calibrate,
-    calibration_campaign,
-    fit_calibration,
-    training_samples,
-)
-from repro.defend.eval import DefendReport, auc, build_defend_report, roc_curve
-from repro.defend.features import (
-    FEATURE_FIELDS,
-    FEATURE_SCHEMA_VERSION,
-    RATE_FIELDS,
-    FeatureVector,
-    per_kilo_uop,
-)
-from repro.defend.online import StreamingDetector, Verdict
-from repro.defend.scenarios import SCENARIOS, Scenario, get_scenario, scenario_names
+from repro import _exports
 
-__all__ = [
-    "Calibration",
-    "DEFEND_SCHEMA_VERSION",
-    "DefendReport",
-    "FEATURE_FIELDS",
-    "FEATURE_SCHEMA_VERSION",
-    "FeatureVector",
-    "RATE_FIELDS",
-    "SCENARIOS",
-    "Scenario",
-    "StreamingDetector",
-    "Verdict",
-    "auc",
-    "build_defend_report",
-    "calibrate",
-    "calibration_campaign",
-    "fit_calibration",
-    "get_scenario",
-    "per_kilo_uop",
-    "roc_curve",
-    "scenario_names",
-    "training_samples",
-]
+__getattr__, __dir__, __all__ = _exports.lazy(__name__, {
+    ".calibrate": (
+        "DEFEND_SCHEMA_VERSION",
+        "Calibration",
+        "calibrate",
+        "calibration_campaign",
+        "fit_calibration",
+        "training_samples",
+    ),
+    ".eval": ("DefendReport", "auc", "build_defend_report", "roc_curve"),
+    ".features": (
+        "FEATURE_FIELDS",
+        "FEATURE_SCHEMA_VERSION",
+        "RATE_FIELDS",
+        "FeatureVector",
+        "per_kilo_uop",
+    ),
+    ".online": ("StreamingDetector", "Verdict"),
+    ".scenarios": ("SCENARIOS", "Scenario", "get_scenario", "scenario_names"),
+})

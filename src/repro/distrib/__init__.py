@@ -41,54 +41,34 @@ shard workers mid-run and tears segments
 (``tests/test_distrib_chaos.py``).  See ``docs/DISTRIBUTED.md``.
 """
 
-from repro.campaign.spec import Shard
-from repro.distrib.coordinator import (
-    Coordinator,
-    FleetError,
-    FleetResult,
-    LocalProcessWorker,
-    ShardAttempt,
-    ShardWorkerError,
-    StubWorker,
-)
-from repro.distrib.merge import (
-    MergeConflict,
-    MergeError,
-    MergeStats,
-    SchemaMismatch,
-    merge_stores,
-)
-from repro.distrib.shard import (
-    ShardManifest,
-    manifest_path,
-    read_manifest,
-    run_shard,
-    segment_root,
-    shard_spec_positions,
-    stream_spool_args,
-    write_manifest,
-)
+from repro import _exports
 
-__all__ = [
-    "Coordinator",
-    "FleetError",
-    "FleetResult",
-    "LocalProcessWorker",
-    "MergeConflict",
-    "MergeError",
-    "MergeStats",
-    "SchemaMismatch",
-    "Shard",
-    "ShardAttempt",
-    "ShardManifest",
-    "ShardWorkerError",
-    "StubWorker",
-    "manifest_path",
-    "merge_stores",
-    "read_manifest",
-    "run_shard",
-    "segment_root",
-    "shard_spec_positions",
-    "stream_spool_args",
-    "write_manifest",
-]
+__getattr__, __dir__, __all__ = _exports.lazy(__name__, {
+    "repro.campaign.spec": ("Shard",),
+    ".coordinator": (
+        "Coordinator",
+        "FleetError",
+        "FleetResult",
+        "LocalProcessWorker",
+        "ShardAttempt",
+        "ShardWorkerError",
+        "StubWorker",
+    ),
+    ".merge": (
+        "MergeConflict",
+        "MergeError",
+        "MergeStats",
+        "SchemaMismatch",
+        "merge_stores",
+    ),
+    ".shard": (
+        "ShardManifest",
+        "manifest_path",
+        "read_manifest",
+        "run_shard",
+        "segment_root",
+        "shard_spec_positions",
+        "stream_spool_args",
+        "write_manifest",
+    ),
+})

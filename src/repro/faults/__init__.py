@@ -22,50 +22,27 @@ The determinism-of-failure contract and the full fault taxonomy live in
 stack end to end.
 """
 
-from repro.faults.inject import (
-    FaultingFn,
-    FaultyStore,
-    GarbageResult,
-    HangToken,
-    InjectedFault,
-    SimulatedCrash,
-    SimulatedWorkerDeath,
-    TornStore,
-    lost_worker_message,
-)
-from repro.faults.plan import (
-    STORE_FAULTS,
-    TRIAL_FAULTS,
-    FaultPlan,
-    payload_fingerprint,
-)
-from repro.faults.resilience import (
-    BACKOFF_CAP,
-    FaultStats,
-    QuarantineEntry,
-    ResiliencePolicy,
-    backoff_delay,
-    trial_result_validator,
-)
+from repro import _exports
 
-__all__ = [
-    "FaultPlan",
-    "TRIAL_FAULTS",
-    "STORE_FAULTS",
-    "payload_fingerprint",
-    "FaultingFn",
-    "FaultyStore",
-    "TornStore",
-    "HangToken",
-    "GarbageResult",
-    "InjectedFault",
-    "SimulatedWorkerDeath",
-    "SimulatedCrash",
-    "lost_worker_message",
-    "ResiliencePolicy",
-    "QuarantineEntry",
-    "FaultStats",
-    "BACKOFF_CAP",
-    "backoff_delay",
-    "trial_result_validator",
-]
+__getattr__, __dir__, __all__ = _exports.lazy(__name__, {
+    ".inject": (
+        "FaultingFn",
+        "FaultyStore",
+        "GarbageResult",
+        "HangToken",
+        "InjectedFault",
+        "SimulatedCrash",
+        "SimulatedWorkerDeath",
+        "TornStore",
+        "lost_worker_message",
+    ),
+    ".plan": ("STORE_FAULTS", "TRIAL_FAULTS", "FaultPlan", "payload_fingerprint"),
+    ".resilience": (
+        "BACKOFF_CAP",
+        "FaultStats",
+        "QuarantineEntry",
+        "ResiliencePolicy",
+        "backoff_delay",
+        "trial_result_validator",
+    ),
+})

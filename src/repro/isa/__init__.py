@@ -15,21 +15,12 @@ defines a miniature ISA that covers exactly that surface:
   virtual base address.
 """
 
-from repro.isa.assembler import AssemblyError, assemble
-from repro.isa.instructions import Instruction, MemRef
-from repro.isa.opcodes import Cond, Op, UopClass
-from repro.isa.program import Program
-from repro.isa.registers import GPRS, RegisterFile
+from repro import _exports
 
-__all__ = [
-    "AssemblyError",
-    "Cond",
-    "GPRS",
-    "Instruction",
-    "MemRef",
-    "Op",
-    "Program",
-    "RegisterFile",
-    "UopClass",
-    "assemble",
-]
+__getattr__, __dir__, __all__ = _exports.lazy(__name__, {
+    ".assembler": ("AssemblyError", "assemble"),
+    ".instructions": ("Instruction", "MemRef"),
+    ".opcodes": ("Cond", "Op", "UopClass"),
+    ".program": ("Program",),
+    ".registers": ("GPRS", "RegisterFile"),
+})

@@ -14,24 +14,17 @@ simulated attacks probe exactly these structures.
 * :mod:`repro.kernel.process` -- user processes, signals, containers.
 """
 
-from repro.kernel.kernel import Kernel
-from repro.kernel.layout import (
-    KASLR_ALIGN,
-    KASLR_SLOTS,
-    KERNEL_TEXT_RANGE_END,
-    KERNEL_TEXT_RANGE_START,
-    KPTI_TRAMPOLINE_OFFSET,
-    KernelLayout,
-)
-from repro.kernel.process import Process
+from repro import _exports
 
-__all__ = [
-    "KASLR_ALIGN",
-    "KASLR_SLOTS",
-    "KERNEL_TEXT_RANGE_END",
-    "KERNEL_TEXT_RANGE_START",
-    "KPTI_TRAMPOLINE_OFFSET",
-    "Kernel",
-    "KernelLayout",
-    "Process",
-]
+__getattr__, __dir__, __all__ = _exports.lazy(__name__, {
+    ".kernel": ("Kernel",),
+    ".layout": (
+        "KASLR_ALIGN",
+        "KASLR_SLOTS",
+        "KERNEL_TEXT_RANGE_END",
+        "KERNEL_TEXT_RANGE_START",
+        "KPTI_TRAMPOLINE_OFFSET",
+        "KernelLayout",
+    ),
+    ".process": ("Process",),
+})

@@ -19,28 +19,14 @@ these models.
 * :mod:`repro.memory.mmu` -- the facade the core talks to.
 """
 
-from repro.memory.cache import Cache, CacheHierarchy
-from repro.memory.lfb import LineFillBuffer
-from repro.memory.mmu import AccessResult, Fault, FaultKind, Mmu
-from repro.memory.paging import AddressSpace, PageSize, Pte
-from repro.memory.physical import PhysicalMemory
-from repro.memory.tlb import Tlb, TlbEntry
-from repro.memory.walker import PageWalker, WalkResult
+from repro import _exports
 
-__all__ = [
-    "AccessResult",
-    "AddressSpace",
-    "Cache",
-    "CacheHierarchy",
-    "Fault",
-    "FaultKind",
-    "LineFillBuffer",
-    "Mmu",
-    "PageSize",
-    "PageWalker",
-    "PhysicalMemory",
-    "Pte",
-    "Tlb",
-    "TlbEntry",
-    "WalkResult",
-]
+__getattr__, __dir__, __all__ = _exports.lazy(__name__, {
+    ".cache": ("Cache", "CacheHierarchy"),
+    ".lfb": ("LineFillBuffer",),
+    ".mmu": ("AccessResult", "Fault", "FaultKind", "Mmu"),
+    ".paging": ("AddressSpace", "PageSize", "Pte"),
+    ".physical": ("PhysicalMemory",),
+    ".tlb": ("Tlb", "TlbEntry"),
+    ".walker": ("PageWalker", "WalkResult"),
+})

@@ -19,32 +19,19 @@ TET-MD, the transient-flow experiment, TET-KASLR) and
 :mod:`repro.pmutools.pipeline` glues all stages together.
 """
 
-from repro.pmutools.collector import CollectionResult, OnlineCollector
-from repro.pmutools.differential import DifferentialFilter, FilteredEvent
-from repro.pmutools.events import prepare_events
-from repro.pmutools.pipeline import PmuPipeline, PipelineReport
-from repro.pmutools.report import Table3Row, render_table3
-from repro.pmutools.scenarios import (
-    Scenario,
-    TetCcScenario,
-    TetKaslrScenario,
-    TetMdScenario,
-    TransientFlowScenario,
-)
+from repro import _exports
 
-__all__ = [
-    "CollectionResult",
-    "DifferentialFilter",
-    "FilteredEvent",
-    "OnlineCollector",
-    "PipelineReport",
-    "PmuPipeline",
-    "Scenario",
-    "Table3Row",
-    "TetCcScenario",
-    "TetKaslrScenario",
-    "TetMdScenario",
-    "TransientFlowScenario",
-    "prepare_events",
-    "render_table3",
-]
+__getattr__, __dir__, __all__ = _exports.lazy(__name__, {
+    ".collector": ("CollectionResult", "OnlineCollector"),
+    ".differential": ("DifferentialFilter", "FilteredEvent"),
+    ".events": ("prepare_events",),
+    ".pipeline": ("PmuPipeline", "PipelineReport"),
+    ".report": ("Table3Row", "render_table3"),
+    ".scenarios": (
+        "Scenario",
+        "TetCcScenario",
+        "TetKaslrScenario",
+        "TetMdScenario",
+        "TransientFlowScenario",
+    ),
+})

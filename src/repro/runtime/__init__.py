@@ -22,52 +22,27 @@ See ``docs/RUNTIME.md`` for the architecture and a worked example, and
 ``docs/FAULTS.md`` for the failure model.
 """
 
-from repro.runtime.batch import (
-    BatchStats,
-    LockstepBatch,
-    plan_packs,
-    run_trial_group,
-    run_trials_batched,
-)
-from repro.runtime.pool import (
-    TrialPool,
-    WorkerCrew,
-    WorkerLostError,
-    default_workers,
-)
-from repro.runtime.spec import MachineSpec, derive_seed, derive_stream
-from repro.runtime.tasks import (
-    ChannelTrial,
-    DetectTrial,
-    KaslrTrial,
-    TrialFailure,
-    TrialResult,
-    run_channel_trial,
-    run_detect_trial,
-    run_kaslr_trial,
-    run_trial,
-)
+from repro import _exports
 
-__all__ = [
-    "BatchStats",
-    "ChannelTrial",
-    "DetectTrial",
-    "KaslrTrial",
-    "LockstepBatch",
-    "MachineSpec",
-    "TrialPool",
-    "TrialFailure",
-    "TrialResult",
-    "WorkerCrew",
-    "WorkerLostError",
-    "default_workers",
-    "derive_seed",
-    "derive_stream",
-    "plan_packs",
-    "run_channel_trial",
-    "run_detect_trial",
-    "run_kaslr_trial",
-    "run_trial",
-    "run_trial_group",
-    "run_trials_batched",
-]
+__getattr__, __dir__, __all__ = _exports.lazy(__name__, {
+    ".batch": (
+        "BatchStats",
+        "LockstepBatch",
+        "plan_packs",
+        "run_trial_group",
+        "run_trials_batched",
+    ),
+    ".pool": ("TrialPool", "WorkerCrew", "WorkerLostError", "default_workers"),
+    ".spec": ("MachineSpec", "derive_seed", "derive_stream"),
+    ".tasks": (
+        "ChannelTrial",
+        "DetectTrial",
+        "KaslrTrial",
+        "TrialFailure",
+        "TrialResult",
+        "run_channel_trial",
+        "run_detect_trial",
+        "run_kaslr_trial",
+        "run_trial",
+    ),
+})

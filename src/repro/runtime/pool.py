@@ -33,10 +33,7 @@ records are byte-identical at any worker count.
 
 from __future__ import annotations
 
-import multiprocessing
-import multiprocessing.connection
 import os
-import tempfile
 import time
 from collections import deque
 from typing import Callable, List, Optional, Sequence
@@ -331,6 +328,8 @@ class _CrewWorker:
     """
 
     def __init__(self, context, slot: int) -> None:
+        import tempfile
+
         self.slot = slot
         self.task_queue = context.SimpleQueue()
         self.result_conn, worker_conn = context.Pipe(duplex=False)
@@ -405,6 +404,8 @@ class WorkerCrew:
 
     def __init__(self, workers: int, context=None) -> None:
         if context is None:
+            import multiprocessing
+
             try:
                 context = multiprocessing.get_context("fork")
             except ValueError:  # pragma: no cover - non-POSIX hosts
@@ -437,6 +438,8 @@ class WorkerCrew:
         (after respawning, so the crew stays usable).  Under a policy
         the ledger retries, times out and quarantines instead.
         """
+        from multiprocessing.connection import wait
+
         from repro.faults.inject import lost_worker_message
 
         payloads = ledger.payloads
@@ -505,9 +508,7 @@ class WorkerCrew:
                             index, ledger.timeout, observe,
                         )
                 by_conn = {member.result_conn: member for member in self.members}
-                ready = multiprocessing.connection.wait(
-                    by_conn.keys(), timeout=_POLL_SECONDS
-                )
+                ready = wait(by_conn.keys(), timeout=_POLL_SECONDS)
                 if not ready:
                     sweep()
                     continue

@@ -1,10 +1,15 @@
-"""Worker-side trial functions: one gadget campaign step per call.
+"""Trial payloads, the builders that expand attacks into them, and the
+worker-side trial functions that run them.
 
-These are the module-level callables a :class:`~repro.runtime.TrialPool`
-dispatches.  Each takes one frozen, picklable payload, looks up (or
-builds) a per-process machine context keyed by the payload's
-:class:`~repro.runtime.MachineSpec`, resets the machine's
-microarchitecture, and runs its trial from that clean slate.
+The trial functions are the module-level callables a
+:class:`~repro.runtime.TrialPool` dispatches.  Each takes one frozen,
+picklable payload, looks up (or builds) a per-process machine context
+keyed by the payload's :class:`~repro.runtime.MachineSpec`, resets the
+machine's microarchitecture, and runs its trial from that clean slate.
+
+The builders (:func:`channel_trials`, :func:`kaslr_trials`) allocate
+trial indices the way a live pooled attack does, so campaign expansion
+and ``pool=`` runs produce the same payloads; they build no machine.
 
 The reset-at-trial-start discipline is what makes results independent of
 scheduling: a trial sees a just-booted timing profile whether it is the
@@ -17,9 +22,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import telemetry
+from repro.kernel.layout import (
+    KASLR_SLOTS,
+    KASLR_UNMAPPED_REFERENCE,
+    KPTI_TRAMPOLINE_OFFSET,
+    slot_base,
+)
 from repro.runtime.spec import MachineSpec, derive_stream
 
 #: The paper's faulting address for window-opening loads.
@@ -70,6 +81,44 @@ class ChannelTrial:
     trial_index: int
     warmup: int = 2
     suppression: Optional[str] = None  # "tsx" | "signal" | None (model default)
+
+
+def channel_trials(
+    spec: MachineSpec,
+    payload: bytes,
+    batches: int = 3,
+    values: Sequence[int] = range(256),
+    suppression: Optional[str] = None,
+    start_index: int = 0,
+):
+    """Expand a TET-CC transmission into trial payloads.
+
+    Returns ``(pairs, next_index)`` where *pairs* is a list of
+    ``(byte_position, ChannelTrial)`` covering every (payload byte x
+    test value) probe, with trial indices allocated monotonically from
+    *start_index* -- the same seed-index stream a live pooled channel
+    consumes, so campaign replays and ``pool=`` runs agree sample for
+    sample.
+    """
+    pairs = []
+    index = start_index
+    for position, byte in enumerate(payload):
+        for test in values:
+            pairs.append(
+                (
+                    position,
+                    ChannelTrial(
+                        spec=spec,
+                        byte=byte,
+                        test=test,
+                        batches=batches,
+                        trial_index=index,
+                        suppression=suppression,
+                    ),
+                )
+            )
+            index += 1
+    return pairs, index
 
 
 _channel_contexts: Dict[Tuple[MachineSpec, Optional[str]], tuple] = {}
@@ -135,6 +184,63 @@ class KaslrTrial:
     suppression: Optional[str] = None
 
 
+#: The TET-KASLR scan shapes (§4.5): strategy -> (offset probed inside
+#: each 2 MiB slot, whether a syscall round-trip switches CR3 between
+#: the filling probe and the timed one).
+KASLR_SCANS: Dict[str, Tuple[int, bool]] = {
+    "slot-scan": (0, False),
+    "kpti-trampoline": (KPTI_TRAMPOLINE_OFFSET, False),
+    "flare-bypass": (KPTI_TRAMPOLINE_OFFSET, True),
+}
+
+
+def kaslr_strategy(defenses, strategy: str = "auto") -> str:
+    """The :data:`KASLR_SCANS` entry *strategy* names.
+
+    ``"auto"`` picks it from the ``flare`` / ``kpti`` flags of
+    *defenses* -- a :class:`MachineSpec`, or a live machine's kernel --
+    the way :meth:`TetKaslr.break_auto` does.
+    """
+    if strategy == "auto":
+        if defenses.flare:
+            return "flare-bypass"
+        return "kpti-trampoline" if defenses.kpti else "slot-scan"
+    if strategy not in KASLR_SCANS:
+        raise ValueError(f"unknown KASLR strategy {strategy!r}")
+    return strategy
+
+
+def kaslr_trials(
+    spec: MachineSpec,
+    offset: int,
+    cr3_switch: bool,
+    eviction: str = "direct",
+    suppression: Optional[str] = None,
+    start_index: int = 0,
+):
+    """Expand one full 512-slot sweep of one scan shape into payloads.
+
+    Returns ``(pairs, next_index)`` where *pairs* is a list of
+    ``(slot, KaslrTrial)`` probing ``slot_base(slot) + offset``, with
+    trial indices allocated monotonically from *start_index*.
+    """
+    pairs = [
+        (
+            slot,
+            KaslrTrial(
+                spec=spec,
+                va=slot_base(slot) + offset,
+                cr3_switch=cr3_switch,
+                trial_index=start_index + slot,
+                eviction=eviction,
+                suppression=suppression,
+            ),
+        )
+        for slot in range(KASLR_SLOTS)
+    ]
+    return pairs, start_index + KASLR_SLOTS
+
+
 _kaslr_contexts: Dict[Tuple[MachineSpec, str, Optional[str]], object] = {}
 
 
@@ -157,8 +263,6 @@ def _kaslr_context(spec: MachineSpec, eviction: str, suppression: Optional[str])
 def run_kaslr_trial(trial: KaslrTrial) -> TrialResult:
     """One TET-KASLR trial: warm probes on a known-unmapped reference,
     then the timed double-probe of the candidate."""
-    from repro.kernel.layout import KASLR_UNMAPPED_REFERENCE
-
     attack = _kaslr_context(trial.spec, trial.eviction, trial.suppression)
     machine = attack.machine
     machine.reset_uarch(noise_seed=trial.spec.trial_seed(trial.trial_index))

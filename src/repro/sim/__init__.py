@@ -7,17 +7,11 @@
   control-flow graphs (Figure 4) from run records.
 """
 
-from repro.sim.machine import Machine
-from repro.sim.timing import ToteSample, measure_tote, tote_from_result
-from repro.sim.tracing import control_flow_graph, frontend_trace
-from repro.sim.victim import VictimProcess
+from repro import _exports
 
-__all__ = [
-    "Machine",
-    "ToteSample",
-    "VictimProcess",
-    "control_flow_graph",
-    "frontend_trace",
-    "measure_tote",
-    "tote_from_result",
-]
+__getattr__, __dir__, __all__ = _exports.lazy(__name__, {
+    ".machine": ("Machine",),
+    ".timing": ("ToteSample", "measure_tote", "tote_from_result"),
+    ".tracing": ("control_flow_graph", "frontend_trace"),
+    ".victim": ("VictimProcess",),
+})

@@ -18,22 +18,13 @@ a PMU -- so the channel *emerges* rather than being scripted.
 * :mod:`repro.uarch.smt` -- two hardware threads on one core (§4.4).
 """
 
-from repro.uarch.bpu import BranchPredictor
-from repro.uarch.config import CPU_MODELS, CpuModel, cpu_model
-from repro.uarch.core import Core, RunResult, SimulationError
-from repro.uarch.frontend import Frontend
-from repro.uarch.pmu import PmuCounters
-from repro.uarch.smt import SmtCore
+from repro import _exports
 
-__all__ = [
-    "BranchPredictor",
-    "CPU_MODELS",
-    "Core",
-    "CpuModel",
-    "Frontend",
-    "PmuCounters",
-    "RunResult",
-    "SimulationError",
-    "SmtCore",
-    "cpu_model",
-]
+__getattr__, __dir__, __all__ = _exports.lazy(__name__, {
+    ".bpu": ("BranchPredictor",),
+    ".config": ("CPU_MODELS", "CpuModel", "cpu_model"),
+    ".core": ("Core", "RunResult", "SimulationError"),
+    ".frontend": ("Frontend",),
+    ".pmu": ("PmuCounters",),
+    ".smt": ("SmtCore",),
+})

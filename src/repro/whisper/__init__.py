@@ -13,46 +13,20 @@ substrates:
 * :mod:`repro.whisper.taxonomy` -- the side-channel comparison of Table 1.
 """
 
-from repro.whisper.analysis import (
-    ArgExtremeDecoder,
-    ByteScanResult,
-    classify_bimodal,
-)
-from repro.whisper.attacks.kaslr import KaslrBreakResult, TetKaslr
-from repro.whisper.attacks.meltdown import TetMeltdown
-from repro.whisper.attacks.spectre_rsb import TetSpectreRsb
-from repro.whisper.attacks.spectre_v1 import TetSpectreV1
-from repro.whisper.attacks.zombieload import TetZombieload
-from repro.whisper.calibration import ChannelCalibration, calibrate_channel
-from repro.whisper.channel import ChannelStats, TetCovertChannel
-from repro.whisper.exploit import ExploitPlan, KernelExploitPlanner
-from repro.whisper.fast_channel import BinarySearchChannel
-from repro.whisper.gadgets import GadgetBuilder, Suppression
-from repro.whisper.smt_channel import SmtChannelStats, SmtCovertChannel
-from repro.whisper.taxonomy import TABLE1_ROWS, AttackClass, render_table1
+from repro import _exports
 
-__all__ = [
-    "ArgExtremeDecoder",
-    "AttackClass",
-    "BinarySearchChannel",
-    "ByteScanResult",
-    "ChannelCalibration",
-    "ChannelStats",
-    "ExploitPlan",
-    "KernelExploitPlanner",
-    "calibrate_channel",
-    "GadgetBuilder",
-    "KaslrBreakResult",
-    "SmtChannelStats",
-    "SmtCovertChannel",
-    "Suppression",
-    "TABLE1_ROWS",
-    "TetCovertChannel",
-    "TetKaslr",
-    "TetMeltdown",
-    "TetSpectreRsb",
-    "TetSpectreV1",
-    "TetZombieload",
-    "classify_bimodal",
-    "render_table1",
-]
+__getattr__, __dir__, __all__ = _exports.lazy(__name__, {
+    ".analysis": ("ArgExtremeDecoder", "ByteScanResult", "classify_bimodal"),
+    ".attacks.kaslr": ("KaslrBreakResult", "TetKaslr"),
+    ".attacks.meltdown": ("TetMeltdown",),
+    ".attacks.spectre_rsb": ("TetSpectreRsb",),
+    ".attacks.spectre_v1": ("TetSpectreV1",),
+    ".attacks.zombieload": ("TetZombieload",),
+    ".calibration": ("ChannelCalibration", "calibrate_channel"),
+    ".channel": ("ChannelStats", "TetCovertChannel"),
+    ".exploit": ("ExploitPlan", "KernelExploitPlanner"),
+    ".fast_channel": ("BinarySearchChannel",),
+    ".gadgets": ("GadgetBuilder", "Suppression"),
+    ".smt_channel": ("SmtChannelStats", "SmtCovertChannel"),
+    ".taxonomy": ("TABLE1_ROWS", "AttackClass", "render_table1"),
+})

@@ -2,18 +2,12 @@
 and the KASLR break, each using Whisper as the covert channel instead of
 Flush+Reload."""
 
-from repro.whisper.attacks.kaslr import KaslrBreakResult, TetKaslr
-from repro.whisper.attacks.meltdown import LeakResult, TetMeltdown
-from repro.whisper.attacks.spectre_rsb import TetSpectreRsb
-from repro.whisper.attacks.spectre_v1 import TetSpectreV1
-from repro.whisper.attacks.zombieload import TetZombieload
+from repro import _exports
 
-__all__ = [
-    "KaslrBreakResult",
-    "LeakResult",
-    "TetKaslr",
-    "TetMeltdown",
-    "TetSpectreRsb",
-    "TetSpectreV1",
-    "TetZombieload",
-]
+__getattr__, __dir__, __all__ = _exports.lazy(__name__, {
+    ".kaslr": ("KaslrBreakResult", "TetKaslr"),
+    ".meltdown": ("LeakResult", "TetMeltdown"),
+    ".spectre_rsb": ("TetSpectreRsb",),
+    ".spectre_v1": ("TetSpectreV1",),
+    ".zombieload": ("TetZombieload",),
+})

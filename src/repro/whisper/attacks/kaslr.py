@@ -28,12 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.kernel.layout import (
-    KASLR_SLOTS,
-    KASLR_UNMAPPED_REFERENCE,
-    KPTI_TRAMPOLINE_OFFSET,
-    slot_base,
-)
+from repro.kernel.layout import KASLR_SLOTS, KASLR_UNMAPPED_REFERENCE, slot_base
+from repro.runtime.tasks import KASLR_SCANS, kaslr_strategy
 from repro.whisper.analysis import classify_bimodal
 from repro.whisper.gadgets import GadgetBuilder, Suppression
 
@@ -136,30 +132,22 @@ class TetKaslr:
 
     def break_kaslr(self) -> KaslrBreakResult:
         """Scan the 512 slot bases (no KPTI): first fast slot = base."""
-        return self._scan(offset=0, cr3_switch=False, strategy="slot-scan")
+        return self._scan("slot-scan")
 
     def break_kaslr_kpti(self) -> KaslrBreakResult:
         """Scan the 512 candidate trampolines (KPTI enabled)."""
-        return self._scan(
-            offset=KPTI_TRAMPOLINE_OFFSET, cr3_switch=False, strategy="kpti-trampoline"
-        )
+        return self._scan("kpti-trampoline")
 
     def break_kaslr_flare(self) -> KaslrBreakResult:
         """Scan candidate trampolines under FLARE (CR3-switch variant)."""
-        return self._scan(
-            offset=KPTI_TRAMPOLINE_OFFSET, cr3_switch=True, strategy="flare-bypass"
-        )
+        return self._scan("flare-bypass")
 
     def break_auto(self) -> KaslrBreakResult:
         """Pick the right strategy for the machine's defenses."""
-        kernel = self.machine.kernel
-        if kernel.flare:
-            return self.break_kaslr_flare()
-        if kernel.kpti:
-            return self.break_kaslr_kpti()
-        return self.break_kaslr()
+        return self._scan(kaslr_strategy(self.machine.kernel))
 
-    def _scan(self, offset: int, cr3_switch: bool, strategy: str) -> KaslrBreakResult:
+    def _scan(self, strategy: str) -> KaslrBreakResult:
+        offset, cr3_switch = KASLR_SCANS[strategy]
         start_cycle = self.machine.core.global_cycle
         if self.pool is not None:
             totes = self._sweep_pooled(offset, cr3_switch)
@@ -191,68 +179,6 @@ class TetKaslr:
             mapped_slots=mapped,
         )
 
-    @staticmethod
-    def resolve_strategy(spec, strategy: str = "auto"):
-        """Map a strategy name (and a machine's defenses) to scan shape.
-
-        Returns ``(strategy_name, offset, cr3_switch)`` -- the same
-        resolution :meth:`break_auto` applies to a live machine, but
-        computed from a :class:`~repro.runtime.MachineSpec` so campaign
-        expansion never has to build the machine.
-        """
-        if strategy == "auto":
-            if spec.flare:
-                strategy = "flare-bypass"
-            elif spec.kpti:
-                strategy = "kpti-trampoline"
-            else:
-                strategy = "slot-scan"
-        if strategy == "slot-scan":
-            return strategy, 0, False
-        if strategy == "kpti-trampoline":
-            return strategy, KPTI_TRAMPOLINE_OFFSET, False
-        if strategy == "flare-bypass":
-            return strategy, KPTI_TRAMPOLINE_OFFSET, True
-        raise ValueError(f"unknown KASLR strategy {strategy!r}")
-
-    @classmethod
-    def campaign_trials(
-        cls,
-        spec,
-        strategy: str = "auto",
-        eviction: str = "direct",
-        suppression: Optional[str] = None,
-        start_index: int = 0,
-    ):
-        """The campaign adapter: expand one full sweep into trial payloads.
-
-        Returns ``(pairs, next_index)`` where *pairs* is a list of
-        ``(slot, KaslrTrial)`` covering all 512 candidates under the
-        resolved *strategy*, with trial indices allocated monotonically
-        from *start_index*.
-        """
-        from repro.runtime.tasks import KaslrTrial
-
-        _, offset, cr3_switch = cls.resolve_strategy(spec, strategy)
-        pairs = []
-        index = start_index
-        for slot in range(KASLR_SLOTS):
-            pairs.append(
-                (
-                    slot,
-                    KaslrTrial(
-                        spec=spec,
-                        va=slot_base(slot) + offset,
-                        cr3_switch=cr3_switch,
-                        trial_index=index,
-                        eviction=eviction,
-                        suppression=suppression,
-                    ),
-                )
-            )
-            index += 1
-        return pairs, index
-
     def _sweep_pooled(self, offset: int, cr3_switch: bool) -> Dict[int, int]:
         """Fan the 512-slot sweep across the trial pool, one slot per trial.
 
@@ -262,16 +188,14 @@ class TetKaslr:
         per-trial cycles are charged to this machine's timeline.
         """
         from repro.runtime.spec import MachineSpec
-        from repro.runtime.tasks import run_kaslr_trial
+        from repro.runtime.tasks import kaslr_trials, run_kaslr_trial
 
         if self._spec is None:
             self._spec = MachineSpec.of(self.machine)
-        strategy = "flare-bypass" if cr3_switch else (
-            "kpti-trampoline" if offset == KPTI_TRAMPOLINE_OFFSET else "slot-scan"
-        )
-        pairs, self._trial_counter = self.campaign_trials(
+        pairs, self._trial_counter = kaslr_trials(
             self._spec,
-            strategy=strategy,
+            offset,
+            cr3_switch,
             eviction=self.eviction,
             suppression=self.builder.suppression.value,
             start_index=self._trial_counter,

@@ -108,47 +108,6 @@ class TetCovertChannel:
                 totes[test].append(end - start)
         return self.decoder.decode(totes)
 
-    @classmethod
-    def campaign_trials(
-        cls,
-        spec,
-        payload: bytes,
-        batches: int = 3,
-        values: Sequence[int] = range(256),
-        suppression: Optional[str] = None,
-        start_index: int = 0,
-    ):
-        """The campaign adapter: expand a transmission into trial payloads.
-
-        Returns ``(pairs, next_index)`` where *pairs* is a list of
-        ``(byte_position, ChannelTrial)`` covering every (payload byte x
-        test value) probe, with trial indices allocated monotonically from
-        *start_index* -- the same seed-index stream a live pooled channel
-        would consume, so campaign replays and ``pool=`` runs agree
-        sample for sample.
-        """
-        from repro.runtime.tasks import ChannelTrial
-
-        pairs = []
-        index = start_index
-        for position, byte in enumerate(payload):
-            for test in values:
-                pairs.append(
-                    (
-                        position,
-                        ChannelTrial(
-                            spec=spec,
-                            byte=byte,
-                            test=test,
-                            batches=batches,
-                            trial_index=index,
-                            suppression=suppression,
-                        ),
-                    )
-                )
-                index += 1
-        return pairs, index
-
     def _scan_byte_pooled(self) -> ByteScanResult:
         """Fan the scan across the trial pool: one trial per test value.
 
@@ -158,12 +117,12 @@ class TetCovertChannel:
         (the simulated work is the same; only the wall clock shrinks).
         """
         from repro.runtime.spec import MachineSpec
-        from repro.runtime.tasks import run_channel_trial
+        from repro.runtime.tasks import channel_trials, run_channel_trial
 
         if self._spec is None:
             self._spec = MachineSpec.of(self.machine)
         byte = self.machine.read_data(self.sender_page, 1)[0]
-        pairs, self._trial_counter = self.campaign_trials(
+        pairs, self._trial_counter = channel_trials(
             self._spec,
             bytes([byte]),
             batches=self.batches,
