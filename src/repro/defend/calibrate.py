@@ -90,13 +90,6 @@ class Calibration:
     def flag(self, features: FeatureVector) -> bool:
         return self.score(features) > self.threshold
 
-    def rule_flag(self, features: FeatureVector) -> bool:
-        """The classic E11 rule (both rates anomalous), for comparison."""
-        return (
-            features.clflush_per_kilo_uop > self.clflush_threshold
-            and features.llc_miss_per_kilo_uop > self.llc_miss_threshold
-        )
-
     # -- serialisation ---------------------------------------------------------
 
     def to_json_dict(self) -> dict:

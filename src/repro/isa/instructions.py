@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
-from repro.isa.opcodes import OP_INFO, Cond, Op, OpInfo
+from repro.isa.opcodes import _COND_EVAL, OP_INFO, Cond, Op, OpInfo
 
 
 @dataclass(frozen=True)
@@ -73,6 +73,13 @@ class Instruction:
         """Static decode metadata for this opcode (cached: the opcode
         table lookup sat on the core's dispatch path)."""
         return OP_INFO[self.op]
+
+    @cached_property
+    def cond_eval(self):
+        """``cond``'s flag predicate ``(zf, cf, sf, of) -> bool``, resolved
+        once per instruction (:meth:`Cond.evaluate` hashes the member on
+        every call, and the core evaluates one per dispatched Jcc)."""
+        return _COND_EVAL[self.cond]
 
     @property
     def is_branch(self) -> bool:

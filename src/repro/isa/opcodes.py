@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Callable, Optional, Tuple
+
+from repro.isa.registers import MASK64
 
 
 class Op(enum.Enum):
@@ -128,6 +131,41 @@ class UopClass(enum.Enum):
     SYSTEM = "system"  # rdtsc, syscall, tsx markers
 
 
+# -- ALU semantics: one pure function per operation, shared by the core's
+# ``_op_alu`` and the batch shadow.  Each maps two 64-bit operands to
+# ``(result & MASK64, carry)``; shift counts are masked to 6 bits, as
+# x86 does for 64-bit operands, and shifts leave CF clear.
+
+
+def _alu_add(left: int, right: int) -> Tuple[int, bool]:
+    result = left + right
+    return result & MASK64, result > MASK64
+
+
+def _alu_sub(left: int, right: int) -> Tuple[int, bool]:
+    return (left - right) & MASK64, left < right
+
+
+def _alu_and(left: int, right: int) -> Tuple[int, bool]:
+    return left & right & MASK64, False
+
+
+def _alu_or(left: int, right: int) -> Tuple[int, bool]:
+    return (left | right) & MASK64, False
+
+
+def _alu_xor(left: int, right: int) -> Tuple[int, bool]:
+    return (left ^ right) & MASK64, False
+
+
+def _alu_shl(left: int, right: int) -> Tuple[int, bool]:
+    return (left << (right & 63)) & MASK64, False
+
+
+def _alu_shr(left: int, right: int) -> Tuple[int, bool]:
+    return (left >> (right & 63)) & MASK64, False
+
+
 @dataclass(frozen=True)
 class OpInfo:
     """Static decode metadata for one opcode."""
@@ -140,6 +178,10 @@ class OpInfo:
     serialising: bool = False  # drains the pipeline at dispatch (fences, rdtsc-ish)
     microcoded: bool = False  # delivered by the MS rather than DSB/MITE
     base_latency: int = 1
+    #: ALU ops: ``(left, right) -> (result & MASK64, carry)``.
+    alu: Optional[Callable[[int, int], Tuple[int, bool]]] = None
+    #: CMP/TEST: the ALU result sets the flags and is discarded.
+    flags_only: bool = False
 
 
 OP_INFO = {
@@ -149,15 +191,15 @@ OP_INFO = {
     Op.LOAD_BYTE: OpInfo(UopClass.LOAD, is_load=True, base_latency=4),
     Op.STORE: OpInfo(UopClass.STORE, is_store=True, uop_count=2, base_latency=1),
     Op.LEA: OpInfo(UopClass.ALU),
-    Op.ADD: OpInfo(UopClass.ALU),
-    Op.SUB: OpInfo(UopClass.ALU),
-    Op.AND: OpInfo(UopClass.ALU),
-    Op.OR: OpInfo(UopClass.ALU),
-    Op.XOR: OpInfo(UopClass.ALU),
-    Op.SHL: OpInfo(UopClass.ALU),
-    Op.SHR: OpInfo(UopClass.ALU),
-    Op.CMP: OpInfo(UopClass.ALU),
-    Op.TEST: OpInfo(UopClass.ALU),
+    Op.ADD: OpInfo(UopClass.ALU, alu=_alu_add),
+    Op.SUB: OpInfo(UopClass.ALU, alu=_alu_sub),
+    Op.AND: OpInfo(UopClass.ALU, alu=_alu_and),
+    Op.OR: OpInfo(UopClass.ALU, alu=_alu_or),
+    Op.XOR: OpInfo(UopClass.ALU, alu=_alu_xor),
+    Op.SHL: OpInfo(UopClass.ALU, alu=_alu_shl),
+    Op.SHR: OpInfo(UopClass.ALU, alu=_alu_shr),
+    Op.CMP: OpInfo(UopClass.ALU, alu=_alu_sub, flags_only=True),
+    Op.TEST: OpInfo(UopClass.ALU, alu=_alu_and, flags_only=True),
     Op.JMP: OpInfo(UopClass.BRANCH, is_branch=True),
     Op.JCC: OpInfo(UopClass.BRANCH, is_branch=True),
     Op.CALL: OpInfo(UopClass.BRANCH, uop_count=2, is_branch=True, is_store=True),

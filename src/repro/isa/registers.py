@@ -117,17 +117,9 @@ class RegisterFile:
         """Disarm and drop the journal (mutations stop being recorded)."""
         self._journal = None
 
-    @property
-    def journal_active(self) -> bool:
-        return self._journal is not None
-
     def journal_mark(self) -> int:
         """O(1) snapshot: the current journal length."""
         return len(self._journal)
-
-    def journal_clear(self) -> None:
-        """Forget recorded undo entries (no live marks reference them)."""
-        self._journal.clear()
 
     def journal_rollback(self, mark: int) -> None:
         """Undo every mutation recorded since :meth:`journal_mark`

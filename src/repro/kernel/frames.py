@@ -25,7 +25,3 @@ class FrameAllocator:
             raise MemoryError("simulated physical memory exhausted")
         self._next = end
         return base
-
-    @property
-    def allocated_bytes(self) -> int:
-        return self._next

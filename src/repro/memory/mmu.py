@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.memory.cache import CacheHierarchy, LINE_SIZE
 from repro.memory.lfb import LineFillBuffer
@@ -37,9 +36,16 @@ class FaultKind(enum.Enum):
     NX = "nx"  # instruction fetch from NX page
 
 
-@dataclass(frozen=True)
-class Fault:
-    """A page fault with the detail the kernel (and the attacker) can see."""
+#: Members bound once: the data and fetch paths build a :class:`Fault` per
+#: faulting access, and ``FaultKind.X`` read from its class goes through
+#: ``EnumType.__getattr__``.
+_NOT_PRESENT, _PROTECTION = FaultKind.NOT_PRESENT, FaultKind.PROTECTION
+_WRITE_PROTECT, _NX = FaultKind.WRITE_PROTECT, FaultKind.NX
+
+
+class Fault(NamedTuple):
+    """A page fault with the detail the kernel (and the attacker) can see
+    (a NamedTuple: one is built per faulting access)."""
 
     kind: FaultKind
     va: int
@@ -47,11 +53,10 @@ class Fault:
     @property
     def address_is_mapped(self) -> bool:
         """Whether a translation exists (the secret TET-KASLR extracts)."""
-        return self.kind is not FaultKind.NOT_PRESENT
+        return self.kind is not _NOT_PRESENT
 
 
-@dataclass(frozen=True)
-class TranslationEvent:
+class TranslationEvent(NamedTuple):
     """One data-side MMU translation, in consumption (dispatch) order.
 
     The translation sibling of ``ResolutionEvent``: while the core
@@ -101,7 +106,8 @@ class AccessResult:
     """Everything one data access produced.
 
     A ``__slots__`` class rather than a dataclass: one is allocated per
-    data access, squarely on the simulator's hot path.
+    data access, squarely on the simulator's hot path (and built
+    positionally: by keyword it costs ~2.5x as much).
     """
 
     __slots__ = (
@@ -325,11 +331,11 @@ class Mmu:
     @staticmethod
     def _check_permissions(pte: Pte, write: bool, user: bool, fetch: bool, va: int) -> Optional[Fault]:
         if user and not pte.user:
-            return Fault(FaultKind.PROTECTION, va)
+            return Fault(_PROTECTION, va)
         if write and not pte.writable:
-            return Fault(FaultKind.WRITE_PROTECT, va)
+            return Fault(_WRITE_PROTECT, va)
         if fetch and pte.nx:
-            return Fault(FaultKind.NX, va)
+            return Fault(_NX, va)
         return None
 
     # -- data side -----------------------------------------------------------
@@ -374,23 +380,13 @@ class Mmu:
             tlb_hit = False
             if walk.pte is None:
                 latency += self.fault_determination_cost
-                fault = Fault(FaultKind.NOT_PRESENT, va)
+                fault = Fault(_NOT_PRESENT, va)
                 if self.translation_log is not None:
                     self._log_translation(
                         "d", va, write, False, False, latency, walk,
                         fault, False, None,
                     )
-                return AccessResult(
-                    va=va,
-                    paddr=None,
-                    value=None,
-                    fault=fault,
-                    latency=latency,
-                    tlb_hit=False,
-                    hit_level="",
-                    was_cached=False,
-                    walk=walk,
-                )
+                return AccessResult(va, None, None, fault, latency, False, "", False, walk)
             pte = walk.pte
             fault_preview = self._check_permissions(pte, write, user, False, va)
             if fault_preview is None or self.fill_tlb_on_faulting_access:
@@ -400,9 +396,9 @@ class Mmu:
         paddr = pte.physical_address(va)
         # _check_permissions, inlined (data side is the hot path).
         if user and not pte.user:
-            fault = Fault(FaultKind.PROTECTION, va)
+            fault = Fault(_PROTECTION, va)
         elif write and not pte.writable:
-            fault = Fault(FaultKind.WRITE_PROTECT, va)
+            fault = Fault(_WRITE_PROTECT, va)
         else:
             fault = None
         if fault is not None:
@@ -414,15 +410,7 @@ class Mmu:
                     fault, was_cached, pte,
                 )
             return AccessResult(
-                va=va,
-                paddr=paddr,
-                value=None,
-                fault=fault,
-                latency=latency,
-                tlb_hit=tlb_hit,
-                hit_level="",
-                was_cached=was_cached,
-                walk=walk,
+                va, paddr, None, fault, latency, tlb_hit, "", was_cached, walk
             )
 
         was_cached = self.hierarchy.data_resident(paddr)
@@ -452,15 +440,7 @@ class Mmu:
                 None, was_cached, pte,
             )
         return AccessResult(
-            va=va,
-            paddr=paddr,
-            value=data,
-            fault=None,
-            latency=latency,
-            tlb_hit=tlb_hit,
-            hit_level=outcome.hit_level,
-            was_cached=was_cached,
-            walk=walk,
+            va, paddr, data, None, latency, tlb_hit, outcome.hit_level, was_cached, walk
         )
 
     def prefetch(self, va: int, user: bool = True, now: int = 0, thread_id: int = 0) -> int:
@@ -529,14 +509,14 @@ class Mmu:
             latency = walk.latency
             tlb_hit = False
             if walk.pte is None:
-                return FetchResult(va, Fault(FaultKind.NOT_PRESENT, va), latency, False, walk)
+                return FetchResult(va, Fault(_NOT_PRESENT, va), latency, False, walk)
             pte = walk.pte
             self.itlb.fill(va, pte)
         # _check_permissions, inlined (instruction fetches dominate).
         if user and not pte.user:
-            fault = Fault(FaultKind.PROTECTION, va)
+            fault = Fault(_PROTECTION, va)
         elif pte.nx:
-            fault = Fault(FaultKind.NX, va)
+            fault = Fault(_NX, va)
         else:
             fault = None
         if fault is not None:
@@ -591,9 +571,3 @@ class Mmu:
             return None
         return self.physical.read_u8(pte.physical_address(va))
 
-    def is_cached(self, va: int) -> bool:
-        """Whether *va*'s line is anywhere in the data hierarchy."""
-        pte = self.space.lookup(va) if self.space else None
-        if pte is None:
-            return False
-        return self.hierarchy.data_resident(pte.physical_address(va))

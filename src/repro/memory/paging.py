@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 VA_BITS = 48
 CANONICAL_MASK = (1 << VA_BITS) - 1
@@ -65,9 +65,9 @@ class _TableNode:
     entries: Dict[int, object] = field(default_factory=dict)  # index -> _TableNode | Pte
 
 
-@dataclass(frozen=True)
-class WalkStep:
-    """One level touched during a hardware walk."""
+class WalkStep(NamedTuple):
+    """One level touched during a hardware walk (a NamedTuple: about four
+    are built per walk)."""
 
     level: int
     level_name: str

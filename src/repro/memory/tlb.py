@@ -12,15 +12,17 @@ flush/evict operations the attacker uses between probes.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 from repro.memory.paging import PageSize, Pte
 
+#: Bound once: ``PageSize.SIZE_4K`` read from its class goes through
+#: ``EnumType.__getattr__`` on every TLB fill.
+_SIZE_4K = PageSize.SIZE_4K
 
-@dataclass(frozen=True)
-class TlbEntry:
-    """A cached translation."""
+
+class TlbEntry(NamedTuple):
+    """A cached translation (a NamedTuple: one is built per TLB fill)."""
 
     vpn: int
     pte: Pte
@@ -115,7 +117,7 @@ class SplitTlb:
         self.tlb_2m = Tlb(f"{name}-2M", entries_2m, ways_2m, PageSize.SIZE_2M)
 
     def _array_for(self, size: PageSize) -> Tlb:
-        return self.tlb_4k if size == PageSize.SIZE_4K else self.tlb_2m
+        return self.tlb_4k if size == _SIZE_4K else self.tlb_2m
 
     def lookup(self, va: int) -> Optional[TlbEntry]:
         """Probe both arrays (2 MiB first, as the bigger pages win)."""

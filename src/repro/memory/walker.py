@@ -136,11 +136,11 @@ class PageWalker:
         self.walk_cycles += latency
         self.busy_until = now + queue_delay + latency
         return WalkResult(
-            pte=pte,
-            steps=steps,
-            latency=queue_delay + latency,
-            queue_delay=queue_delay,
-            psc_hits=psc_hits,
-            entry_fetches=entry_fetches,
-            step_details=tuple(details) if details is not None else None,
+            pte,
+            steps,
+            queue_delay + latency,
+            queue_delay,
+            psc_hits,
+            entry_fetches,
+            tuple(details) if details is not None else None,
         )

@@ -26,11 +26,6 @@ class FilteredEvent:
     def difference(self) -> float:
         return self.condition1 - self.condition0
 
-    @property
-    def relative_difference(self) -> float:
-        base = max(abs(self.condition0), 1e-9)
-        return self.difference / base
-
 
 class DifferentialFilter:
     """Keeps events whose two-condition difference clears a threshold."""

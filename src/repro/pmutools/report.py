@@ -19,12 +19,6 @@ class Table3Row:
     condition1: float
     condition_names: tuple
 
-    def formatted(self) -> str:
-        return (
-            f"{self.cpu_scene:28} | {self.event:48} | "
-            f"{self.condition0:10.1f} | {self.condition1:10.1f}"
-        )
-
 
 def rows_from_filtered(
     cpu_scene: str, filtered: List[FilteredEvent], condition_names: tuple

@@ -14,8 +14,8 @@ register (and each divergent memory byte) that differs across lanes, a
 per-lane value vector.  Everything *not* tainted is known to be equal in
 every lane, so the leader's journals, PMU counts, and cycle timeline
 stand in for all lanes at zero cost.  Per-record processing applies the
-scalar core's exact value semantics (``_op_alu`` carries, ``&63`` shift
-masks, little-endian memory) to the tainted vectors -- plain-int lists,
+scalar core's exact value semantics (the same ``OpInfo.alu`` functions,
+little-endian memory) to the tainted vectors -- plain-int lists,
 one entry per lane -- and follows the engine's squash schedule via the
 :class:`~repro.uarch.uop.ResolutionEvent` breadcrumbs so rolled-back
 transient writes are rolled back in the shadow too.
@@ -114,43 +114,6 @@ class BatchStats:
         for lane, reason in batch.evict_reasons.items():
             if lane >= offset:
                 self.evictions[reason] = self.evictions.get(reason, 0) + 1
-
-
-# -- per-lane ALU math (the scalar core's _op_alu, vectorized) -----------------
-
-
-def _alu_scalar(op: Op, left: int, right: int) -> Tuple[int, bool]:
-    """One lane of ALU math, mirroring ``_RunEngine._op_alu`` exactly."""
-    carry = False
-    if op is Op.ADD:
-        result = left + right
-        carry = result > MASK64
-    elif op in (Op.SUB, Op.CMP):
-        result = left - right
-        carry = left < right
-    elif op in (Op.AND, Op.TEST):
-        result = left & right
-    elif op is Op.OR:
-        result = left | right
-    elif op is Op.XOR:
-        result = left ^ right
-    elif op is Op.SHL:
-        result = left << (right & 63)
-    else:  # Op.SHR -- the shadow dispatch only routes ALU ops here
-        result = left >> (right & 63)
-    return result & MASK64, carry
-
-
-def _alu_lanes(
-    op: Op, lefts: Sequence[int], rights: Sequence[int]
-) -> Tuple[List[int], List[bool]]:
-    results: List[int] = []
-    carries: List[bool] = []
-    for left, right in zip(lefts, rights):
-        result, carry = _alu_scalar(op, left, right)
-        results.append(result)
-        carries.append(carry)
-    return results, carries
 
 
 # -- one lockstep run ----------------------------------------------------------
@@ -461,8 +424,8 @@ class LockstepBatch:
         self._jset_reg(ins.dst, value, self._taint_or_none(vector))
 
     def _shadow_alu(self, record, ins) -> None:
-        op = ins.op
-        writes = op not in (Op.CMP, Op.TEST)
+        info = ins.info
+        writes = not info.flags_only
         left_t = self._reg_taint.get(ins.dst)
         right_t = self._reg_taint.get(ins.src) if ins.src is not None else None
         if left_t is None and right_t is None:
@@ -496,8 +459,10 @@ class LockstepBatch:
             rights = [leader_right] * self.lanes
         else:
             rights = [ins.imm & MASK64] * self.lanes
-        results, carries = _alu_lanes(op, lefts, rights)
-        if writes and record.dest_value is not None and results[0] != record.dest_value:
+        # The scalar core's own ALU function (``OpInfo.alu``), per lane.
+        alu = info.alu
+        outcomes = [alu(left, right) for left, right in zip(lefts, rights)]
+        if writes and record.dest_value is not None and outcomes[0][0] != record.dest_value:
             # Shadow/engine disagreement on the leader lane can only be a
             # shadow bug; degrade to scalar rather than corrupt a lane.
             self._evict_followers("shadow-mismatch")
@@ -505,22 +470,22 @@ class LockstepBatch:
             self._jset_reg(ins.dst, record.dest_value, None)
             return
         flags = [
-            (result == 0, carry, bool(result >> 63), False)
-            for result, carry in zip(results, carries)
+            (result == 0, carry, bool(result >> 63), False) for result, carry in outcomes
         ]
         self._jset_flags(self._taint_or_none(flags))
         if writes:
+            results = [result for result, _ in outcomes]
             self._jset_reg(ins.dst, results[0], self._taint_or_none(results))
 
     def _shadow_jcc(self, record, ins) -> None:
         flags = self._flag_taint
         if flags is None:
             return
-        cond = ins.cond
+        cond_eval = ins.cond_eval
         actual = record.actual_taken
         alive = self.alive
         for lane in range(1, self.lanes):
-            if alive[lane] and cond.evaluate(*flags[lane]) != actual:
+            if alive[lane] and cond_eval(*flags[lane]) != actual:
                 # This lane's branch goes the other way: different fetch
                 # path, different timing -- scalar from here on.
                 self._evict(lane, "branch-divergence")

@@ -232,26 +232,6 @@ class Machine:
             entries = self.model.dtlb_entries_4k + self.model.dtlb_entries_2m
             self.core.global_cycle += entries * (self.model.l2.latency + 4)
 
-    def thrash_l1d(self) -> None:
-        """Sweep an L1D-sized working set through the data cache.
-
-        On SMT siblings the L1D is shared: an attacker thrashing it
-        evicts the victim's hot lines, forcing the victim's next accesses
-        to refill -- and refills are what the line fill buffers retain
-        (the ZombieLoad feeding technique)."""
-        if not getattr(self, "_l1_thrash_pages", None):
-            pages = 2 * (self.model.l1d.size_bytes // PAGE or 1)
-            self._l1_thrash_pages = [
-                self.kernel.map_user_memory(self.process, 1) for _ in range(pages)
-            ]
-        spent = 0
-        now = self.core.global_cycle
-        for va in self._l1_thrash_pages:
-            for offset in range(0, PAGE, 64):
-                access = self.mmu.data_access(va + offset, now=now + spent)
-                spent += access.latency
-        self.core.global_cycle += spent
-
     def build_tlb_eviction_sets(self) -> None:
         """Allocate the eviction working set: enough distinct 4 KiB and
         2 MiB pages to conflict every way of every TLB set (x2 margin)."""

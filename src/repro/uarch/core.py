@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.isa.opcodes import Op, UopClass
+from repro.isa.opcodes import Op
 from repro.isa.program import INSTRUCTION_SIZE, Program
 from repro.isa.registers import RegisterFile
 from repro.memory.mmu import Fault, FaultKind, Mmu
@@ -53,6 +53,12 @@ _ABSENT = object()
 #: Key for picking the oldest unresolved speculation context (hoisted so
 #: the main loop does not rebuild a lambda per instruction).
 _CTX_RESOLVE_CYCLE = attrgetter("resolve_cycle")
+
+#: Enum members the dispatch path tests, bound once: on CPython 3.11 an
+#: ``Op.X`` read goes through ``EnumType.__getattr__`` (~120-180 ns,
+#: against ~10-30 ns for a module global).
+_LOAD, _LOAD_BYTE = Op.LOAD, Op.LOAD_BYTE
+_PROTECTION, _WRITE_PROTECT = FaultKind.PROTECTION, FaultKind.WRITE_PROTECT
 
 
 class SimulationError(RuntimeError):
@@ -360,14 +366,14 @@ class _RunEngine:
 
         # Each port books the discrete cycles it issues in: an older uop
         # stalled on operands must not block a younger, ready one (the
-        # scheduler is out of order).
-        self.ports: Dict[UopClass, List[set]] = {
-            UopClass.ALU: [set() for _ in range(self.model.alu_ports)],
-            UopClass.LOAD: [set() for _ in range(self.model.load_ports)],
-            UopClass.STORE: [set() for _ in range(self.model.store_ports)],
-            UopClass.BRANCH: [set() for _ in range(self.model.branch_ports)],
-            UopClass.SYSTEM: [set()],
-        }
+        # scheduler is out of order).  One pool per issuing uop class;
+        # NOP and FENCE uops need no execution port.
+        model = self.model
+        self.alu_pool = [set() for _ in range(model.alu_ports)]
+        self.load_pool = [set() for _ in range(model.load_ports)]
+        self.store_pool = [set() for _ in range(model.store_ports)]
+        self.branch_pool = [set() for _ in range(model.branch_ports)]
+        self.system_pool = [set()]
 
         self.halted = False
         self.end_cycle = self.start_cycle
@@ -391,12 +397,12 @@ class _RunEngine:
     def _snapshot(self) -> _Snapshot:
         self._journal_on()
         return _Snapshot(
-            reg_mark=self.spec.journal_mark(),
-            side_mark=len(self.side_journal),
-            flag_ready=self.flag_ready,
-            serialize_until=self.serialize_until,
-            max_ready=self.max_ready,
-            undo_index=len(self.undo_log),
+            self.spec.journal_mark(),
+            len(self.side_journal),
+            self.flag_ready,
+            self.serialize_until,
+            self.max_ready,
+            len(self.undo_log),
         )
 
     def _restore(self, snapshot: _Snapshot) -> None:
@@ -437,7 +443,8 @@ class _RunEngine:
 
     def _squash_after(self, trigger_seq: int) -> int:
         """Mark every record younger than *trigger_seq* squashed; return
-        the number of uops freed."""
+        the number of uops freed (the live transient uops the resolution
+        drains)."""
         squashed = 0
         for record in reversed(self.records):
             if record.seq <= trigger_seq:
@@ -447,34 +454,6 @@ class _RunEngine:
                 squashed += record.uop_count
         self.squashed_uops += squashed
         return squashed
-
-    def _live_transient_uops(self, trigger_seq: int) -> int:
-        total = 0
-        for record in reversed(self.records):
-            if record.seq <= trigger_seq:
-                break
-            if not record.squashed:
-                total += record.uop_count
-        return total
-
-    def _port_start(self, uop_class: UopClass, earliest: int) -> int:
-        """Claim the earliest free issue slot of *uop_class* at or after
-        *earliest* (ports are pipelined: one issue slot per cycle)."""
-        pool = self.ports.get(uop_class)
-        if pool is None:  # NOP / FENCE need no execution port
-            return earliest
-        best_port = None
-        best_cycle = None
-        for port in pool:
-            cycle = earliest
-            while cycle in port:
-                cycle += 1
-            if best_cycle is None or cycle < best_cycle:
-                best_port, best_cycle = port, cycle
-                if cycle == earliest:
-                    break
-        best_port.add(best_cycle)
-        return best_cycle
 
     def _occupancy_earliest(self, upcoming_cycle: int, uop_count: int) -> Optional[int]:
         """ROB-capacity stall: earliest cycle allocation may proceed, or
@@ -510,11 +489,6 @@ class _RunEngine:
 
     # -- context resolution ------------------------------------------------------
 
-    def _earliest_context(self) -> Optional[_SpecContext]:
-        if not self.contexts:
-            return None
-        return min(self.contexts, key=lambda ctx: ctx.resolve_cycle)
-
     def _resolve(self, ctx: _SpecContext) -> None:
         if ctx.kind == "branch":
             self._resolve_branch(ctx)
@@ -522,49 +496,44 @@ class _RunEngine:
             self._resolve_fault(ctx)
 
     def _resolve_branch(self, ctx: _SpecContext) -> None:
-        wrong_uops = self._live_transient_uops(ctx.trigger_seq)
+        model = self.model
+        counts = self.pmu.counts
+        trigger_seq = ctx.trigger_seq
         # The branch's snapshot was taken after its own writes (a
         # mispredicted ret keeps its rsp update), so the rollback target
         # is the state at the start of the *next* record.
         self.events.resolutions.append(
-            ResolutionEvent(
-                kind="branch",
-                trigger_seq=ctx.trigger_seq,
-                boundary=len(self.records),
-                target_seq=ctx.trigger_seq + 1,
-            )
+            ResolutionEvent("branch", trigger_seq, len(self.records), trigger_seq + 1)
         )
-        self._squash_after(ctx.trigger_seq)
+        wrong_uops = self._squash_after(trigger_seq)
         self._restore(ctx.snapshot)
-        redirect_cycle = ctx.resolve_cycle + self.model.mispredict_resteer
-        recovery_end = redirect_cycle + self.model.recovery_tail + int(
-            self.model.branch_drain_per_uop * wrong_uops
+        redirect_cycle = ctx.resolve_cycle + model.mispredict_resteer
+        recovery_end = redirect_cycle + model.recovery_tail + int(
+            model.branch_drain_per_uop * wrong_uops
         )
+        recovery = recovery_end - redirect_cycle
         nested = any(c is not ctx for c in self.contexts)
         self.frontend.block_until(redirect_cycle, resteer=True)
-        self.pmu.add("INT_MISC.CLEAR_RESTEER_CYCLES", self.model.mispredict_resteer)
+        counts["INT_MISC.CLEAR_RESTEER_CYCLES"] += model.mispredict_resteer
         self.recovery_busy_until = max(self.recovery_busy_until, recovery_end)
-        self.pmu.add("INT_MISC.RECOVERY_CYCLES", recovery_end - redirect_cycle)
-        self.pmu.add("INT_MISC.RECOVERY_CYCLES_ANY", recovery_end - redirect_cycle)
-        self.pmu.add("RESOURCE_STALLS.ANY", recovery_end - redirect_cycle)
-        self.pmu.add(
-            "de_dis_dispatch_token_stalls2.retire_token_stall",
-            recovery_end - redirect_cycle,
-        )
+        counts["INT_MISC.RECOVERY_CYCLES"] += recovery
+        counts["INT_MISC.RECOVERY_CYCLES_ANY"] += recovery
+        counts["RESOURCE_STALLS.ANY"] += recovery
+        counts["de_dis_dispatch_token_stalls2.retire_token_stall"] += recovery
         self.core.disruptions.append((ctx.resolve_cycle, recovery_end))
         self.events.redirects.append(
             RedirectEvent(
-                branch_seq=ctx.trigger_seq,
-                branch_pc=self.records[ctx.trigger_seq].pc,
-                resolve_cycle=ctx.resolve_cycle,
-                redirect_cycle=redirect_cycle,
-                recovery_end=recovery_end,
-                wrong_path_uops=wrong_uops,
-                nested_in_transient=nested,
-                kind=ctx.branch_kind,
+                trigger_seq,
+                self.records[trigger_seq].pc,
+                ctx.resolve_cycle,
+                redirect_cycle,
+                recovery_end,
+                wrong_uops,
+                nested,
+                ctx.branch_kind,
             )
         )
-        self.contexts = [c for c in self.contexts if c.trigger_seq < ctx.trigger_seq]
+        self.contexts = [c for c in self.contexts if c.trigger_seq < trigger_seq]
         for enclosing in self.contexts:
             if enclosing.kind == "fault":
                 enclosing.nested_clears += 1
@@ -572,19 +541,21 @@ class _RunEngine:
             # The undocumented Skylake event BR_MISP_EXEC.INDIRECT counts
             # up exactly when a clear happens *inside* a transient window
             # (Table 3's 0 -> 1 rows); we model the observed behaviour.
-            self.pmu.add("BR_MISP_EXEC.INDIRECT")
+            counts["BR_MISP_EXEC.INDIRECT"] += 1
         self.pc = ctx.resume_pc
         self.force_resolve = False
 
     def _resolve_fault(self, ctx: _SpecContext) -> None:
+        model = self.model
+        counts = self.pmu.counts
         fault = ctx.fault
         assert fault is not None
-        transient_uops = self._live_transient_uops(ctx.trigger_seq)
+        trigger_seq = ctx.trigger_seq
+        tsx_abort = ctx.suppression == "tsx"
+        transient_uops = self._squash_after(trigger_seq)
         flush_start = max(ctx.resolve_cycle, self.recovery_busy_until)
-        drain = self.model.fault_flush_base + int(
-            self.model.flush_drain_per_uop * transient_uops
-        )
-        drain += self.model.nested_clear_flush_penalty * ctx.nested_clears
+        drain = model.fault_flush_base + int(model.flush_drain_per_uop * transient_uops)
+        drain += model.nested_clear_flush_penalty * ctx.nested_clears
         flush_end = flush_start + drain
 
         # A TSX abort rolls registers to the xbegin mark and unwinds the
@@ -592,18 +563,15 @@ class _RunEngine:
         # snapshot taken before the faulting record's forwarded write.
         self.events.resolutions.append(
             ResolutionEvent(
-                kind=ctx.suppression,
-                trigger_seq=ctx.trigger_seq,
-                boundary=len(self.records),
-                target_seq=(
-                    ctx.tsx.xbegin_seq if ctx.suppression == "tsx" else ctx.trigger_seq
-                ),
+                ctx.suppression,
+                trigger_seq,
+                len(self.records),
+                ctx.tsx.xbegin_seq if tsx_abort else trigger_seq,
             )
         )
-        self._squash_after(ctx.trigger_seq)
-        if ctx.suppression == "tsx":
+        if tsx_abort:
             assert ctx.tsx is not None
-            resume_cycle = flush_end + self.model.tsx_abort_latency
+            resume_cycle = flush_end + model.tsx_abort_latency
             self._unwind_stores(ctx.tsx.undo_index)
             # Undo transient tsx push/pops back to the fault point, then
             # abort: registers roll to the xbegin mark, and the aborted
@@ -613,7 +581,7 @@ class _RunEngine:
             del self.tsx_stack[ctx.tsx_index :]
             resume_pc = ctx.tsx.fallback_pc
         else:
-            resume_cycle = flush_end + self.model.signal_dispatch_latency
+            resume_cycle = flush_end + model.signal_dispatch_latency
             self._restore(ctx.snapshot)
             resume_pc = ctx.resume_pc
 
@@ -627,28 +595,26 @@ class _RunEngine:
         self.recovery_busy_until = flush_end
         self.frontend.block_until(resume_cycle, resteer=True)
         # The post-flush refetch is one resteer's worth of frontend stall.
-        self.pmu.add("INT_MISC.CLEAR_RESTEER_CYCLES", self.model.mispredict_resteer)
-        self.pmu.add("MACHINE_CLEARS.COUNT")
-        self.pmu.add("INT_MISC.RECOVERY_CYCLES", drain)
-        self.pmu.add("INT_MISC.RECOVERY_CYCLES_ANY", drain)
-        self.pmu.add("RESOURCE_STALLS.ANY", max(0, flush_end - ctx.resolve_cycle))
-        self.pmu.add(
-            "de_dis_dispatch_token_stalls2.retire_token_stall",
-            max(0, flush_end - ctx.resolve_cycle),
-        )
+        counts["INT_MISC.CLEAR_RESTEER_CYCLES"] += model.mispredict_resteer
+        counts["MACHINE_CLEARS.COUNT"] += 1
+        counts["INT_MISC.RECOVERY_CYCLES"] += drain
+        counts["INT_MISC.RECOVERY_CYCLES_ANY"] += drain
+        stalled = max(0, flush_end - ctx.resolve_cycle)
+        counts["RESOURCE_STALLS.ANY"] += stalled
+        counts["de_dis_dispatch_token_stalls2.retire_token_stall"] += stalled
         self.core.disruptions.append((flush_start, resume_cycle))
         self.events.flushes.append(
             FlushEvent(
-                fault_seq=ctx.trigger_seq,
-                fault_pc=self.records[ctx.trigger_seq].pc,
-                fault_kind=fault.kind.value,
-                fault_cycle=ctx.resolve_cycle,
-                flush_start=flush_start,
-                flush_end=flush_end,
-                drained_uops=transient_uops,
-                nested_clears=ctx.nested_clears,
-                suppression=ctx.suppression,
-                resume_pc=resume_pc,
+                trigger_seq,
+                self.records[trigger_seq].pc,
+                fault.kind.value,
+                ctx.resolve_cycle,
+                flush_start,
+                flush_end,
+                transient_uops,
+                ctx.nested_clears,
+                ctx.suppression,
+                resume_pc,
             )
         )
         self.contexts = []
@@ -752,29 +718,14 @@ class _RunEngine:
                 continue
 
             transient = bool(contexts)
-            delivery = deliver(
-                pc,
-                instruction,
-                earliest,
-                user=user,
-                transient=transient,
-                info=info,
-                line=line,
-            )
-            dispatch_cycle = delivery.cycle
+            dispatch_cycle, source = deliver(pc, instruction, earliest, user, info, line)
             if ctx is not None and dispatch_cycle >= ctx.resolve_cycle:
                 # The flush kills the frontend before this delivery lands.
                 self._resolve(ctx)
                 continue
 
             record = UopRecord(
-                seq=len(records),
-                pc=pc,
-                instruction=instruction,
-                dispatch_cycle=dispatch_cycle,
-                source=delivery.source,
-                transient=transient,
-                uop_count=uop_count,
+                len(records), pc, instruction, dispatch_cycle, source, transient, uop_count
             )
             records_append(record)
             self.dispatched_uops += uop_count
@@ -798,14 +749,14 @@ class _RunEngine:
 
         self._pmu_epilogue(self.end_cycle)
         return RunResult(
-            start_cycle=self.start_cycle,
-            end_cycle=self.end_cycle,
-            instructions_retired=self.retired_instructions,
-            uops_issued=self.dispatched_uops,
-            regs=self.spec.copy(),
-            halted=self.halted,
-            events=self.events,
-            faults=self.faults,
+            self.start_cycle,
+            self.end_cycle,
+            self.retired_instructions,
+            self.dispatched_uops,
+            self.spec.copy(),
+            self.halted,
+            self.events,
+            self.faults,
         )
 
     def _commit_retire(self, record: UopRecord) -> None:
@@ -826,9 +777,14 @@ class _RunEngine:
     # -- per-instruction semantics ---------------------------------------------
 
     def _write_dest(self, record: UopRecord, name: str, value: int) -> None:
+        # _set_reg_ready, inlined (one call per register-writing uop); the
+        # journal append is what lets a squash roll the readiness back.
         record.dest_value = value
         self.spec.write(name, value)
-        self._set_reg_ready(name, record.ready_cycle)
+        reg_ready = self.reg_ready
+        if self.journal_live:
+            self.side_journal.append((0, name, reg_ready.get(name, _ABSENT)))
+        reg_ready[name] = record.ready_cycle
 
     def _set_reg_ready(self, name: str, cycle: int) -> None:
         if self.journal_live:
@@ -841,7 +797,7 @@ class _RunEngine:
         self.store_ready[va] = cycle
 
     def _op_mov_ri(self, record, instruction, dispatch):
-        start = self._port_start(UopClass.ALU, dispatch)
+        start = _port_start(self.alu_pool, dispatch)
         record.start_cycle = start
         record.ready_cycle = start + 1
         value = instruction.imm if instruction.imm is not None else instruction.target_addr
@@ -849,8 +805,8 @@ class _RunEngine:
 
     def _op_mov_rr(self, record, instruction, dispatch):
         src_ready = self.reg_ready.get(instruction.src, self.start_cycle)
-        start = self._port_start(
-            UopClass.ALU, src_ready if src_ready > dispatch else dispatch
+        start = _port_start(
+            self.alu_pool, src_ready if src_ready > dispatch else dispatch
         )
         record.start_cycle = start
         record.ready_cycle = start + 1
@@ -865,13 +821,13 @@ class _RunEngine:
             reg_ready.get(mem.base, start_cycle),
             reg_ready.get(mem.index, start_cycle),
         )
-        start = self._port_start(UopClass.ALU, deps)
+        start = _port_start(self.alu_pool, deps)
         record.start_cycle = start
         record.ready_cycle = start + 1
         self._write_dest(record, instruction.dst, mem.effective_address(self.spec.read))
 
     def _op_alu(self, record, instruction, dispatch):
-        op = instruction.op
+        info = instruction.info
         left = self.spec.read(instruction.dst)
         right = (
             self.spec.read(instruction.src)
@@ -885,33 +841,14 @@ class _RunEngine:
             reg_ready.get(instruction.dst, start_cycle),
             reg_ready.get(instruction.src, start_cycle) if instruction.src else dispatch,
         )
-        start = self._port_start(UopClass.ALU, deps)
+        start = _port_start(self.alu_pool, deps)
         record.start_cycle = start
         record.ready_cycle = start + 1
 
-        carry = False
-        if op is Op.ADD:
-            result = left + right
-            carry = result > MASK64
-        elif op in (Op.SUB, Op.CMP):
-            result = left - right
-            carry = left < right
-        elif op in (Op.AND, Op.TEST):
-            result = left & right
-        elif op is Op.OR:
-            result = left | right
-        elif op is Op.XOR:
-            result = left ^ right
-        elif op is Op.SHL:
-            result = left << (right & 63)
-        elif op is Op.SHR:
-            result = left >> (right & 63)
-        else:  # pragma: no cover - decoder guarantees coverage
-            raise SimulationError(f"ALU op {op} unhandled")
-        result &= MASK64
-        self.spec.set_alu_flags(result, carry=carry)
+        result, carry = info.alu(left, right)
+        self.spec.set_alu_flags(result, carry)
         self.flag_ready = record.ready_cycle
-        if op not in (Op.CMP, Op.TEST):
+        if not info.flags_only:
             self._write_dest(record, instruction.dst, result)
 
     def _op_nop(self, record, instruction, dispatch):
@@ -937,7 +874,7 @@ class _RunEngine:
             self.serialize_until = record.ready_cycle
 
     def _op_rdtsc(self, record, instruction, dispatch):
-        start = self._port_start(UopClass.SYSTEM, max(dispatch, self.max_ready))
+        start = _port_start(self.system_pool, max(dispatch, self.max_ready))
         record.start_cycle = start
         record.ready_cycle = start + instruction.info.base_latency
         self.serialize_until = record.ready_cycle
@@ -976,7 +913,7 @@ class _RunEngine:
             reg_ready.get(mem.base, start_cycle),
             reg_ready.get(mem.index, start_cycle),
         )
-        start = self._port_start(UopClass.LOAD, deps)
+        start = _port_start(self.load_pool, deps)
         va = mem.effective_address(self.spec.read)
         latency = self.mmu.prefetch(
             va, user=self.user, now=start, thread_id=self.core.thread_id
@@ -995,7 +932,7 @@ class _RunEngine:
             reg_ready.get(mem.base, start_cycle),
             reg_ready.get(mem.index, start_cycle),
         )
-        start = self._port_start(UopClass.STORE, deps)
+        start = _port_start(self.store_pool, deps)
         va = mem.effective_address(self.spec.read)
         self.mmu.clflush(va, user=self.user)
         record.start_cycle = start
@@ -1011,13 +948,13 @@ class _RunEngine:
             reg_ready.get(mem.base, start_cycle),
             reg_ready.get(mem.index, start_cycle),
         )
-        start = self._port_start(UopClass.LOAD, deps)
+        start = _port_start(self.load_pool, deps)
         va = mem.effective_address(self.spec.read)
         start = max(start, self.store_ready.get(va, self.start_cycle))
         access = self.mmu.data_access(
             va,
             write=False,
-            size=1 if instruction.op is Op.LOAD_BYTE else 8,
+            size=1 if instruction.op is _LOAD_BYTE else 8,
             user=self.user,
             now=start,
             thread_id=self.core.thread_id,
@@ -1027,17 +964,18 @@ class _RunEngine:
         record.memory_va = va
         record.memory_latency = access.latency
         record.cache_hit_level = access.hit_level
+        counts = self.pmu.counts
         if not access.tlb_hit:
-            self.pmu.add("DTLB_LOAD_MISSES.MISS_CAUSES_A_WALK")
+            counts["DTLB_LOAD_MISSES.MISS_CAUSES_A_WALK"] += 1
         if access.walk is not None:
-            self.pmu.add("DTLB_LOAD_MISSES.WALK_ACTIVE", access.walk.latency)
+            counts["DTLB_LOAD_MISSES.WALK_ACTIVE"] += access.walk.latency
         if access.fault is not None:
             self._handle_fault(record, access.fault, access)
             return
         if access.hit_level != "L1":
-            self.pmu.add("MEM_LOAD_RETIRED.L1_MISS")
+            counts["MEM_LOAD_RETIRED.L1_MISS"] += 1
         if access.hit_level == "DRAM":
-            self.pmu.add("LONGEST_LAT_CACHE.MISS")
+            counts["LONGEST_LAT_CACHE.MISS"] += 1
         self._write_dest(record, instruction.dst, access.value)
 
     def _op_store(self, record, instruction, dispatch):
@@ -1053,7 +991,7 @@ class _RunEngine:
             self._reg_time(mem.index),
             self._reg_time(instruction.src) if instruction.src else dispatch,
         )
-        start = self._port_start(UopClass.STORE, deps)
+        start = _port_start(self.store_pool, deps)
         va = mem.effective_address(self.spec.read)
         old = self.mmu.peek_raw_bytes(va, 8)
         access = self.mmu.data_access(
@@ -1077,24 +1015,24 @@ class _RunEngine:
         self._set_store_ready(va, record.ready_cycle)
 
     def _op_jmp(self, record, instruction, dispatch):
-        start = self._port_start(UopClass.BRANCH, dispatch)
+        start = _port_start(self.branch_pool, dispatch)
         record.start_cycle = start
         record.ready_cycle = start + 1
         record.is_branch = True
         record.actual_target = instruction.target_addr
         self.bpu.btb.update(record.pc, instruction.target_addr)
-        self.pmu.add("bp_l1_btb_correct")
+        self.pmu.counts["bp_l1_btb_correct"] += 1
         self.pc = instruction.target_addr
 
     def _op_jcc(self, record, instruction, dispatch):
         taken_target = instruction.target_addr
         fallthrough = record.pc + INSTRUCTION_SIZE
         predicted_taken, _ = self.bpu.predict_conditional(record.pc, taken_target)
-        start = self._port_start(UopClass.BRANCH, max(dispatch, self.flag_ready))
+        start = _port_start(self.branch_pool, max(dispatch, self.flag_ready))
         record.start_cycle = start
         record.ready_cycle = start + 1
         record.is_branch = True
-        actual_taken = instruction.cond.evaluate(
+        actual_taken = instruction.cond_eval(
             self.spec.read_flag("zf"),
             self.spec.read_flag("cf"),
             self.spec.read_flag("sf"),
@@ -1110,15 +1048,15 @@ class _RunEngine:
         if actual_taken:
             self.bpu.btb.update(record.pc, taken_target)
         if record.mispredicted:
-            self.pmu.add("BR_MISP_EXEC.ALL_BRANCHES")
+            self.pmu.counts["BR_MISP_EXEC.ALL_BRANCHES"] += 1
             self.contexts.append(
                 _SpecContext(
-                    kind="branch",
-                    trigger_seq=record.seq,
-                    resolve_cycle=record.ready_cycle,
-                    resume_pc=record.actual_target,
-                    snapshot=self._snapshot(),
-                    branch_kind="conditional",
+                    "branch",
+                    record.seq,
+                    record.ready_cycle,
+                    record.actual_target,
+                    self._snapshot(),
+                    "conditional",
                 )
             )
             self.pc = record.predicted_target
@@ -1129,7 +1067,7 @@ class _RunEngine:
         return_address = record.pc + INSTRUCTION_SIZE
         rsp = (self.spec.read("rsp") - 8) & MASK64
         deps = max(dispatch, self._reg_time("rsp"))
-        start = self._port_start(UopClass.BRANCH, deps)
+        start = _port_start(self.branch_pool, deps)
         old = self.mmu.peek_raw_bytes(rsp, 8)
         access = self.mmu.data_access(
             rsp,
@@ -1159,7 +1097,7 @@ class _RunEngine:
     def _op_ret(self, record, instruction, dispatch):
         rsp = self.spec.read("rsp")
         deps = max(dispatch, self._reg_time("rsp"))
-        start = self._port_start(UopClass.LOAD, deps)
+        start = _port_start(self.load_pool, deps)
         start = max(start, self.store_ready.get(rsp, self.start_cycle))
         access = self.mmu.data_access(
             rsp, write=False, user=self.user, now=start, thread_id=self.core.thread_id
@@ -1179,20 +1117,21 @@ class _RunEngine:
         self.spec.write("rsp", (rsp + 8) & MASK64)
         self._set_reg_ready("rsp", record.ready_cycle)
         if predicted == actual_target:
-            self.pmu.add("bp_l1_btb_correct")
+            self.pmu.counts["bp_l1_btb_correct"] += 1
             self.pc = actual_target
             return
         record.mispredicted = True
-        self.pmu.add("BR_MISP_EXEC.ALL_BRANCHES")
-        self.pmu.add("BR_MISP_EXEC.INDIRECT")
+        counts = self.pmu.counts
+        counts["BR_MISP_EXEC.ALL_BRANCHES"] += 1
+        counts["BR_MISP_EXEC.INDIRECT"] += 1
         self.contexts.append(
             _SpecContext(
-                kind="branch",
-                trigger_seq=record.seq,
-                resolve_cycle=record.ready_cycle,
-                resume_pc=actual_target,
-                snapshot=self._snapshot(),
-                branch_kind="return" if predicted is not None else "underflow",
+                "branch",
+                record.seq,
+                record.ready_cycle,
+                actual_target,
+                self._snapshot(),
+                "return" if predicted is not None else "underflow",
             )
         )
         if predicted is not None:
@@ -1241,11 +1180,11 @@ class _RunEngine:
         snapshot_pre_fault = self._snapshot()
         forwarded = self._transient_forward(fault, access)
         record.transient_value = forwarded
-        if (
-            record.instruction.op in (Op.LOAD, Op.LOAD_BYTE)
-            and record.instruction.dst is not None
+        instruction = record.instruction
+        if (instruction.op is _LOAD or instruction.op is _LOAD_BYTE) and (
+            instruction.dst is not None
         ):
-            self._write_dest(record, record.instruction.dst, forwarded)
+            self._write_dest(record, instruction.dst, forwarded)
         if self.contexts:
             # Fault inside an unresolved speculation: it can never retire,
             # so it never raises; the enclosing squash disposes of it.
@@ -1270,15 +1209,16 @@ class _RunEngine:
         )
         self.contexts.append(
             _SpecContext(
-                kind="fault",
-                trigger_seq=record.seq,
-                resolve_cycle=fault_cycle,
-                resume_pc=resume_pc,
-                snapshot=snapshot_pre_fault,
-                suppression=suppression,
-                fault=fault,
-                tsx=tsx,
-                tsx_index=tsx_index,
+                "fault",
+                record.seq,
+                fault_cycle,
+                resume_pc,
+                snapshot_pre_fault,
+                "",
+                suppression,
+                fault,
+                tsx,
+                tsx_index,
             )
         )
 
@@ -1288,7 +1228,7 @@ class _RunEngine:
         on fixed silicon."""
         if (
             self.model.meltdown_vulnerable
-            and fault.kind in (FaultKind.PROTECTION, FaultKind.WRITE_PROTECT)
+            and (fault.kind is _PROTECTION or fault.kind is _WRITE_PROTECT)
             and access.paddr is not None
             and access.was_cached
         ):
@@ -1306,8 +1246,7 @@ class _RunEngine:
         lo = self.start_cycle
         hi = end_cycle
         span = max(1, hi - lo)
-        # Clip to [lo, hi] while scanning (one pass instead of build-then-
-        # clip inside _union_length).
+        # Clip to [lo, hi] while scanning, then merge each list once.
         exec_intervals = []
         mem_intervals = []
         inflight_intervals = []
@@ -1336,21 +1275,34 @@ class _RunEngine:
                 mem_intervals.append(
                     (start if start > lo else lo, ready if ready < hi else hi)
                 )
-        covered_exec = _merged_length(exec_intervals)
-        covered_mem = _merged_length(mem_intervals)
-        covered_inflight = _merged_length(inflight_intervals)
-        idle = max(0, span - covered_exec)
-        self.pmu.add("UOPS_EXECUTED.CORE_CYCLES_NONE", idle)
-        self.pmu.add("UOPS_EXECUTED.STALL_CYCLES", idle)
-        self.pmu.add("CYCLE_ACTIVITY.STALLS_TOTAL", idle)
-        self.pmu.add("CYCLE_ACTIVITY.CYCLES_MEM_ANY", covered_mem)
-        self.pmu.add("RS_EVENTS.EMPTY_CYCLES", max(0, span - covered_inflight))
+        counts = self.pmu.counts
+        idle = max(0, span - _merged_length(exec_intervals))
+        counts["UOPS_EXECUTED.CORE_CYCLES_NONE"] += idle
+        counts["UOPS_EXECUTED.STALL_CYCLES"] += idle
+        counts["CYCLE_ACTIVITY.STALLS_TOTAL"] += idle
+        counts["CYCLE_ACTIVITY.CYCLES_MEM_ANY"] += _merged_length(mem_intervals)
+        counts["RS_EVENTS.EMPTY_CYCLES"] += max(0, span - _merged_length(inflight_intervals))
         issue_idle = max(0, span - len(self.dispatch_cycles))
-        self.pmu.add("UOPS_ISSUED.STALL_CYCLES", issue_idle)
-        self.pmu.add("de_dis_uop_queue_empty_di0", issue_idle)
-        self.pmu.add(
-            "ITLB_MISSES.WALK_ACTIVE", self.mmu.iside_walk_cycles - self.iside_walk_base
-        )
+        counts["UOPS_ISSUED.STALL_CYCLES"] += issue_idle
+        counts["de_dis_uop_queue_empty_di0"] += issue_idle
+        counts["ITLB_MISSES.WALK_ACTIVE"] += self.mmu.iside_walk_cycles - self.iside_walk_base
+
+
+def _port_start(pool: List[set], earliest: int) -> int:
+    """Claim the earliest free issue slot in the port *pool* at or
+    after *earliest* (ports are pipelined: one issue slot per cycle)."""
+    best_port = None
+    best_cycle = None
+    for port in pool:
+        cycle = earliest
+        while cycle in port:
+            cycle += 1
+        if best_cycle is None or cycle < best_cycle:
+            best_port, best_cycle = port, cycle
+            if cycle == earliest:
+                break
+    best_port.add(best_cycle)
+    return best_cycle
 
 
 def _merged_length(intervals: List[Tuple[int, int]]) -> int:
@@ -1369,16 +1321,6 @@ def _merged_length(intervals: List[Tuple[int, int]]) -> int:
             total += current_end - current_start
             current_start, current_end = start, end
     return total + (current_end - current_start)
-
-
-def _union_length(intervals: List[Tuple[int, int]], lo: int, hi: int) -> int:
-    """Total length of the union of *intervals*, clipped to [lo, hi]."""
-    clipped = [
-        (start if start > lo else lo, end if end < hi else hi)
-        for start, end in intervals
-        if end > lo and start < hi
-    ]
-    return _merged_length(clipped)
 
 
 _OP_HANDLERS: Dict[Op, Callable] = {

@@ -11,7 +11,7 @@ uops before the flush.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from typing import Tuple
 
 from repro.isa.instructions import Instruction
 from repro.memory.mmu import Mmu
@@ -20,24 +20,6 @@ from repro.uarch.pmu import PmuCounters
 
 #: Instruction-fetch line size in bytes (matches ICACHE_16B granularity).
 FETCH_LINE = 16
-
-
-class Delivery:
-    """When and whence one instruction's uops were delivered."""
-
-    __slots__ = ("cycle", "source", "uops", "fetch_stall")
-
-    def __init__(self, cycle: int, source: str, uops: int, fetch_stall: int) -> None:
-        self.cycle = cycle
-        self.source = source  # "dsb" | "mite" | "ms"
-        self.uops = uops
-        self.fetch_stall = fetch_stall
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"Delivery(cycle={self.cycle}, source={self.source!r}, "
-            f"uops={self.uops}, fetch_stall={self.fetch_stall})"
-        )
 
 
 class Frontend:
@@ -111,11 +93,13 @@ class Frontend:
         instruction: Instruction,
         earliest: int,
         user: bool = True,
-        transient: bool = False,
         info=None,
         line: int = -1,
-    ) -> Delivery:
-        """Deliver *instruction*'s uops; returns the allocation cycle.
+    ) -> Tuple[int, str]:
+        """Deliver *instruction*'s uops; returns ``(cycle, source)``: the
+        allocation cycle and the path that delivered them (``"dsb"``,
+        ``"mite"`` or ``"ms"``).  A bare tuple, not a record object: the
+        core unpacks one per dispatched instruction.
 
         *earliest* is the soonest the allocator could accept them (resource
         stalls computed by the core).  Delivery is in program-fetch order,
@@ -130,7 +114,6 @@ class Frontend:
         start = clock if clock > block else block
         if earliest > start:
             start = earliest
-        fetch_stall = 0
         counts = self.pmu.counts
         if info is None:
             info = instruction.info
@@ -187,10 +170,9 @@ class Frontend:
             slots_used = rem + 1
         self._clock = clock
         self._slots_used = slots_used
-        cycle = clock
 
-        if cycle != self._counted_cycle:
-            self._counted_cycle = cycle
+        if clock != self._counted_cycle:
+            self._counted_cycle = clock
             if source == "dsb":
                 counts["IDQ.DSB_CYCLES_ANY"] += 1
                 if uop_count >= self._issue_width:
@@ -198,7 +180,7 @@ class Frontend:
             elif source == "mite":
                 counts["IDQ.ALL_MITE_CYCLES_ANY_UOPS"] += 1
 
-        return Delivery(cycle, source, uop_count, fetch_stall)
+        return clock, source
 
     def _dsb_lookup(self, line: int) -> bool:
         if line in self._dsb:

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.isa.instructions import Instruction
 from repro.memory.mmu import Fault, TranslationEvent
@@ -106,8 +105,13 @@ class UopRecord:
         )
 
 
-@dataclass(frozen=True)
-class RedirectEvent:
+# The events are NamedTuples: the core builds one per squash, and a
+# frozen dataclass ``__init__`` (one ``object.__setattr__`` per field)
+# costs 2-4x as much.  They are immutable, and no caller compares one
+# with a plain tuple.
+
+
+class RedirectEvent(NamedTuple):
     """A branch-mispredict redirect (possibly nested in a transient window)."""
 
     branch_seq: int
@@ -120,8 +124,7 @@ class RedirectEvent:
     kind: str  # "conditional" | "return" | "underflow"
 
 
-@dataclass(frozen=True)
-class FlushEvent:
+class FlushEvent(NamedTuple):
     """A retired-fault pipeline flush (the transient window's end)."""
 
     fault_seq: int
@@ -136,8 +139,7 @@ class FlushEvent:
     resume_pc: int
 
 
-@dataclass(frozen=True)
-class ResolutionEvent:
+class ResolutionEvent(NamedTuple):
     """One squash applied to the record stream, in resolution order.
 
     ``boundary`` is ``len(records)`` at the moment the rollback ran:
@@ -158,17 +160,20 @@ class ResolutionEvent:
     target_seq: int
 
 
-@dataclass
 class RunEvents:
-    """All pipeline events of one run, for Figures 3 and 4."""
+    """All pipeline events of one run, for Figures 3 and 4 (slotted: one
+    is built per run)."""
 
-    redirects: list = field(default_factory=list)
-    flushes: list = field(default_factory=list)
-    #: Chronological squash breadcrumbs (:class:`ResolutionEvent`) -- the
-    #: rollback schedule the batch executor's shadow replay follows.
-    resolutions: list = field(default_factory=list)
-    #: Chronological MMU breadcrumbs (:class:`TranslationEvent`) -- the
-    #: translation timeline the batch executor's page-table shadow
-    #: verifies follower lanes against.  Populated only under
-    #: ``record_trace`` (the MMU log is armed by ``Core.run``).
-    translations: list = field(default_factory=list)
+    __slots__ = ("redirects", "flushes", "resolutions", "translations")
+
+    def __init__(self) -> None:
+        self.redirects: list = []
+        self.flushes: list = []
+        #: Chronological squash breadcrumbs (:class:`ResolutionEvent`) --
+        #: the rollback schedule the batch executor's shadow replay follows.
+        self.resolutions: list = []
+        #: Chronological MMU breadcrumbs (:class:`TranslationEvent`) -- the
+        #: translation timeline the batch executor's page-table shadow
+        #: verifies follower lanes against.  Populated only under
+        #: ``record_trace`` (the MMU log is armed by ``Core.run``).
+        self.translations: list = []

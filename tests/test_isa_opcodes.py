@@ -6,7 +6,36 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.isa.assembler import assemble
 from repro.isa.opcodes import COND_ALIASES, OP_INFO, Cond, Op, UopClass
+
+#: Every opcode with ALU semantics (``OpInfo.alu``), shared by the core's
+#: ``_op_alu`` and the batch shadow.
+ALU_OPS = (Op.ADD, Op.SUB, Op.CMP, Op.AND, Op.TEST, Op.OR, Op.XOR, Op.SHL, Op.SHR)
+
+#: Operand edges: zero, the sign bit, all ones, and shift counts >= 64.
+EDGES = (0, 1, 63, 64, 65, 127, 2**63 - 1, 2**63, 2**64 - 1)
+
+
+def _alu_reference(op, left, right):
+    """x86 ALU semantics on unbounded ints, reduced mod 2**64 at the end:
+    ``(result, carry)``.  CF is the carry out of ADD and the borrow of
+    SUB/CMP; the logic ops and shifts leave it clear, and shift counts
+    are taken mod 64."""
+    modulus = 2**64
+    if op is Op.ADD:
+        return (left + right) % modulus, left + right >= modulus
+    if op in (Op.SUB, Op.CMP):
+        return (left - right) % modulus, right > left
+    if op in (Op.AND, Op.TEST):
+        return left & right, False
+    if op is Op.OR:
+        return left | right, False
+    if op is Op.XOR:
+        return left ^ right, False
+    if op is Op.SHL:
+        return (left * 2 ** (right % 64)) % modulus, False
+    return left // 2 ** (right % 64), False  # SHR
 
 
 class TestOpInfoTable:
@@ -101,3 +130,38 @@ def test_complementary_pairs_disagree(zf, cf, sf, of):
     ]
     for positive, negative in pairs:
         assert positive.evaluate(zf, cf, sf, of) != negative.evaluate(zf, cf, sf, of)
+
+
+class TestAluTable:
+    def test_alu_table_covers_exactly_the_alu_ops(self):
+        assert {op for op, info in OP_INFO.items() if info.alu} == set(ALU_OPS)
+        flags_only = {op for op, info in OP_INFO.items() if info.flags_only}
+        assert flags_only == {Op.CMP, Op.TEST}  # they write no destination
+
+    @pytest.mark.parametrize("op", ALU_OPS, ids=lambda op: op.value)
+    def test_every_edge_pair_matches_reference(self, op):
+        for left, right in itertools.product(EDGES, EDGES):
+            result, carry = OP_INFO[op].alu(left, right)
+            assert isinstance(carry, bool)
+            assert (result, carry) == _alu_reference(op, left, right), (left, right)
+
+
+_operand = st.one_of(st.sampled_from(EDGES), st.integers(0, 2**64 - 1))
+
+
+@given(st.sampled_from(ALU_OPS), _operand, _operand)
+def test_alu_table_matches_big_int_reference(op, left, right):
+    result, carry = OP_INFO[op].alu(left, right)
+    assert 0 <= result < 2**64
+    assert (result, carry) == _alu_reference(op, left, right)
+
+
+@given(
+    st.sampled_from(list(Cond)),
+    st.booleans(), st.booleans(), st.booleans(), st.booleans(),
+)
+def test_resolved_condition_matches_evaluate(cond, zf, cf, sf, of):
+    """``Instruction.cond_eval`` (resolved once per Jcc) is ``Cond.evaluate``."""
+    jcc = assemble(f"j{cond.value} done\ndone:\n    hlt").instructions[0]
+    assert jcc.cond is cond
+    assert jcc.cond_eval(zf, cf, sf, of) == cond.evaluate(zf, cf, sf, of)

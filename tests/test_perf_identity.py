@@ -21,11 +21,14 @@ yield the scalar bytes -- pack formation, like chunking, may only change
 how trials are scheduled, never what they compute.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from repro.runtime import TrialPool
 from repro.runtime.spec import MachineSpec
-from repro.runtime.tasks import ChannelTrial, KaslrTrial, run_trial
+from repro.runtime.tasks import ChannelTrial, KaslrTrial, _trial_machine, run_trial
 from repro.sim.machine import Machine
 
 #: (model, seed, secret byte, test value, trial index) -> (totes, cycles),
@@ -49,6 +52,42 @@ GOLDEN_KASLR = [
 
 KASLR_BASE = 0xFFFFFFFF8A800000
 
+#: Table 3's rows, read by name from the trial machine's PMU bank after
+#: each golden payload: the trigger-vs-quiet differential the paper's
+#: toolset filters (``IDQ.DSB_CYCLES_OK`` stays 0 on these gadgets).
+TABLE3_ROWS = (
+    "MACHINE_CLEARS.COUNT",
+    "INT_MISC.CLEAR_RESTEER_CYCLES",
+    "INT_MISC.RECOVERY_CYCLES",
+    "DTLB_LOAD_MISSES.WALK_ACTIVE",
+    "IDQ.DSB_UOPS",
+    "IDQ.MS_DSB_CYCLES",
+    "IDQ.DSB_CYCLES_OK",
+    "IDQ.DSB_CYCLES_ANY",
+    "IDQ.MS_MITE_UOPS",
+    "IDQ.ALL_MITE_CYCLES_ANY_UOPS",
+    "IDQ.MS_UOPS",
+)
+
+#: Per golden payload (same order as GOLDEN_CHANNEL / GOLDEN_KASLR): the
+#: TABLE3_ROWS values, and a digest of the whole nonzero PMU bank plus
+#: ``core.telemetry_counters()`` (see :func:`_pmu_digest`).  Captured
+#: before the dispatch-path rewrite of the core's PMU epilogue and its
+#: fault and branch resolution paths.
+GOLDEN_CHANNEL_PMU = [
+    ((9, 182, 342, 804, 78, 54, 0, 62, 6, 5, 114), "3348ff7a17a99cb7"),
+    ((9, 140, 288, 804, 75, 51, 0, 59, 6, 5, 108), "61536eaf9173f9a0"),
+    ((9, 140, 288, 804, 75, 51, 0, 59, 6, 5, 108), "61536eaf9173f9a0"),
+    ((9, 182, 336, 804, 91, 37, 0, 57, 4, 4, 78), "8023d57a24e1875e"),
+    ((9, 140, 279, 804, 85, 34, 0, 51, 4, 4, 72), "538f18e432bc036b"),
+    ((9, 140, 279, 804, 85, 34, 0, 51, 4, 4, 72), "538f18e432bc036b"),
+]
+GOLDEN_KASLR_PMU = [
+    ((8, 112, 240, 609, 65, 43, 0, 29, 10, 3, 96), "39c359c126dfe751"),
+    ((8, 112, 240, 624, 65, 43, 0, 29, 10, 3, 96), "0d4b15f6f7a2828a"),
+    ((8, 112, 240, 609, 65, 43, 0, 29, 10, 3, 96), "39c359c126dfe751"),
+]
+
 
 def _channel_payload(model, seed, secret, test, index) -> ChannelTrial:
     return ChannelTrial(
@@ -58,6 +97,31 @@ def _channel_payload(model, seed, secret, test, index) -> ChannelTrial:
         batches=3,
         trial_index=index,
     )
+
+
+def _kaslr_payload(offset, cr3_switch, index) -> KaslrTrial:
+    return KaslrTrial(
+        spec=MachineSpec("i7-7700", seed=21, kaslr=True, kpti=True),
+        va=KASLR_BASE + offset,
+        cr3_switch=cr3_switch,
+        trial_index=index,
+        warm_probes=3,
+    )
+
+
+def _pmu_digest(core) -> str:
+    """First 16 hex digits of the sha256 of the canonical JSON of
+    ``[nonzero PMU bank, telemetry counters]``."""
+    text = json.dumps(
+        [core.pmu.nonzero(), core.telemetry_counters()], sort_keys=True
+    )
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _pmu_pin(trial):
+    run_trial(trial)
+    core = _trial_machine(trial).core
+    return tuple(core.pmu.read(name) for name in TABLE3_ROWS), _pmu_digest(core)
 
 
 class TestGoldenConstants:
@@ -81,6 +145,20 @@ class TestGoldenConstants:
         )
         result = run_trial(trial)
         assert (tuple(result.totes), result.cycles) == expected
+
+    @pytest.mark.parametrize(
+        "key,expected",
+        [(key, pin) for (key, _), pin in zip(GOLDEN_CHANNEL, GOLDEN_CHANNEL_PMU)],
+    )
+    def test_channel_trial_pmu_bank(self, key, expected):
+        assert _pmu_pin(_channel_payload(*key)) == expected
+
+    @pytest.mark.parametrize(
+        "key,expected",
+        [(key, pin) for (key, _), pin in zip(GOLDEN_KASLR, GOLDEN_KASLR_PMU)],
+    )
+    def test_kaslr_trial_pmu_bank(self, key, expected):
+        assert _pmu_pin(_kaslr_payload(*key)) == expected
 
 
 class TestExecutionShapeIdentity:

@@ -29,27 +29,27 @@ def instr(text):
 class TestDelivery:
     def test_cold_line_is_mite(self):
         frontend, pmu, _ = make_frontend()
-        delivery = frontend.deliver(0x400000, instr("nop"), 0)
-        assert delivery.source == "mite"
+        _, source = frontend.deliver(0x400000, instr("nop"), 0)
+        assert source == "mite"
 
     def test_second_visit_is_dsb(self):
         frontend, _, _ = make_frontend()
         frontend.deliver(0x400000, instr("nop"), 0)
         frontend.reset_clock(0)
-        delivery = frontend.deliver(0x400000, instr("nop"), 0)
-        assert delivery.source == "dsb"
+        _, source = frontend.deliver(0x400000, instr("nop"), 0)
+        assert source == "dsb"
 
     def test_same_line_keeps_source(self):
         frontend, _, _ = make_frontend()
-        first = frontend.deliver(0x400000, instr("nop"), 0)
-        second = frontend.deliver(0x400004, instr("nop"), 0)
-        assert second.source == first.source
+        _, first = frontend.deliver(0x400000, instr("nop"), 0)
+        _, second = frontend.deliver(0x400004, instr("nop"), 0)
+        assert second == first
 
     def test_microcoded_goes_to_ms(self):
         frontend, pmu, _ = make_frontend()
         frontend.deliver(0x400000, instr("nop"), 0)
-        delivery = frontend.deliver(0x400004, instr("mfence"), 0)
-        assert delivery.source == "ms"
+        _, source = frontend.deliver(0x400004, instr("mfence"), 0)
+        assert source == "ms"
         assert pmu.read("IDQ.MS_UOPS") >= 1
 
     def test_dsb_uops_counted(self):
@@ -62,7 +62,7 @@ class TestDelivery:
     def test_width_limit_advances_clock(self):
         frontend, _, model = make_frontend()
         cycles = [
-            frontend.deliver(0x400000, instr("nop"), 0).cycle
+            frontend.deliver(0x400000, instr("nop"), 0)[0]
             for _ in range(model.issue_width * 3)
         ]
         assert cycles[-1] > cycles[0]
@@ -71,22 +71,22 @@ class TestDelivery:
         frontend, _, _ = make_frontend()
         last = -1
         for index in range(32):
-            cycle = frontend.deliver(0x400000 + index * 4, instr("nop"), 0).cycle
+            cycle, _ = frontend.deliver(0x400000 + index * 4, instr("nop"), 0)
             assert cycle >= last
             last = cycle
 
     def test_earliest_respected(self):
         frontend, _, _ = make_frontend()
-        delivery = frontend.deliver(0x400000, instr("nop"), 500)
-        assert delivery.cycle >= 500
+        cycle, _ = frontend.deliver(0x400000, instr("nop"), 500)
+        assert cycle >= 500
 
 
 class TestResteerAndStalls:
     def test_block_until_delays_delivery(self):
         frontend, _, _ = make_frontend()
         frontend.block_until(1000)
-        delivery = frontend.deliver(0x400000, instr("nop"), 0)
-        assert delivery.cycle >= 1000
+        cycle, _ = frontend.deliver(0x400000, instr("nop"), 0)
+        assert cycle >= 1000
 
     def test_resteer_clear_cycles_counted_by_core(self, machine=None):
         """CLEAR_RESTEER accounting lives at the core's resolution sites."""
@@ -115,8 +115,8 @@ one:
         frontend.prime_dsb(0x400000)
         frontend.block_until(frontend.delivery_floor, resteer=True)
         # After a resteer the line is re-looked-up (DSB hit, but a fetch).
-        delivery = frontend.deliver(0x400004, instr("nop"), 0)
-        assert delivery.source in ("dsb", "mite")
+        _, source = frontend.deliver(0x400004, instr("nop"), 0)
+        assert source in ("dsb", "mite")
 
     def test_icache_stall_counted_for_cold_fetch(self):
         frontend, pmu, _ = make_frontend()
