@@ -30,6 +30,7 @@ from repro.runtime.tasks import (
     kaslr_strategy,
     kaslr_trials,
 )
+from repro.uarch.config import cpu_model
 
 #: Frozen parameter bag: sorted ``(key, value)`` pairs, values hashable.
 Params = Tuple[Tuple[str, object], ...]
@@ -75,6 +76,15 @@ class CampaignCell:
         return default
 
 
+def _check_suppression(machine: MachineSpec, suppression: Optional[str]) -> None:
+    """Refuse TSX suppression on a part without TSX when the cell is
+    built, not when its first trial runs."""
+    if suppression == "tsx":
+        model = cpu_model(machine.model)
+        if not model.has_tsx:
+            raise ValueError(f"{model.name} has no TSX")
+
+
 def channel_cell(
     machine: MachineSpec,
     payload: bytes,
@@ -85,6 +95,7 @@ def channel_cell(
     repeats: int = 1,
 ) -> CampaignCell:
     """A TET-CC transmission cell: scan and decode *payload* on *machine*."""
+    _check_suppression(machine, suppression)
     return CampaignCell(
         kind="channel",
         machine=machine,
@@ -109,6 +120,7 @@ def kaslr_cell(
     repeats: int = 1,
 ) -> CampaignCell:
     """A TET-KASLR cell: one (or *repeats*) full 512-slot sweeps."""
+    _check_suppression(machine, suppression)
     return CampaignCell(
         kind="kaslr",
         machine=machine,

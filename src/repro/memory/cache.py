@@ -100,6 +100,20 @@ class Cache:
     def resident_lines(self) -> int:
         return sum(len(ways) for ways in self._sets.values())
 
+    def snapshot(self) -> tuple:
+        """This level's timing state as a value: each set's lines in LRU
+        order (least recent first), then the hit and miss counts."""
+        return (
+            tuple((index, tuple(ways)) for index, ways in self._sets.items()),
+            self.hits,
+            self.misses,
+        )
+
+    def restore(self, state: tuple) -> None:
+        """Put back a :meth:`snapshot`, which stays reusable."""
+        sets, self.hits, self.misses = state
+        self._sets = {index: OrderedDict.fromkeys(lines, True) for index, lines in sets}
+
 
 @dataclass(frozen=True)
 class MemoryAccessOutcome:
@@ -171,6 +185,24 @@ class CacheHierarchy:
         """Empty the entire hierarchy (cold-cache experiment setup)."""
         for cache in (self.l1d, self.l1i, self.l2, self.llc):
             cache.flush_all()
+
+    def snapshot(self) -> tuple:
+        """Every level's :meth:`Cache.snapshot`, then the clflush count."""
+        return (
+            self.l1d.snapshot(),
+            self.l1i.snapshot(),
+            self.l2.snapshot(),
+            self.llc.snapshot(),
+            self.clflush_count,
+        )
+
+    def restore(self, state: tuple) -> None:
+        """Put back a :meth:`snapshot`."""
+        l1d, l1i, l2, llc, self.clflush_count = state
+        self.l1d.restore(l1d)
+        self.l1i.restore(l1i)
+        self.l2.restore(l2)
+        self.llc.restore(llc)
 
     def data_resident(self, paddr: int) -> bool:
         """Whether *paddr*'s line is in L1D (Flush+Reload's question)."""

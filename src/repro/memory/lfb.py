@@ -57,6 +57,16 @@ class LineFillBuffer:
         """How many live entries belong to *thread_id* (for tests)."""
         return sum(1 for entry in self._entries if entry.thread_id == thread_id)
 
+    def snapshot(self) -> tuple:
+        """The buffers as a value: the (immutable) entries, oldest first,
+        and the sampling cursor."""
+        return tuple(self._entries), self._sample_cursor
+
+    def restore(self, state: tuple) -> None:
+        """Put back a :meth:`snapshot`, which stays reusable."""
+        entries, self._sample_cursor = state
+        self._entries = deque(entries, maxlen=self.capacity)
+
     def clear(self) -> None:
         """Drop all entries (e.g. on a buffer-overwriting mitigation)."""
         self._entries.clear()

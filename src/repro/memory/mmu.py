@@ -253,46 +253,51 @@ class Mmu:
         self.dtlb.invalidate(va)
         self.itlb.invalidate(va)
 
-    def reset_uarch(self, noise_seed: Optional[int] = None) -> None:
-        """Restore the memory side to a just-booted profile.
+    def snapshot(self) -> tuple:
+        """The memory side's timing state as a value.
 
-        Flushes the whole cache hierarchy, both TLBs (global entries
-        included), the paging-structure cache and the line fill buffers,
-        and zeroes the walk/hit/miss accounting.  Architectural state
-        (page tables, physical memory contents) is untouched -- that is
-        the point: a pooled worker reuses one machine across trials
-        without rebuilding the kernel.  *noise_seed* reseeds the ambient
-        noise stream so each trial's jitter is a deterministic function
-        of the trial, not of whatever ran before it on this machine.
+        The caches, both TLBs, the walker (paging-structure cache and
+        ``busy_until`` included), the line fill buffers, the walk
+        accounting and the noise stream's position.  Architectural state
+        (the installed address space, page tables, memory contents) and
+        the noise amplitude are not timing state and stay out.
         """
-        self.hierarchy.flush_all()
-        for cache in (
-            self.hierarchy.l1d,
-            self.hierarchy.l1i,
-            self.hierarchy.l2,
-            self.hierarchy.llc,
-        ):
-            cache.hits = 0
-            cache.misses = 0
-        self.hierarchy.clflush_count = 0
-        self.flush_tlb(keep_global=False)
-        for tlb in (self.dtlb, self.itlb):
-            for array in (tlb.tlb_4k, tlb.tlb_2m):
-                array.hits = 0
-                array.misses = 0
-        self.lfb.clear()
-        # The walker's busy-until stamp is an absolute cycle number; left
-        # alone it would charge the first post-reset walk a phantom queue
-        # delay equal to the previous trial's entire runtime.
-        self.walker.busy_until = 0
-        self.walker.walks = 0
-        self.walker.walk_cycles = 0
-        self.dside_walks = 0
-        self.dside_walk_cycles = 0
-        self.iside_walks = 0
-        self.iside_walk_cycles = 0
-        if self._noise_amplitude and noise_seed is not None:
-            self.set_noise(self._noise_amplitude, seed=noise_seed)
+        rng = self._noise_rng
+        return (
+            self.hierarchy.snapshot(),
+            self.dtlb.snapshot(),
+            self.itlb.snapshot(),
+            self.walker.snapshot(),
+            self.lfb.snapshot(),
+            self.dside_walks,
+            self.dside_walk_cycles,
+            self.iside_walks,
+            self.iside_walk_cycles,
+            None if rng is None else rng.getstate(),
+        )
+
+    def restore(self, state: tuple) -> None:
+        """Put back a :meth:`snapshot` taken at the same noise amplitude."""
+        (
+            hierarchy, dtlb, itlb, walker, lfb,
+            self.dside_walks, self.dside_walk_cycles,
+            self.iside_walks, self.iside_walk_cycles,
+            noise,
+        ) = state
+        self.hierarchy.restore(hierarchy)
+        self.dtlb.restore(dtlb)
+        self.itlb.restore(itlb)
+        self.walker.restore(walker)
+        self.lfb.restore(lfb)
+        if noise is not None:
+            self._noise_rng.setstate(noise)
+
+    def reseed_noise(self, seed: int) -> None:
+        """Restart the ambient-noise stream from *seed* (no-op when noise is
+        off), so a trial's jitter depends on the trial, not on what ran
+        before it on this machine."""
+        if self._noise_rng is not None:
+            self._noise_rng.seed(seed)
 
     # -- translation breadcrumbs ---------------------------------------------
 

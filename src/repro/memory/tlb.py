@@ -100,6 +100,20 @@ class Tlb:
     def resident_entries(self) -> int:
         return sum(len(ways) for ways in self._sets.values())
 
+    def snapshot(self) -> tuple:
+        """This array's timing state as a value: each set's entries in LRU
+        order (least recent first), then the hit and miss counts."""
+        return (
+            tuple((index, tuple(ways.items())) for index, ways in self._sets.items()),
+            self.hits,
+            self.misses,
+        )
+
+    def restore(self, state: tuple) -> None:
+        """Put back a :meth:`snapshot`, which stays reusable."""
+        sets, self.hits, self.misses = state
+        self._sets = {index: OrderedDict(entries) for index, entries in sets}
+
 
 class SplitTlb:
     """A 4 KiB array plus a 2 MiB array, as on real Intel D-side TLBs."""
@@ -139,6 +153,15 @@ class SplitTlb:
         """Flush both arrays."""
         self.tlb_2m.flush(keep_global=keep_global)
         self.tlb_4k.flush(keep_global=keep_global)
+
+    def snapshot(self) -> tuple:
+        """Both arrays' :meth:`Tlb.snapshot`."""
+        return self.tlb_4k.snapshot(), self.tlb_2m.snapshot()
+
+    def restore(self, state: tuple) -> None:
+        """Put back a :meth:`snapshot`."""
+        self.tlb_4k.restore(state[0])
+        self.tlb_2m.restore(state[1])
 
     @property
     def hits(self) -> int:

@@ -83,6 +83,18 @@ class PageWalker:
         #: on the hot path.
         self.record_details = False
 
+    def snapshot(self) -> tuple:
+        """The walker's timing state as a value: the PSC keys in LRU order,
+        the ``busy_until`` stamp and the walk accounting.  The stamp is an
+        absolute cycle: a load that kept the old one would queue its first
+        walk behind whatever ran before."""
+        return tuple(self._psc), self.busy_until, self.walks, self.walk_cycles
+
+    def restore(self, state: tuple) -> None:
+        """Put back a :meth:`snapshot`, which stays reusable."""
+        psc, self.busy_until, self.walks, self.walk_cycles = state
+        self._psc = OrderedDict.fromkeys(psc, True)
+
     def flush_psc(self) -> None:
         """Drop all cached paging-structure entries (full TLB flush)."""
         self._psc.clear()

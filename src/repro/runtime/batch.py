@@ -60,8 +60,8 @@ from __future__ import annotations
 
 import os
 from collections import OrderedDict
-from dataclasses import dataclass, field, fields
-from operator import attrgetter, methodcaller
+from dataclasses import dataclass, field
+from operator import methodcaller
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro import telemetry
@@ -69,12 +69,14 @@ from repro.isa.opcodes import Op
 from repro.isa.registers import GPRS, MASK64
 from repro.runtime.tasks import (
     NULL_POINTER,
+    PROBED_FIELDS,
     ChannelTrial,
     KaslrTrial,
     TrialResult,
     _channel_context,
     _kaslr_context,
     run_trial,
+    warm_key,
 )
 
 #: Sentinel for "the leader's value of this register is not tracked"
@@ -1093,19 +1095,12 @@ def _kaslr_schedule(lead: KaslrTrial) -> PackSchedule:
 class _PackKind:
     """How one trial kind rides a pack: a row of :data:`_PACK_KINDS`."""
 
-    def __init__(self, trial_type, probe, register, schedule, eligible=None):
+    def __init__(self, trial_type, register, schedule, eligible=None):
         self.trial_type = trial_type
-        self.probe = probe  # the field each lane varies...
+        self.probe = PROBED_FIELDS[trial_type]  # the field each lane varies...
         self.register = register  # ...and the register that carries it
         self.schedule = schedule
         self.eligible = eligible or (lambda trial: True)
-        # The pack key: every field but the probe and ``trial_index``,
-        # which seeds only ambient noise -- inert at the zero amplitude
-        # packing requires.  A field added to the kind keys by default.
-        skip = (probe, "trial_index")
-        self.structure = attrgetter(
-            *(f.name for f in fields(trial_type) if f.name not in skip)
-        )
 
 
 #: The trial kinds that batch: a new kind batches by adding a schedule and
@@ -1115,9 +1110,9 @@ class _PackKind:
 _PACK_KINDS = {
     kind.trial_type: kind
     for kind in (
-        _PackKind(ChannelTrial, "test", "r9", _channel_schedule),
+        _PackKind(ChannelTrial, "r9", _channel_schedule),
         _PackKind(
-            KaslrTrial, "va", "r13", _kaslr_schedule,
+            KaslrTrial, "r13", _kaslr_schedule,
             eligible=lambda trial: trial.eviction == "direct",
         ),
     )
@@ -1134,14 +1129,15 @@ def pack_eligible(trial) -> bool:
 
 
 def _pack_key(trial) -> tuple:
-    """Trials in one pack must agree on everything but the probed value.
+    """Trials in one pack must agree on everything but the probed value:
+    the pack key is the scalar path's :func:`~repro.runtime.tasks.warm_key`.
 
     The key doubles as the leader-trace-cache key: it names the pack's
     *structure* (the kind and its other fields), never the leader's own
     probed value -- which is exactly why one cached leader serves every
     same-structure pack.
     """
-    return type(trial), _PACK_KINDS[type(trial)].structure(trial)
+    return warm_key(trial)
 
 
 def plan_packs(payloads: Sequence, batch_size: int) -> List[list]:

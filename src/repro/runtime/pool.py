@@ -10,9 +10,11 @@ its own lazily spawned :class:`WorkerCrew` of worker processes.
   payload (see :mod:`repro.runtime.tasks`);
 * results come back in payload order, regardless of scheduling;
 * each worker builds its machines from :class:`~repro.runtime.MachineSpec`
-  recipes, caches them, and calls :meth:`Machine.reset_uarch` at the top
-  of every trial -- so a trial's outcome depends only on its payload,
-  never on which worker ran it or what ran there before.
+  recipes, caches them, and loads a saved timing state at the top of
+  every trial -- the boot state, or the post-warm-up state the first
+  trial with the same warm key saved -- so a trial's outcome depends
+  only on its payload, never on which worker ran it or what ran there
+  before.
 
 That last property is the determinism contract: ``TrialPool(workers=1)``
 and ``TrialPool(workers=8)`` produce bit-identical results.  Both places

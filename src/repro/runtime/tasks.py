@@ -4,25 +4,30 @@ worker-side trial functions that run them.
 The trial functions are the module-level callables a
 :class:`~repro.runtime.TrialPool` dispatches.  Each takes one frozen,
 picklable payload, looks up (or builds) a per-process machine context
-keyed by the payload's :class:`~repro.runtime.MachineSpec`, resets the
-machine's microarchitecture, and runs its trial from that clean slate.
+keyed by the payload's :class:`~repro.runtime.MachineSpec`, loads a saved
+timing state into the machine, and runs its trial from there.
 
 The builders (:func:`channel_trials`, :func:`kaslr_trials`) allocate
 trial indices the way a live pooled attack does, so campaign expansion
 and ``pool=`` runs produce the same payloads; they build no machine.
 
-The reset-at-trial-start discipline is what makes results independent of
-scheduling: a trial sees a just-booted timing profile whether it is the
-first ever run on a freshly forked worker or the ten-thousandth on a
-long-lived one, and its ambient-noise stream is derived from
-``(spec.seed, trial_index)`` alone.
+The load-at-trial-start discipline is what makes results independent of
+scheduling.  A trial starts from the boot state (``reset_uarch``), or --
+a noise-free channel or KASLR trial -- from the state its warm prefix
+leaves, which the first trial with its :func:`warm_key` saved after
+running that prefix from the boot state itself.  Either way it sees the
+same timing profile whether it is the first ever run on a freshly forked
+worker or the ten-thousandth on a long-lived one, and its ambient-noise
+stream is derived from ``(spec.seed, trial_index)`` alone.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections import OrderedDict
+from dataclasses import dataclass, fields
+from operator import attrgetter
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro import telemetry
 from repro.kernel.layout import (
@@ -147,23 +152,24 @@ def run_channel_trial(trial: ChannelTrial) -> TrialResult:
 
     The warm-up runs use the can-never-match test value 256, training the
     gadget's Jcc exactly as the serial scan's non-matching neighbours do,
-    so a matching probe mispredicts and lengthens the window.
+    so a matching probe mispredicts and lengthens the window.  Per batch,
+    ``warmup`` training runs then the timed probe, on one continuing cycle
+    timeline; the first batch's training runs are the warm prefix
+    :func:`_warm_start` may load instead of running.
     """
     machine, program, sender_page = _channel_context(trial.spec, trial.suppression)
-    machine.reset_uarch(noise_seed=trial.spec.trial_seed(trial.trial_index))
+    # Memory is not microarchitectural state: the byte is written before
+    # the warm start, and it is part of the warm key.
     machine.write_data(sender_page, bytes([trial.byte & 0xFF]) + b"\x00" * 7)
     warm_regs = {"r12": sender_page, "r13": NULL_POINTER, "r9": 256}
     probe_regs = {"r12": sender_page, "r13": NULL_POINTER, "r9": trial.test}
-    # One batched run: ``warmup`` training runs then the timed probe, per
-    # batch, all through a single run_many call (one signal-handler
-    # install, one continuing cycle timeline -- byte-identical to the old
-    # run_many/run loop, minus the per-call setup).
     reg_sets = ([warm_regs] * trial.warmup + [probe_regs]) * trial.batches
-    results = machine.run_many(program, reg_sets)
-    stride = trial.warmup + 1
+    prefix = reg_sets[: trial.warmup]
+    _warm_start(machine, trial, lambda: machine.run_many(program, prefix))
+    results = machine.run_many(program, reg_sets[trial.warmup :])
     totes = tuple(
         result.regs.read("r15") - result.regs.read("r14")
-        for result in results[trial.warmup::stride]
+        for result in results[:: trial.warmup + 1]
     )
     return TrialResult(totes=totes, cycles=machine.core.global_cycle)
 
@@ -261,15 +267,81 @@ def _kaslr_context(spec: MachineSpec, eviction: str, suppression: Optional[str])
 
 
 def run_kaslr_trial(trial: KaslrTrial) -> TrialResult:
-    """One TET-KASLR trial: warm probes on a known-unmapped reference,
-    then the timed double-probe of the candidate."""
+    """One TET-KASLR trial: warm probes on a known-unmapped reference
+    (the warm prefix), then the timed double-probe of the candidate."""
     attack = _kaslr_context(trial.spec, trial.eviction, trial.suppression)
     machine = attack.machine
-    machine.reset_uarch(noise_seed=trial.spec.trial_seed(trial.trial_index))
-    for _ in range(trial.warm_probes):
-        attack.probe_tote(KASLR_UNMAPPED_REFERENCE, cr3_switch=trial.cr3_switch)
+
+    def warm_up() -> None:
+        for _ in range(trial.warm_probes):
+            attack.probe_tote(KASLR_UNMAPPED_REFERENCE, cr3_switch=trial.cr3_switch)
+
+    _warm_start(machine, trial, warm_up)
     tote = attack.probe_tote(trial.va, cr3_switch=trial.cr3_switch)
     return TrialResult(totes=(tote,), cycles=machine.core.global_cycle)
+
+
+# -- warm starts ---------------------------------------------------------------
+
+#: The field each trial of a sweep probes, per sweepable trial kind.
+PROBED_FIELDS = {ChannelTrial: "test", KaslrTrial: "va"}
+
+# Every field but the probed one and ``trial_index``, which seeds only
+# ambient noise -- inert at zero amplitude.  A field added to a kind keys
+# by default.
+_WARM_FIELDS = {
+    kind: attrgetter(
+        *(f.name for f in fields(kind) if f.name not in (probe, "trial_index"))
+    )
+    for kind, probe in PROBED_FIELDS.items()
+}
+
+
+def warm_key(trial) -> tuple:
+    """The kind and every field of *trial* but its probed one and
+    ``trial_index``.
+
+    On a noise-free spec, trials with one key run the same warm prefix
+    from the same boot state, so they leave the machine in the same state
+    before their probes differ.  The key is also the lockstep engine's
+    pack key (``runtime/batch.py``): a pack's lanes are such trials.
+    """
+    kind = type(trial)
+    return kind, _WARM_FIELDS[kind](trial)
+
+
+#: Post-warm-up machine states by :func:`warm_key`, least recently used
+#: first.  A state holds 10-50 KB, and campaigns run each key's trials
+#: together (a channel cell one byte at a time), so a few entries serve.
+_WARM_STATE_LIMIT = 8
+_warm_states: "OrderedDict[tuple, tuple]" = OrderedDict()
+
+
+def _warm_start(machine, trial, warm_up: Callable[[], object]) -> None:
+    """Bring *machine* to the state *trial*'s ``warm_up`` leaves it in.
+
+    A noisy trial resets (reseeding its own noise stream) and runs the
+    warm-up.  A noise-free one loads the state the first trial with its
+    :func:`warm_key` saved -- identical, since neither the reset nor the
+    warm-up reads the probed field or the trial seed -- and only the
+    first one pays for the warm-up.  A state is saved only after the
+    warm-up returns; a trial that raises leaves the memo as it was, and
+    the next trial's load or reset repairs the machine.
+    """
+    noise_free = trial.spec.noise_amplitude == 0
+    if noise_free:
+        key = warm_key(trial)
+        state = _warm_states.get(key)
+        if state is not None:
+            _warm_states.move_to_end(key)
+            machine.load_uarch(state)
+            return
+    machine.reset_uarch(noise_seed=trial.spec.trial_seed(trial.trial_index))
+    warm_up()
+    if noise_free:
+        _warm_states[key] = machine.save_uarch()
+        while len(_warm_states) > _WARM_STATE_LIMIT:
+            _warm_states.popitem(last=False)
 
 
 # -- detector observation-window trials ----------------------------------------
@@ -417,12 +489,14 @@ def run_trial(trial) -> TrialResult:
 
 
 def clear_worker_contexts() -> None:
-    """Drop all cached machines (tests that need cold workers)."""
+    """Drop all cached machines and saved warm states (tests that need
+    cold workers)."""
     from repro.runtime.batch import clear_leader_trace_cache
 
     _channel_contexts.clear()
     _kaslr_contexts.clear()
     _detect_contexts.clear()
+    _warm_states.clear()
     # Cached leader traces reference machines from the dropped contexts;
     # a cold worker should not replay a warm worker's leader.
     clear_leader_trace_cache()

@@ -82,15 +82,19 @@ class Machine:
             ),
         )
         self._noise_seed = (seed or 0) ^ 0x5EED
-        if noise_amplitude:
-            # Ambient OS noise: seeded, so noisy experiments still replay.
-            self.mmu.set_noise(noise_amplitude, seed=self._noise_seed)
         self.process: Process = self.kernel.create_process("attacker", container=container)
         self.mmu.set_address_space(self.process.space)
         self.core = Core(self.model, self.mmu)
         self._smt: Optional[SmtCore] = None
         self._eviction_pages_4k: list = []
         self._eviction_pages_2m: list = []
+        #: The just-booted timing state :meth:`reset_uarch` loads.  It is
+        #: saved before the noise stream exists, so loading it leaves the
+        #: stream alone: every reset reseeds it anyway.
+        self._boot_uarch = self.save_uarch()
+        if noise_amplitude:
+            # Ambient OS noise: seeded, so noisy experiments still replay.
+            self.mmu.set_noise(noise_amplitude, seed=self._noise_seed)
 
     # -- program loading -------------------------------------------------------
 
@@ -166,23 +170,44 @@ class Machine:
             for regs in reg_sets
         ]
 
-    def reset_uarch(self, noise_seed: Optional[int] = None) -> None:
-        """Flush every timing-relevant structure back to boot state.
+    def save_uarch(self) -> tuple:
+        """The machine's timing state as a value.
 
-        Caches, TLBs, LFBs, paging-structure cache, branch predictor,
-        frontend (DSB), PMU counters, cycle counter, signal handler --
-        everything microarchitectural.  Architectural state (kernel, page
-        tables, mapped programs, memory contents) survives, so a pooled
-        worker can reuse one machine across independent trials instead of
-        re-booting a kernel per trial.  *noise_seed* reseeds the ambient
-        noise stream (defaults to the boot-time seed), giving each trial
-        a jitter sequence that depends only on the seed handed to it.
+        Caches, TLBs, paging-structure cache, page-walker backlog, LFBs,
+        branch predictor, frontend (DSB), PMU counters, cycle counter,
+        signal handler, noise-stream position -- everything
+        microarchitectural, in LRU order where it has one.  Architectural
+        state (kernel, page tables, mapped programs, memory contents) is
+        not in it.  :meth:`load_uarch` puts it back and leaves it
+        reusable, so one saved state can start any number of runs.
         """
-        self.core.reset_uarch()
-        self.mmu.reset_uarch(
-            noise_seed=self._noise_seed if noise_seed is None else noise_seed
-        )
+        return self.core.snapshot(), self.mmu.snapshot()
+
+    def load_uarch(self, state: tuple) -> None:
+        """Put back a :meth:`save_uarch` state (and drop the SMT view).
+
+        The machine then times every run exactly as it would have right
+        after the state was saved, whatever ran in between -- provided
+        memory contents are the same, since the state does not carry
+        them.
+        """
+        core, mmu = state
+        self.core.restore(core)
+        self.mmu.restore(mmu)
         self._smt = None
+
+    def reset_uarch(self, noise_seed: Optional[int] = None) -> None:
+        """Load the timing state saved at boot, then reseed the noise.
+
+        Architectural state (kernel, page tables, mapped programs, memory
+        contents) survives, so a pooled worker can reuse one machine
+        across independent trials instead of re-booting a kernel per
+        trial.  *noise_seed* reseeds the ambient noise stream (defaults to
+        the boot-time seed), giving each trial a jitter sequence that
+        depends only on the seed handed to it.
+        """
+        self.load_uarch(self._boot_uarch)
+        self.mmu.reseed_noise(self._noise_seed if noise_seed is None else noise_seed)
 
     # -- memory helpers -----------------------------------------------------------
 

@@ -37,6 +37,15 @@ class PatternHistoryTable:
         counter = self._table.get(self._index(pc), 1)  # weakly not-taken
         return counter >= 2
 
+    def snapshot(self) -> tuple:
+        """The counters (as ``(index, counter)`` pairs) and the history."""
+        return tuple(self._table.items()), self._history
+
+    def restore(self, state: tuple) -> None:
+        """Put back a :meth:`snapshot`, which stays reusable."""
+        table, self._history = state
+        self._table = dict(table)
+
     def update(self, pc: int, taken: bool) -> None:
         """Train on the resolved direction (speculative update: the core
         calls this when the branch *executes*, even transiently)."""
@@ -70,6 +79,16 @@ class BranchTargetBuffer:
         """Record the resolved target of a taken branch."""
         self._table[(pc >> 2) % self.entries] = (pc, target)
 
+    def snapshot(self) -> tuple:
+        """The targets (as ``(index, (pc, target))`` pairs) and the
+        lookup statistics."""
+        return tuple(self._table.items()), self.lookups, self.correct
+
+    def restore(self, state: tuple) -> None:
+        """Put back a :meth:`snapshot`, which stays reusable."""
+        table, self.lookups, self.correct = state
+        self._table = dict(table)
+
 
 class ReturnStackBuffer:
     """A fixed-depth return-address stack.
@@ -101,6 +120,14 @@ class ReturnStackBuffer:
         """Empty the stack (context switch / explicit RSB stuffing)."""
         self._stack.clear()
 
+    def snapshot(self) -> tuple:
+        """The stacked return addresses, oldest first."""
+        return tuple(self._stack)
+
+    def restore(self, state: tuple) -> None:
+        """Put back a :meth:`snapshot`, which stays reusable."""
+        self._stack = list(state)
+
     def __len__(self) -> int:
         return len(self._stack)
 
@@ -114,6 +141,23 @@ class BranchPredictor:
         self.rsb = ReturnStackBuffer(depth=rsb_depth)
         self.conditional_predictions = 0
         self.conditional_mispredicts = 0
+
+    def snapshot(self) -> tuple:
+        """The PHT's, BTB's and RSB's snapshots, then the Jcc statistics."""
+        return (
+            self.pht.snapshot(),
+            self.btb.snapshot(),
+            self.rsb.snapshot(),
+            self.conditional_predictions,
+            self.conditional_mispredicts,
+        )
+
+    def restore(self, state: tuple) -> None:
+        """Put back a :meth:`snapshot`."""
+        pht, btb, rsb, self.conditional_predictions, self.conditional_mispredicts = state
+        self.pht.restore(pht)
+        self.btb.restore(btb)
+        self.rsb.restore(rsb)
 
     def predict_conditional(self, pc: int, taken_target: int) -> Tuple[bool, int]:
         """Predict a Jcc at *pc*: returns (taken?, next fetch pc target).

@@ -212,20 +212,34 @@ class Core:
         #: SMT resources: flushes, recoveries, signal dispatches (§4.4).
         self.disruptions: List[Tuple[int, int]] = []
 
-    def reset_uarch(self) -> None:
-        """Restore the core to a just-booted timing profile.
+    def snapshot(self) -> tuple:
+        """The core's timing state as a value: cycle counter, signal
+        handler, disruption windows, then the PMU bank's, predictor's and
+        frontend's snapshots.  The MMU is shared with SMT siblings and
+        snapshots on its own (:meth:`Machine.save_uarch` takes both)."""
+        return (
+            self.global_cycle,
+            self.signal_handler_pc,
+            tuple(self.disruptions),
+            self.pmu.snapshot(),
+            self.bpu.snapshot(),
+            self.frontend.snapshot(),
+        )
 
-        Fresh predictor state, empty frontend (DSB included), zeroed PMU
-        bank, cycle counter back at zero, no signal handler, no recorded
-        disruptions.  Paired with :meth:`Mmu.reset_uarch` this makes a
-        reused machine time-indistinguishable from a freshly built one.
-        """
-        self.pmu.reset()
-        self.bpu = BranchPredictor()
-        self.frontend = Frontend(self.model, self.mmu, self.pmu)
-        self.global_cycle = 0
-        self.signal_handler_pc = None
-        self.disruptions = []
+    def restore(self, state: tuple) -> None:
+        """Put back a :meth:`snapshot`, which stays reusable."""
+        (
+            self.global_cycle,
+            self.signal_handler_pc,
+            disruptions,
+            pmu,
+            bpu,
+            frontend,
+        ) = state
+        self.disruptions = list(disruptions)
+        self.pmu.restore(pmu)
+        self.bpu.restore(bpu)
+        self.frontend.restore(frontend)
 
     def run(
         self,
@@ -273,8 +287,10 @@ class Core:
     def telemetry_counters(self) -> Dict[str, int]:
         """Per-trial counters for the telemetry layer (read-only).
 
-        :meth:`reset_uarch` zeroes the PMU bank and the cycle counter at
-        the top of every trial, so the current values *are* this trial's
+        Every trial starts from the boot state (``Machine.reset_uarch``
+        zeroes the PMU bank and the cycle counter) or from a saved
+        post-warm-up state that carries exactly the counts its warm-up
+        would have added, so the current values *are* this trial's
         deltas -- no before-snapshot, no new branches on the hot path.
         Every value here is deterministic for a fixed trial payload
         (part of the telemetry determinism contract); process-cumulative
@@ -293,7 +309,7 @@ class Core:
             "llc_misses": counts["LONGEST_LAT_CACHE.MISS"],
             "l1_misses": counts["MEM_LOAD_RETIRED.L1_MISS"],
             # Not a PMU event: the cache hierarchy counts clflush traffic
-            # directly (reset_uarch zeroes it alongside the PMU bank), so
+            # directly (and snapshots it alongside the PMU bank), so
             # the detection layer sees flush activity through the same
             # snapshot as everything else instead of poking the machine.
             "clflushes": self.mmu.hierarchy.clflush_count,

@@ -71,6 +71,32 @@ class Frontend:
         if resteer:
             self._last_line = -1
 
+    def snapshot(self) -> tuple:
+        """The frontend's timing state as a value: the DSB's lines in LRU
+        order (least recent first) and the delivery clock."""
+        return (
+            tuple(self._dsb),
+            self._clock,
+            self._slots_used,
+            self._block_until,
+            self._last_line,
+            self._last_source,
+            self._counted_cycle,
+        )
+
+    def restore(self, state: tuple) -> None:
+        """Put back a :meth:`snapshot`, which stays reusable."""
+        (
+            dsb,
+            self._clock,
+            self._slots_used,
+            self._block_until,
+            self._last_line,
+            self._last_source,
+            self._counted_cycle,
+        ) = state
+        self._dsb = OrderedDict.fromkeys(dsb, True)
+
     def dsb_contains(self, pc: int) -> bool:
         """Whether the fetch line holding *pc* is in the uop cache."""
         return (pc // FETCH_LINE) in self._dsb

@@ -10,7 +10,7 @@ what a given CPU model exposes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List
+from typing import Dict, List
 
 INTEL = "intel"
 AMD = "amd"
@@ -88,7 +88,7 @@ def events_for_vendor(vendor: str) -> List[PmuEvent]:
 class PmuCounters:
     """A bank of counters, one per catalogue event.
 
-    Supports the read/reset/snapshot-delta operations the PMU toolset's
+    Supports the read/snapshot/restore/delta operations the PMU toolset's
     online collection stage needs.  Unknown event names raise so typos in
     the pipeline's instrumentation fail loudly.
     """
@@ -112,14 +112,6 @@ class PmuCounters:
         """Current value of *name*."""
         return self._counts[name]
 
-    def reset(self, names: Iterable[str] = ()) -> None:
-        """Reset the given events, or everything when *names* is empty."""
-        targets = list(names) or list(self._counts)
-        for name in targets:
-            if name not in self._counts:
-                raise KeyError(f"unknown PMU event {name!r}")
-            self._counts[name] = 0
-
     def snapshot(self) -> Dict[str, int]:
         """Copy of all current values."""
         return dict(self._counts)
@@ -128,10 +120,10 @@ class PmuCounters:
         """Overwrite every counter with a prior :meth:`snapshot`.
 
         Lets a caller run throwaway work (warm-up trials) without the
-        counters remembering it: snapshot, run, restore.
+        counters remembering it: snapshot, run, restore.  A snapshot
+        holds every event, so one dict update puts the whole bank back.
         """
-        for name in self._counts:
-            self._counts[name] = snapshot.get(name, 0)
+        self._counts.update(snapshot)
 
     def delta(self, baseline: Dict[str, int]) -> Dict[str, int]:
         """Per-event difference against a prior :meth:`snapshot`."""

@@ -100,6 +100,29 @@ class TestExpansion:
         with pytest.raises(ValueError, match="cell kind"):
             CampaignCell(kind="meltdown", machine=MachineSpec())
 
+    @pytest.mark.parametrize("kind", ["channel", "kaslr"])
+    def test_tsx_refused_at_build_on_a_part_without_it(self, kind):
+        """TSX suppression on a part without TSX fails when the cell is
+        built, naming the model -- not when its first trial runs."""
+        build = {
+            "channel": lambda machine: channel_cell(
+                machine, payload=b"A", suppression="tsx"
+            ),
+            "kaslr": lambda machine: kaslr_cell(machine, suppression="tsx"),
+        }[kind]
+        assert build(MachineSpec("i7-7700")).param("suppression") == "tsx"
+        with pytest.raises(ValueError, match="i9-13900K has no TSX"):
+            build(MachineSpec("i9-13900K"))
+        CampaignSpec.grid(
+            "g", [MachineSpec("i7-7700")], kinds=(kind,), payload=b"A",
+            suppression="tsx",
+        )
+        with pytest.raises(ValueError, match="Ryzen 5 5600G has no TSX"):
+            CampaignSpec.grid(
+                "g", [MachineSpec("i7-7700"), MachineSpec("ryzen-5600G")],
+                kinds=(kind,), payload=b"A", suppression="tsx",
+            )
+
 
 class TestReplay:
     def test_second_run_is_pure_replay(self, tmp_path):

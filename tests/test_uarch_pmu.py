@@ -89,20 +89,6 @@ class TestCounters:
         with pytest.raises(KeyError):
             pmu.read("MADE_UP.EVENT")
 
-    def test_reset_all(self):
-        pmu = PmuCounters()
-        pmu.add("UOPS_ISSUED.ANY", 3)
-        pmu.reset()
-        assert pmu.read("UOPS_ISSUED.ANY") == 0
-
-    def test_reset_selected(self):
-        pmu = PmuCounters()
-        pmu.add("UOPS_ISSUED.ANY", 3)
-        pmu.add("IDQ.MS_UOPS", 2)
-        pmu.reset(["UOPS_ISSUED.ANY"])
-        assert pmu.read("UOPS_ISSUED.ANY") == 0
-        assert pmu.read("IDQ.MS_UOPS") == 2
-
     def test_snapshot_delta(self):
         pmu = PmuCounters()
         pmu.add("UOPS_ISSUED.ANY", 3)
