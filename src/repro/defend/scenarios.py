@@ -32,8 +32,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
-#: The paper's faulting address for window-opening loads.
-_NULL_POINTER = 0x0
+from repro.kernel.layout import NULL_POINTER
 
 _PAGE_SHIFT = 12
 
@@ -113,9 +112,9 @@ def _bind_tet_cc(machine) -> ScenarioRunner:
 
     def run(rng: random.Random) -> None:
         machine.write_data(sender_page, bytes([rng.randrange(256)]) + b"\x00" * 7)
-        warm = {"r12": sender_page, "r13": _NULL_POINTER, "r9": 256}
+        warm = {"r12": sender_page, "r13": NULL_POINTER, "r9": 256}
         reg_sets = [warm, warm] + [
-            {"r12": sender_page, "r13": _NULL_POINTER, "r9": rng.randrange(256)}
+            {"r12": sender_page, "r13": NULL_POINTER, "r9": rng.randrange(256)}
             for _ in range(6)
         ]
         machine.run_many(program, reg_sets)
@@ -209,7 +208,7 @@ def _bind_benign_fault(machine) -> ScenarioRunner:
 
     def run(rng: random.Random) -> None:
         for _ in range(2 + rng.randrange(4)):
-            machine.run(program, regs={"r13": _NULL_POINTER})
+            machine.run(program, regs={"r13": NULL_POINTER})
 
     return run
 

@@ -22,6 +22,9 @@ KASLR_SLOTS = (KERNEL_TEXT_RANGE_END - KERNEL_TEXT_RANGE_START) // KASLR_ALIGN  
 #: against: one slot below the text range, which no kernel maps.
 KASLR_UNMAPPED_REFERENCE = KERNEL_TEXT_RANGE_START - KASLR_ALIGN
 
+#: The paper's faulting address for window-opening loads: ``*(char*)0``.
+NULL_POINTER = 0x0
+
 #: KPTI keeps the entry trampoline mapped in the user page table at this
 #: fixed offset from the (randomised) kernel base (§4.5).
 KPTI_TRAMPOLINE_OFFSET = 0xE0_0000

@@ -47,7 +47,8 @@ diverge by *address* rather than by register value:
   evict to scalar as usual; identity holds by construction.
 
 - **Cross-pack leader trace cache.**  Packs from the same sweep share
-  one structural identity (:func:`_pack_key`), so the leader execution
+  one structural identity (the pack key,
+  :func:`~repro.runtime.tasks.warm_key`), so the leader execution
   of the first pack is memoized (:class:`LeaderTrace`) and replayed for
   every later same-structure pack: the leader lane becomes a *phantom*
   and zero machine execution happens per cache hit.  The cache never
@@ -62,22 +63,12 @@ import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from operator import methodcaller
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import telemetry
 from repro.isa.opcodes import Op
 from repro.isa.registers import GPRS, MASK64
-from repro.runtime.tasks import (
-    NULL_POINTER,
-    PROBED_FIELDS,
-    ChannelTrial,
-    KaslrTrial,
-    TrialResult,
-    _channel_context,
-    _kaslr_context,
-    run_trial,
-    warm_key,
-)
+from repro.runtime.tasks import TRIAL_KINDS, TrialResult, run_trial, warm_key
 
 #: Sentinel for "the leader's value of this register is not tracked"
 #: (only ever true after a syscall handler may have rewritten it).
@@ -1023,128 +1014,38 @@ def _leader_trace_store(key: tuple, trace: LeaderTrace) -> None:
         _leader_traces.popitem(last=False)
 
 
-# -- one pack driver, one schedule per trial kind ------------------------------
+# -- one pack driver -----------------------------------------------------------
 
 
-class PackStep(NamedTuple):
-    """One ``batch.run`` of a pack schedule."""
-
-    hook: Optional[str] = None  # pre-run: "tlb-flush" | "cr3-switch" | None
-    lane: bool = False  # per-lane registers (else the shared warm ones)
-    timed: bool = False  # the run's r15 - r14 is a ToTE sample
-
-
-class PackSchedule(NamedTuple):
-    """What a trial kind supplies to :func:`run_pack`: the leader's cached
-    machine and program, the warm registers every lane shares (a lane's
-    own registers are these with its probed value in the kind's probe
-    register), the ordered runs, and a setup only a live leader performs
-    after its reset."""
-
-    machine: object
-    program: object
-    shared: Dict[str, int]
-    steps: Sequence[PackStep]
-    setup: Optional[Callable[[], None]] = None
-
-
-#: Pre-run hooks: what a live leader does to its machine, and the lane
-#: models' matching notification (a phantom leader's cached runs already
-#: include the machine side).
+#: Pre-run hooks of a :class:`~repro.runtime.tasks.PackStep`: what a live
+#: leader does to its machine, and the lane models' matching notification
+#: (a phantom leader's cached runs already include the machine side).
 _HOOKS = {
     "tlb-flush": (methodcaller("flush_tlb"), TranslationShadow.on_tlb_flush),
     "cr3-switch": (methodcaller("syscall_roundtrip"), TranslationShadow.on_cr3_switch),
 }
 
 
-def _channel_schedule(lead: ChannelTrial) -> PackSchedule:
-    """``run_channel_trial`` as steps: per batch, ``warmup`` training
-    runs on the never-matching test value 256, then the timed probe."""
-    machine, program, sender_page = _channel_context(lead.spec, lead.suppression)
-    warm, probe = PackStep(), PackStep(lane=True, timed=True)
-
-    def write_sender_byte() -> None:
-        machine.write_data(sender_page, bytes([lead.byte & 0xFF]) + b"\x00" * 7)
-
-    return PackSchedule(
-        machine,
-        program,
-        {"r12": sender_page, "r13": NULL_POINTER, "r9": 256},
-        ((warm,) * lead.warmup + (probe,)) * lead.batches,
-        write_sender_byte,
-    )
-
-
-def _kaslr_schedule(lead: KaslrTrial) -> PackSchedule:
-    """``TetKaslr.probe_tote`` as steps -- evict, fill probe, optional
-    syscall round trip, timed probe -- on the known-unmapped reference
-    ``warm_probes`` times, then on each lane's candidate."""
-    from repro.kernel.layout import KASLR_UNMAPPED_REFERENCE
-
-    attack = _kaslr_context(lead.spec, lead.eviction, lead.suppression)
-    switch = "cr3-switch" if lead.cr3_switch else None
-    return PackSchedule(
-        attack.machine,
-        attack.program,
-        {"r13": KASLR_UNMAPPED_REFERENCE, "r9": 256},
-        (PackStep("tlb-flush"), PackStep(switch)) * lead.warm_probes
-        + (PackStep("tlb-flush", lane=True), PackStep(switch, lane=True, timed=True)),
-    )
-
-
-class _PackKind:
-    """How one trial kind rides a pack: a row of :data:`_PACK_KINDS`."""
-
-    def __init__(self, trial_type, register, schedule, eligible=None):
-        self.trial_type = trial_type
-        self.probe = PROBED_FIELDS[trial_type]  # the field each lane varies...
-        self.register = register  # ...and the register that carries it
-        self.schedule = schedule
-        self.eligible = eligible or (lambda trial: True)
-
-
-#: The trial kinds that batch: a new kind batches by adding a schedule and
-#: a row.  Detect trials stay scalar (per-trial behaviour streams), and
-#: KASLR's ``sets`` eviction has per-address set-conflict structure no
-#: shared leader trace covers.
-_PACK_KINDS = {
-    kind.trial_type: kind
-    for kind in (
-        _PackKind(ChannelTrial, "r9", _channel_schedule),
-        _PackKind(
-            KaslrTrial, "r13", _kaslr_schedule,
-            eligible=lambda trial: trial.eviction == "direct",
-        ),
-    )
-}
-
-
 def pack_eligible(trial) -> bool:
-    """Whether *trial* may ride a lockstep pack: its kind has a row, and
-    its ambient noise is zero -- the per-trial noise seed is inert at
-    amplitude 0, which is what lets one leader reset stand in for every
-    lane's."""
-    kind = _PACK_KINDS.get(type(trial))
-    return kind is not None and trial.spec.noise_amplitude == 0 and kind.eligible(trial)
-
-
-def _pack_key(trial) -> tuple:
-    """Trials in one pack must agree on everything but the probed value:
-    the pack key is the scalar path's :func:`~repro.runtime.tasks.warm_key`.
-
-    The key doubles as the leader-trace-cache key: it names the pack's
-    *structure* (the kind and its other fields), never the leader's own
-    probed value -- which is exactly why one cached leader serves every
-    same-structure pack.
-    """
-    return warm_key(trial)
+    """Whether *trial* may ride a lockstep pack: its kind has a pack
+    schedule and admits it, and its ambient noise is zero -- the
+    per-trial noise seed is inert at amplitude 0, which is what lets one
+    leader reset stand in for every lane's."""
+    kind = TRIAL_KINDS.get(type(trial))
+    return (
+        kind is not None
+        and kind.schedule is not None
+        and trial.spec.noise_amplitude == 0
+        and (kind.eligible is None or kind.eligible(trial))
+    )
 
 
 def plan_packs(payloads: Sequence, batch_size: int) -> List[list]:
     """Split *payloads* into order-preserving executable groups.
 
-    Consecutive pack-eligible trials sharing a pack key form groups of up
-    to *batch_size* lanes; everything else becomes a scalar singleton.
+    Consecutive pack-eligible trials sharing a pack key (the scalar
+    path's :func:`~repro.runtime.tasks.warm_key`) form groups of up to
+    *batch_size* lanes; everything else becomes a scalar singleton.
     Grouping depends only on the payload sequence and *batch_size*, so
     serial and pooled runs form identical packs (the determinism
     contract's requirement).
@@ -1155,13 +1056,13 @@ def plan_packs(payloads: Sequence, batch_size: int) -> List[list]:
     while i < n:
         trial = payloads[i]
         if pack_eligible(trial) and batch_size > 1:
-            key = _pack_key(trial)
+            key = warm_key(trial)
             j = i + 1
             while (
                 j < n
                 and j - i < batch_size
                 and pack_eligible(payloads[j])
-                and _pack_key(payloads[j]) == key
+                and warm_key(payloads[j]) == key
             ):
                 j += 1
             groups.append(list(payloads[i:j]))
@@ -1175,8 +1076,9 @@ def plan_packs(payloads: Sequence, batch_size: int) -> List[list]:
 def run_pack(trials: Sequence, stats: Optional[BatchStats] = None) -> List:
     """Run a pack of structurally identical trials in lockstep.
 
-    The one pack driver: the kind's :class:`PackSchedule` says what to
-    run, and this owns the rest.  The leader (``trials[0]``) executes the
+    The one pack driver: the kind's
+    :class:`~repro.runtime.tasks.PackSchedule` says what to run, and
+    this owns the rest.  The leader (``trials[0]``) executes the
     schedule for real -- or, with the leader trace cache warm, lane 0 is
     a phantom replaying a cached same-structure leader -- and every other
     lane is the same trial with a different probed value, reconstructed
@@ -1187,10 +1089,13 @@ def run_pack(trials: Sequence, stats: Optional[BatchStats] = None) -> List:
     to a scalar run of its payload.
     """
     lead = trials[0]
-    kind = _PACK_KINDS[type(lead)]
+    kind = TRIAL_KINDS[type(lead)]
     schedule = kind.schedule(lead)
     machine = schedule.machine
-    key = _pack_key(lead)
+    # The pack key names the pack's *structure* (the kind and its other
+    # fields), never the leader's own probed value -- which is exactly
+    # why one cached leader serves every same-structure pack.
+    key = warm_key(lead)
     cached = _leader_trace_lookup(key)
     live = cached is None
     offset = 0 if live else 1

@@ -765,22 +765,21 @@ class TrialPool:
     def _batchable(self, fn: Callable) -> bool:
         """Whether this map may go through the lockstep batch executor.
 
-        Only the stock trial dispatchers qualify (``run_trial``, or the
-        kind-specific ``run_channel_trial`` / ``run_kaslr_trial`` that
-        ``run_trial`` reduces to): a wrapped callable (fault injector,
+        Only the stock trial dispatchers qualify: ``run_trial``, or the
+        scalar trial function of a kind with a pack schedule, as
+        ``runtime.tasks`` binds it.  A wrapped callable (fault injector,
         stub trial function) has per-dispatch semantics a pack would
         blur.  A policy keeps per-trial dispatch, so it stands batching
         down too.
         """
         if not self.lanes or self.lanes <= 1 or self.policy is not None:
             return False
-        from repro.runtime.tasks import (
-            run_channel_trial,
-            run_kaslr_trial,
-            run_trial,
-        )
+        from repro.runtime.tasks import kind_of_runner, run_trial
 
-        return fn in (run_trial, run_channel_trial, run_kaslr_trial)
+        if fn is run_trial:
+            return True
+        kind = kind_of_runner(fn)
+        return kind is not None and kind.schedule is not None
 
     def _standdown_reason(self, fn: Callable) -> str:
         """Why batching stood down for this map (a ``batch.standdown``
@@ -790,9 +789,9 @@ class TrialPool:
             return "resilience-policy"
         if self._fault_plan is not None:
             return "fault-injection"
-        from repro.runtime.tasks import run_detect_trial
+        from repro.runtime.tasks import kind_of_runner
 
-        if fn is run_detect_trial:
+        if kind_of_runner(fn) is not None:
             return "ineligible-trial-kind"
         return "wrapped-fn"
 

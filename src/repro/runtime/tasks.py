@@ -7,6 +7,10 @@ picklable payload, looks up (or builds) a per-process machine context
 keyed by the payload's :class:`~repro.runtime.MachineSpec`, loads a saved
 timing state into the machine, and runs its trial from there.
 
+Everything the worker side knows about a payload type is one row of
+:data:`TRIAL_KINDS`, which ``run_trial``, the context cache, warm starts,
+the pack driver and the pool all read: a new trial kind is one row.
+
 The builders (:func:`channel_trials`, :func:`kaslr_trials`) allocate
 trial indices the way a live pooled attack does, so campaign expansion
 and ``pool=`` runs produce the same payloads; they build no machine.
@@ -27,19 +31,17 @@ import random
 from collections import OrderedDict
 from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 from repro import telemetry
 from repro.kernel.layout import (
     KASLR_SLOTS,
     KASLR_UNMAPPED_REFERENCE,
     KPTI_TRAMPOLINE_OFFSET,
+    NULL_POINTER,
     slot_base,
 )
 from repro.runtime.spec import MachineSpec, derive_stream
-
-#: The paper's faulting address for window-opening loads.
-NULL_POINTER = 0x0
 
 
 @dataclass(frozen=True)
@@ -70,6 +72,27 @@ class TrialFailure:
     faults: Tuple[str, ...]
     #: The last attempt's failure description.
     error: str
+
+
+class PackStep(NamedTuple):
+    """One ``batch.run`` of a pack schedule."""
+
+    hook: Optional[str] = None  # pre-run: "tlb-flush" | "cr3-switch" | None
+    lane: bool = False  # per-lane registers (else the shared warm ones)
+    timed: bool = False  # the run's r15 - r14 is a ToTE sample
+
+
+class PackSchedule(NamedTuple):
+    """A trial function as ``runtime/batch.py``'s ``run_pack`` runs it:
+    the leader's cached machine and program, the warm registers every
+    lane shares (a lane's own put its probed value in the kind's
+    register), the ordered runs, and a live leader's post-reset setup."""
+
+    machine: object
+    program: object
+    shared: Dict[str, int]
+    steps: Sequence[PackStep]
+    setup: Optional[Callable[[], None]] = None
 
 
 # -- TET-CC byte-scan trials ---------------------------------------------------
@@ -126,25 +149,17 @@ def channel_trials(
     return pairs, index
 
 
-_channel_contexts: Dict[Tuple[MachineSpec, Optional[str]], tuple] = {}
+def _build_channel_context(spec: MachineSpec, suppression: Optional[str]):
+    from repro.whisper.gadgets import GadgetBuilder, Suppression
 
-
-def _channel_context(spec: MachineSpec, suppression: Optional[str]):
-    key = (spec, suppression)
-    context = _channel_contexts.get(key)
-    if context is None:
-        from repro.whisper.gadgets import GadgetBuilder, Suppression
-
-        machine = spec.build()
-        builder = GadgetBuilder(
-            machine,
-            suppression=Suppression(suppression) if suppression else None,
-        )
-        program = builder.figure1()
-        sender_page = machine.alloc_data()
-        context = (machine, program, sender_page)
-        _channel_contexts[key] = context
-    return context
+    machine = spec.build()
+    builder = GadgetBuilder(
+        machine,
+        suppression=Suppression(suppression) if suppression else None,
+    )
+    program = builder.figure1()
+    sender_page = machine.alloc_data()
+    return machine, program, sender_page
 
 
 def run_channel_trial(trial: ChannelTrial) -> TrialResult:
@@ -157,7 +172,7 @@ def run_channel_trial(trial: ChannelTrial) -> TrialResult:
     timeline; the first batch's training runs are the warm prefix
     :func:`_warm_start` may load instead of running.
     """
-    machine, program, sender_page = _channel_context(trial.spec, trial.suppression)
+    machine, program, sender_page = trial_context(trial)
     # Memory is not microarchitectural state: the byte is written before
     # the warm start, and it is part of the warm key.
     machine.write_data(sender_page, bytes([trial.byte & 0xFF]) + b"\x00" * 7)
@@ -172,6 +187,25 @@ def run_channel_trial(trial: ChannelTrial) -> TrialResult:
         for result in results[:: trial.warmup + 1]
     )
     return TrialResult(totes=totes, cycles=machine.core.global_cycle)
+
+
+def _channel_schedule(lead: ChannelTrial) -> PackSchedule:
+    """:func:`run_channel_trial` as pack steps: per batch, ``warmup``
+    training runs on the never-matching test value 256, then the timed
+    probe."""
+    machine, program, sender_page = trial_context(lead)
+    warm, probe = PackStep(), PackStep(lane=True, timed=True)
+
+    def write_sender_byte() -> None:
+        machine.write_data(sender_page, bytes([lead.byte & 0xFF]) + b"\x00" * 7)
+
+    return PackSchedule(
+        machine,
+        program,
+        {"r12": sender_page, "r13": NULL_POINTER, "r9": 256},
+        ((warm,) * lead.warmup + (probe,)) * lead.batches,
+        write_sender_byte,
+    )
 
 
 # -- TET-KASLR probe trials ----------------------------------------------------
@@ -247,30 +281,22 @@ def kaslr_trials(
     return pairs, start_index + KASLR_SLOTS
 
 
-_kaslr_contexts: Dict[Tuple[MachineSpec, str, Optional[str]], object] = {}
+def _build_kaslr_context(spec: MachineSpec, eviction: str, suppression: Optional[str]):
+    from repro.whisper.attacks.kaslr import TetKaslr
+    from repro.whisper.gadgets import Suppression
 
-
-def _kaslr_context(spec: MachineSpec, eviction: str, suppression: Optional[str]):
-    key = (spec, eviction, suppression)
-    attack = _kaslr_contexts.get(key)
-    if attack is None:
-        from repro.whisper.attacks.kaslr import TetKaslr
-        from repro.whisper.gadgets import Suppression
-
-        attack = TetKaslr(
-            spec.build(),
-            suppression=Suppression(suppression) if suppression else None,
-            eviction=eviction,
-        )
-        _kaslr_contexts[key] = attack
-    return attack
+    attack = TetKaslr(
+        spec.build(),
+        suppression=Suppression(suppression) if suppression else None,
+        eviction=eviction,
+    )
+    return attack.machine, attack
 
 
 def run_kaslr_trial(trial: KaslrTrial) -> TrialResult:
     """One TET-KASLR trial: warm probes on a known-unmapped reference
     (the warm prefix), then the timed double-probe of the candidate."""
-    attack = _kaslr_context(trial.spec, trial.eviction, trial.suppression)
-    machine = attack.machine
+    machine, attack = trial_context(trial)
 
     def warm_up() -> None:
         for _ in range(trial.warm_probes):
@@ -281,19 +307,153 @@ def run_kaslr_trial(trial: KaslrTrial) -> TrialResult:
     return TrialResult(totes=(tote,), cycles=machine.core.global_cycle)
 
 
-# -- warm starts ---------------------------------------------------------------
+def _kaslr_schedule(lead: KaslrTrial) -> PackSchedule:
+    """``TetKaslr.probe_tote`` as pack steps -- evict, fill probe,
+    optional syscall round trip, timed probe -- on the known-unmapped
+    reference ``warm_probes`` times, then on each lane's candidate."""
+    machine, attack = trial_context(lead)
+    switch = "cr3-switch" if lead.cr3_switch else None
+    return PackSchedule(
+        machine,
+        attack.program,
+        {"r13": KASLR_UNMAPPED_REFERENCE, "r9": 256},
+        (PackStep("tlb-flush"), PackStep(switch)) * lead.warm_probes
+        + (PackStep("tlb-flush", lane=True), PackStep(switch, lane=True, timed=True)),
+    )
 
-#: The field each trial of a sweep probes, per sweepable trial kind.
-PROBED_FIELDS = {ChannelTrial: "test", KaslrTrial: "va"}
+
+# -- detector observation-window trials ----------------------------------------
+
+
+@dataclass(frozen=True)
+class DetectTrial:
+    """Run one detection scenario window and record its feature vector.
+
+    The result's ``totes`` tuple is the packed
+    :class:`~repro.defend.features.FeatureVector` (counter deltas in
+    ``FEATURE_FIELDS`` order), so detector campaigns reuse the ordinary
+    result store, shard/merge contract, and resume path unchanged.
+    """
+
+    spec: MachineSpec
+    scenario: str
+    trial_index: int
+
+
+def _build_detect_context(spec: MachineSpec, scenario: str):
+    from repro.defend.scenarios import get_scenario
+
+    machine = spec.build()
+    return machine, get_scenario(scenario).bind(machine)
+
+
+def run_detect_trial(trial: DetectTrial) -> TrialResult:
+    """One detect trial: reset, run the scenario window, read the counters.
+
+    The scenario's behaviour stream is domain-separated from the ambient
+    noise stream (``defend.<scenario>`` tag), so the same trial index in
+    an attack cell and a benign cell draws unrelated randomness.
+    """
+    from repro.defend.features import FeatureVector
+
+    machine, runner = trial_context(trial)
+    machine.reset_uarch(noise_seed=trial.spec.trial_seed(trial.trial_index))
+    rng = random.Random(
+        derive_stream(trial.spec.seed, trial.trial_index, f"defend.{trial.scenario}")
+    )
+    runner(rng)
+    features = FeatureVector.from_machine(machine)
+    return TrialResult(totes=features.to_ints(), cycles=machine.core.global_cycle)
+
+
+# -- the trial-kind table ------------------------------------------------------
+
+
+class TrialKind(NamedTuple):
+    """Everything the worker side knows about one payload type: a row of
+    :data:`TRIAL_KINDS`."""
+
+    #: The scalar trial function's name here, looked up at call time so
+    #: a rebinding (the ledger's timing shims) sees every trial.
+    runner: str
+    #: An ``attrgetter`` of two or more fields that key the cached
+    #: context, and the function that builds it from their values.
+    context: Callable[[object], tuple]
+    build: Callable[..., tuple]
+    #: The field a sweep probes, and the register a pack lane carries it in.
+    probe: Optional[str] = None
+    register: Optional[str] = None
+    #: The trial function as pack steps (None: always scalar), and any
+    #: rule beyond a noise-free spec for riding a pack.
+    schedule: Optional[Callable[[object], PackSchedule]] = None
+    eligible: Optional[Callable[[object], bool]] = None
+
+
+#: One row per payload type.  Detect trials stay scalar (per-trial
+#: behaviour streams), and KASLR's ``sets`` eviction has per-address
+#: set-conflict structure no shared leader trace covers.
+TRIAL_KINDS: Dict[type, TrialKind] = {
+    ChannelTrial: TrialKind(
+        "run_channel_trial",
+        attrgetter("spec", "suppression"),
+        _build_channel_context,
+        probe="test",
+        register="r9",
+        schedule=_channel_schedule,
+    ),
+    KaslrTrial: TrialKind(
+        "run_kaslr_trial",
+        attrgetter("spec", "eviction", "suppression"),
+        _build_kaslr_context,
+        probe="va",
+        register="r13",
+        schedule=_kaslr_schedule,
+        eligible=lambda trial: trial.eviction == "direct",
+    ),
+    DetectTrial: TrialKind(
+        "run_detect_trial", attrgetter("spec", "scenario"), _build_detect_context
+    ),
+}
+
+
+def kind_of_runner(fn) -> Optional[TrialKind]:
+    """The row whose scalar trial function *fn* is, as this module binds
+    it now, or None."""
+    for kind in TRIAL_KINDS.values():
+        if fn is globals()[kind.runner]:
+            return kind
+    return None
+
+
+#: Every kind's machine contexts, by the kind and its context fields.
+_contexts: Dict[tuple, tuple] = {}
+
+
+def trial_context(trial) -> tuple:
+    """The per-process context *trial* runs on, built on first use: its
+    machine, then whatever else its kind prepares once (the channel's
+    program and sender page, the KASLR attack, the detect scenario's
+    bound runner)."""
+    kind = TRIAL_KINDS[type(trial)]
+    values = kind.context(trial)
+    key = (type(trial), values)
+    context = _contexts.get(key)
+    if context is None:
+        context = _contexts[key] = kind.build(*values)
+    return context
+
+
+# -- warm starts ---------------------------------------------------------------
 
 # Every field but the probed one and ``trial_index``, which seeds only
 # ambient noise -- inert at zero amplitude.  A field added to a kind keys
 # by default.
 _WARM_FIELDS = {
-    kind: attrgetter(
-        *(f.name for f in fields(kind) if f.name not in (probe, "trial_index"))
+    payload: attrgetter(
+        *(f.name for f in fields(payload) if f.name not in (kind.probe, "trial_index"))
     )
-    for kind, probe in PROBED_FIELDS.items()
+    for payload, kind in TRIAL_KINDS.items()
+    if kind.probe is not None
 }
 
 
@@ -304,7 +464,8 @@ def warm_key(trial) -> tuple:
     On a noise-free spec, trials with one key run the same warm prefix
     from the same boot state, so they leave the machine in the same state
     before their probes differ.  The key is also the lockstep engine's
-    pack key (``runtime/batch.py``): a pack's lanes are such trials.
+    pack and leader-trace-cache key (``runtime/batch.py``): a pack's
+    lanes are such trials.
     """
     kind = type(trial)
     return kind, _WARM_FIELDS[kind](trial)
@@ -344,81 +505,10 @@ def _warm_start(machine, trial, warm_up: Callable[[], object]) -> None:
             _warm_states.popitem(last=False)
 
 
-# -- detector observation-window trials ----------------------------------------
+# -- dispatch ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DetectTrial:
-    """Run one detection scenario window and record its feature vector.
-
-    The result's ``totes`` tuple is the packed
-    :class:`~repro.defend.features.FeatureVector` (counter deltas in
-    ``FEATURE_FIELDS`` order), so detector campaigns reuse the ordinary
-    result store, shard/merge contract, and resume path unchanged.
-    """
-
-    spec: MachineSpec
-    scenario: str
-    trial_index: int
-
-
-_detect_contexts: Dict[Tuple[MachineSpec, str], tuple] = {}
-
-
-def _detect_context(spec: MachineSpec, scenario: str):
-    key = (spec, scenario)
-    context = _detect_contexts.get(key)
-    if context is None:
-        from repro.defend.scenarios import get_scenario
-
-        machine = spec.build()
-        runner = get_scenario(scenario).bind(machine)
-        context = (machine, runner)
-        _detect_contexts[key] = context
-    return context
-
-
-def run_detect_trial(trial: DetectTrial) -> TrialResult:
-    """One detect trial: reset, run the scenario window, read the counters.
-
-    The scenario's behaviour stream is domain-separated from the ambient
-    noise stream (``defend.<scenario>`` tag), so the same trial index in
-    an attack cell and a benign cell draws unrelated randomness.
-    """
-    from repro.defend.features import FeatureVector
-
-    machine, runner = _detect_context(trial.spec, trial.scenario)
-    machine.reset_uarch(noise_seed=trial.spec.trial_seed(trial.trial_index))
-    rng = random.Random(
-        derive_stream(trial.spec.seed, trial.trial_index, f"defend.{trial.scenario}")
-    )
-    runner(rng)
-    features = FeatureVector.from_machine(machine)
-    return TrialResult(totes=features.to_ints(), cycles=machine.core.global_cycle)
-
-
-def _trial_machine(trial):
-    """The cached machine a just-run trial used, or None.
-
-    Telemetry reads the machine's core counters *after* the trial; the
-    context caches above are keyed exactly the way the trial functions
-    key them, so this lookup always hits for a trial that just ran.
-    """
-    if isinstance(trial, ChannelTrial):
-        context = _channel_contexts.get((trial.spec, trial.suppression))
-        return context[0] if context else None
-    if isinstance(trial, KaslrTrial):
-        attack = _kaslr_contexts.get(
-            (trial.spec, trial.eviction, trial.suppression)
-        )
-        return attack.machine if attack else None
-    if isinstance(trial, DetectTrial):
-        context = _detect_contexts.get((trial.spec, trial.scenario))
-        return context[0] if context else None
-    return None
-
-
-def _run_trial_observed(trial, runner) -> TrialResult:
+def _run_trial_observed(trial, kind: TrialKind, runner) -> TrialResult:
     """The telemetry-wrapped trial path (only entered when enabled).
 
     Span attributes are keyed by (trial seed, payload identity, simulated
@@ -439,9 +529,11 @@ def _run_trial_observed(trial, runner) -> TrialResult:
     ) as span:
         with telemetry.span("core.run") as core_span:
             result = runner(trial)
-            machine = _trial_machine(trial)
-            if machine is not None:
-                counters = machine.core.telemetry_counters()
+            # The counters are read *after* the trial, off the machine it
+            # ran on; a trial function that built no context has none.
+            context = _contexts.get((type(trial), kind.context(trial)))
+            if context is not None:
+                counters = context[0].core.telemetry_counters()
                 core_span.set(**counters)
                 telemetry.add("core.cycles", counters["cycles"])
                 telemetry.add("core.uops_issued", counters["uops_issued"])
@@ -466,7 +558,7 @@ def _run_trial_observed(trial, runner) -> TrialResult:
 
 
 def run_trial(trial) -> TrialResult:
-    """Dispatch any known trial payload to its trial function.
+    """Dispatch any known trial payload to its kind's trial function.
 
     Campaign batches mix trial kinds (an environment-matrix sweep carries
     channel scans and KASLR sweeps in one task list), so the pool needs a
@@ -475,17 +567,13 @@ def run_trial(trial) -> TrialResult:
     disabled (the default), the only overhead is one module-attribute
     check.
     """
-    if isinstance(trial, ChannelTrial):
-        runner = run_channel_trial
-    elif isinstance(trial, KaslrTrial):
-        runner = run_kaslr_trial
-    elif isinstance(trial, DetectTrial):
-        runner = run_detect_trial
-    else:
+    kind = TRIAL_KINDS.get(type(trial))
+    if kind is None:
         raise TypeError(f"unknown trial payload type: {type(trial).__name__}")
+    runner = globals()[kind.runner]
     if not telemetry.enabled():
         return runner(trial)
-    return _run_trial_observed(trial, runner)
+    return _run_trial_observed(trial, kind, runner)
 
 
 def clear_worker_contexts() -> None:
@@ -493,9 +581,7 @@ def clear_worker_contexts() -> None:
     cold workers)."""
     from repro.runtime.batch import clear_leader_trace_cache
 
-    _channel_contexts.clear()
-    _kaslr_contexts.clear()
-    _detect_contexts.clear()
+    _contexts.clear()
     _warm_states.clear()
     # Cached leader traces reference machines from the dropped contexts;
     # a cold worker should not replay a warm worker's leader.

@@ -15,7 +15,8 @@ import statistics
 from dataclasses import dataclass
 from typing import List
 
-from repro.whisper.channel import NULL_POINTER, TetCovertChannel
+from repro.kernel.layout import NULL_POINTER
+from repro.whisper.channel import TetCovertChannel
 
 
 @dataclass

@@ -21,11 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+from repro.kernel.layout import NULL_POINTER
 from repro.whisper.analysis import ArgExtremeDecoder, ByteScanResult, error_rate
 from repro.whisper.gadgets import GadgetBuilder, Suppression
-
-#: The paper's faulting address: ``*(char*)(0x0)``.
-NULL_POINTER = 0x0
 
 
 @dataclass

@@ -21,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.whisper.channel import NULL_POINTER, ChannelStats
+from repro.kernel.layout import NULL_POINTER
+from repro.whisper.channel import ChannelStats
 from repro.whisper.analysis import error_rate
 from repro.whisper.gadgets import GadgetBuilder, Suppression
 

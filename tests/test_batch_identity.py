@@ -26,18 +26,20 @@ from repro.kernel.layout import slot_base
 from repro.runtime.batch import (
     BatchStats,
     LockstepBatch,
-    _pack_key,
     plan_packs,
     run_pack,
     run_trials_batched,
 )
 from repro.runtime.spec import MachineSpec
 from repro.runtime.tasks import (
+    TRIAL_KINDS,
     ChannelTrial,
     DetectTrial,
     KaslrTrial,
     clear_worker_contexts,
     run_trial,
+    trial_context,
+    warm_key,
 )
 from repro.sim.machine import Machine
 
@@ -274,9 +276,8 @@ def check_kaslr_batch_equals_scalar(
 
 
 def _kaslr_layout(spec):
-    from repro.runtime.tasks import _kaslr_context
-
-    return _kaslr_context(spec, "direct", None).machine.kernel.layout
+    trial = KaslrTrial(spec=spec, va=0, cr3_switch=False, trial_index=0)
+    return trial_context(trial)[0].kernel.layout
 
 
 def _slot_mix(rng, layout):
@@ -381,26 +382,30 @@ def _changed(value):
     return "tsx" if value is None else None
 
 
+#: One case per trial kind with a probed field: (payload, probed field).
+PACK_KEY_CASES = [
+    (_channel_payloads()[3], "test"),
+    (_kaslr_payloads(3, [5], True, None)[0], "va"),
+]
+
+
 class TestPackKey:
-    @pytest.mark.parametrize(
-        "trial,probe",
-        [
-            (_channel_payloads()[3], "test"),
-            (_kaslr_payloads(3, [5], True, None)[0], "va"),
-        ],
-        ids=["channel", "kaslr"],
-    )
+    @pytest.mark.parametrize("trial,probe", PACK_KEY_CASES, ids=["channel", "kaslr"])
     def test_every_structural_field_keys_the_pack(self, trial, probe):
         """The key (also the leader-cache key) is derived from the trial's
         own fields: changing any one of them changes it, except the lane's
-        probed value and ``trial_index`` (inert at zero noise)."""
+        probed value and ``trial_index`` (inert at zero noise).  Every
+        kind with a probed field has a case here."""
+        swept = {kind for kind, row in TRIAL_KINDS.items() if row.probe is not None}
+        assert {type(case) for case, _ in PACK_KEY_CASES} == swept
+        assert TRIAL_KINDS[type(trial)].probe == probe
         for field in dataclasses.fields(trial):
             other = dataclasses.replace(
                 trial, **{field.name: _changed(getattr(trial, field.name))}
             )
             assert other != trial
             same = field.name in (probe, "trial_index")
-            assert (_pack_key(other) == _pack_key(trial)) is same, field.name
+            assert (warm_key(other) == warm_key(trial)) is same, field.name
 
     def test_mixed_kinds_share_one_worker_context(self):
         """Channel, KASLR and detect payloads interleaved on one spec: no

@@ -28,7 +28,7 @@ import pytest
 
 from repro.runtime import TrialPool
 from repro.runtime.spec import MachineSpec
-from repro.runtime.tasks import ChannelTrial, KaslrTrial, _trial_machine, run_trial
+from repro.runtime.tasks import ChannelTrial, KaslrTrial, run_trial, trial_context
 from repro.sim.machine import Machine
 
 #: (model, seed, secret byte, test value, trial index) -> (totes, cycles),
@@ -120,7 +120,7 @@ def _pmu_digest(core) -> str:
 
 def _pmu_pin(trial):
     run_trial(trial)
-    core = _trial_machine(trial).core
+    core = trial_context(trial)[0].core
     return tuple(core.pmu.read(name) for name in TABLE3_ROWS), _pmu_digest(core)
 
 

@@ -15,11 +15,13 @@ import pytest
 
 from repro.runtime import (
     ChannelTrial,
+    DetectTrial,
     MachineSpec,
     TrialPool,
     WorkerLostError,
     derive_seed,
     run_channel_trial,
+    run_detect_trial,
 )
 from repro.sim.machine import Machine
 from repro.whisper.channel import TetCovertChannel
@@ -269,6 +271,13 @@ class TestBatchStanddown:
                 faults=FaultPlan.chaos(seed=7, rate=0.0),
             )
         assert events == [{"reason": "fault-injection", "payloads": 4}]
+
+    def test_unbatched_trial_kind_stands_down(self):
+        spec = MachineSpec("i7-7700", seed=1)
+        payloads = [DetectTrial(spec, "benign-compute", index) for index in range(2)]
+        with TrialPool(workers=1, lanes=4) as pool:
+            events = self._map_observed(pool, run_detect_trial, payloads)
+        assert events == [{"reason": "ineligible-trial-kind", "payloads": 2}]
 
     def test_batched_map_emits_no_standdown(self):
         payloads = self._payloads()

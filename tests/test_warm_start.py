@@ -44,10 +44,9 @@ from repro.runtime.tasks import (
     KASLR_SCANS,
     ChannelTrial,
     KaslrTrial,
-    _channel_context,
-    _trial_machine,
     clear_worker_contexts,
     run_trial,
+    trial_context,
     warm_key,
 )
 from repro.uarch.bpu import (
@@ -246,7 +245,7 @@ def test_round_trip_and_reuse():
     trial = ChannelTrial(spec=spec, byte=0x53, test=0x10, batches=1, trial_index=3)
     clear_worker_contexts()
     run_trial(trial)
-    machine, program, page = _channel_context(spec, None)
+    machine, program, page = trial_context(trial)
     state = machine.save_uarch()
     machine.load_uarch(state)
     assert machine.save_uarch() == state
@@ -273,7 +272,7 @@ def _observe(trial):
     """Everything a trial leaves behind: its result, the whole PMU bank,
     the telemetry counters and the machine's timing state."""
     result = run_trial(trial)
-    machine = _trial_machine(trial)
+    machine = trial_context(trial)[0]
     return (
         result,
         dict(machine.pmu.counts),
@@ -345,7 +344,10 @@ def _cell_trials(model, defence, suppression, seed, per_key=3):
             )
             index += 1
     clear_worker_contexts()
-    layout = tasks._kaslr_context(spec, "direct", suppression).machine.kernel.layout
+    probe = KaslrTrial(
+        spec=spec, va=0, cr3_switch=False, trial_index=0, suppression=suppression
+    )
+    layout = trial_context(probe)[0].kernel.layout
     slots = [layout.slot] + rng.sample(range(512), per_key - 1)
     for strategy, (offset, cr3_switch) in KASLR_SCANS.items():
         for eviction in ("direct", "sets"):
@@ -409,7 +411,7 @@ def test_failed_warm_up_saves_nothing(monkeypatch):
     clear_worker_contexts()
     expected = run_trial(trial)
     clear_worker_contexts()
-    machine, _, _ = _channel_context(spec, None)
+    machine, _, _ = trial_context(trial)
     real_run_many = machine.run_many
     calls = []
 
