@@ -11,14 +11,14 @@ Reproduction output is buffered and dumped after the test summary (so it
 survives pytest's capture) and additionally written to
 ``benchmarks/reports/reproduction_report.txt``.  Benches that call
 :func:`emit_metric` also feed ``reproduction_report.json`` -- a
-``{section: {metric: value}}`` map -- so the perf trajectory is
+``{section: {metric: value}}`` map, merged section by section with what
+``repro obs overhead`` wrote there -- so the perf trajectory is
 machine-tracked run over run (CI uploads the ``reports/*.json`` files as
 workflow artifacts).
 """
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Dict, List
 
@@ -28,12 +28,6 @@ _METRICS: Dict[str, Dict[str, object]] = {}
 REPORT_DIR = os.path.join(os.path.dirname(__file__), "reports")
 REPORT_PATH = os.path.join(REPORT_DIR, "reproduction_report.txt")
 METRICS_PATH = os.path.join(REPORT_DIR, "reproduction_report.json")
-
-
-def _report_schema_version() -> int:
-    from repro.campaign.report import REPORT_SCHEMA_VERSION
-
-    return REPORT_SCHEMA_VERSION
 
 
 def banner(title: str) -> None:
@@ -74,8 +68,10 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         write("")
         write(f"(report also written to {REPORT_PATH})")
     if _METRICS:
-        payload = {"schema_version": _report_schema_version(), **_METRICS}
-        with open(METRICS_PATH, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        write(f"(metrics written to {METRICS_PATH})")
+        # Merge, never overwrite: `repro obs overhead` writes its
+        # telemetry_overhead section into the same file.
+        from repro.perf import merge_report_metrics
+
+        for section, metrics in _METRICS.items():
+            merge_report_metrics(METRICS_PATH, section, metrics)
+        write(f"(metrics merged into {METRICS_PATH})")

@@ -7,7 +7,11 @@ a key that names the computation: a SHA-256 over the canonical JSON text
 payload)``.  Any change that could change the outcome (CPU model, boot
 seed, batch count, test value, eviction mode, a new repro release)
 changes the text and therefore the key; re-running a campaign after an
-edit replays what is still valid and executes only the delta.
+edit replays what is still valid and executes only the delta.  The
+trials of one cell share every field but their probed value and
+``trial_index`` (:data:`~repro.runtime.tasks.SHARED_FIELDS`), so
+:func:`trial_key` spells the shared text once per cell; the key bytes
+are those of the full encoding.
 
 On disk the store is one append-only JSONL file, ``results.jsonl`` under
 the store root (default ``.campaigns/``).  Appending after every batch
@@ -17,10 +21,11 @@ exact canonical bytes, so *any* on-disk damage -- a torn tail, a
 truncated line, a single flipped bit inside an otherwise well-formed
 record -- is detected at load time, before the line is parsed: the
 damaged record is skipped with a warning and its trial simply
-re-executes.  Corruption can degrade to recomputation, never to a
-silently wrong result (``tests/test_faults_properties.py`` injects
-bit-flips and truncation through :class:`repro.faults.inject.FaultyStore`
-to enforce exactly that).
+re-executes.  A verified line is parsed by one bound decoder, which
+must consume its whole text.  Corruption can degrade to recomputation,
+never to a silently wrong result (``tests/test_faults_properties.py``
+injects bit-flips and truncation through
+:class:`repro.faults.inject.FaultyStore` to enforce exactly that).
 
 Stored outcomes are either :class:`~repro.runtime.tasks.TrialResult`
 (``"result"`` records) or :class:`~repro.runtime.tasks.TrialFailure`
@@ -38,10 +43,11 @@ import json
 import os
 import warnings
 from json.encoder import encode_basestring_ascii as _json_string
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from operator import attrgetter, is_
+from typing import Callable, Dict, Iterable, NamedTuple, Optional, Tuple, Union
 
 from repro import __version__ as REPRO_VERSION
-from repro.runtime.tasks import TrialFailure, TrialResult
+from repro.runtime.tasks import SHARED_FIELDS, TrialFailure, TrialResult
 
 #: Bump when the record layout changes; invalidates every cached result.
 #: Format 2: per-record checksums + structured failure records.
@@ -121,22 +127,22 @@ def canonical_json(obj) -> str:
 
 
 def _layout(cls) -> tuple:
-    names = sorted(field.name for field in dataclasses.fields(cls))
-    fields = tuple((_json_string(name) + ":", name) for name in names)
-    type_at = sum(name < "__type__" for name in names)
-    type_entry = '"__type__":' + _json_string(cls.__name__)
-    return fields, type_at, type_entry, cls.__dataclass_params__.frozen
+    layout = _LAYOUTS.get(cls)
+    if layout is None:
+        names = sorted(field.name for field in dataclasses.fields(cls))
+        fields = tuple((_json_string(name) + ":", name) for name in names)
+        type_at = sum(name < "__type__" for name in names)
+        type_entry = '"__type__":' + _json_string(cls.__name__)
+        frozen = cls.__dataclass_params__.frozen
+        layout = _LAYOUTS[cls] = fields, type_at, type_entry, frozen
+    return layout
 
 
 def _dataclass_json(obj) -> str:
     memo = _MEMO.get(id(obj))
     if memo is not None:
         return memo[1]
-    cls = type(obj)
-    layout = _LAYOUTS.get(cls)
-    if layout is None:
-        layout = _LAYOUTS[cls] = _layout(cls)
-    fields, type_at, type_entry, memoizable = layout
+    fields, type_at, type_entry, memoizable = _layout(type(obj))
     parts = []
     for prefix, name in fields:
         value = getattr(obj, name)
@@ -159,20 +165,122 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _key_text(trial_text: str, version_text: str) -> str:
+    # The canonical text of {"format", "trial", "version"}, keys in sorted
+    # order, spelled out: building and sorting that dict for every trial
+    # would cost more than encoding the trial itself.
+    return (
+        '{"format":' + str(STORE_FORMAT) + ',"trial":' + trial_text
+        + ',"version":' + version_text + "}"
+    )
+
+
+def _frozen_text(value) -> Optional[str]:
+    """The text of an immutable *value* -- a leaf, or a frozen dataclass
+    of leaves, which is what :data:`_MEMO` admits -- or None."""
+    leaf = _LEAVES.get(type(value))
+    if leaf is not None:
+        return leaf(value)
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        text = _dataclass_json(value)
+        if id(value) in _MEMO:
+            return text
+    return None
+
+
+def _tuple_getter(names: Tuple[str, ...]) -> Callable[[object], tuple]:
+    get = attrgetter(*names)
+    return get if len(names) > 1 else lambda obj: (get(obj),)
+
+
+#: Per payload type with a :data:`~repro.runtime.tasks.SHARED_FIELDS`
+#: row: a getter of its shared fields, and one of the fields that vary
+#: within a cell (the probed field and ``trial_index``) in key order.
+_SPLITS: Dict[type, Tuple[Callable, Callable]] = {
+    payload: (
+        _tuple_getter(shared),
+        _tuple_getter(tuple(sorted(
+            field.name for field in dataclasses.fields(payload)
+            if field.name not in shared
+        ))),
+    )
+    for payload, shared in SHARED_FIELDS.items()
+}
+
+
+class _CellText(NamedTuple):
+    """The key text of one cell's trials, cut where each varying field's
+    value goes.  It holds the shared values it was spelled from, so their
+    ids are not reused while it lives."""
+
+    values: tuple
+    version: str
+    head: str
+    rest: Tuple[str, ...]
+
+
+#: The last cell's text per payload type.  Values and text are replaced
+#: as one object, so no lookup pairs one cell's values with another's text.
+_CELLS: Dict[type, _CellText] = {}
+
+#: Marks the cuts: canonical text escapes every control character, so it
+#: never holds one.
+_CUT = "\0"
+
+
+def _cell_text(trial, values: tuple, version: str) -> Optional[_CellText]:
+    """Spell *trial*'s shared fields once, or None when a shared value is
+    not immutable (its text could change while its identity does not)."""
+    texts = {}
+    for name, value in zip(SHARED_FIELDS[type(trial)], values):
+        text = _frozen_text(value)
+        if text is None:
+            return None
+        texts[name] = text
+    fields, type_at, type_entry, _ = _layout(type(trial))
+    entries = [prefix + texts.get(name, _CUT) for prefix, name in fields]
+    entries.insert(type_at, type_entry)
+    text = _key_text("{" + ",".join(entries) + "}", canonical_json(version))
+    head, *rest = text.split(_CUT)
+    return _CellText(values, version, head, tuple(rest))
+
+
 def trial_key(trial, version: str = REPRO_VERSION) -> str:
     """The content address of one trial's result.
 
     Keyed by the full trial payload plus the repro version: a new release
     may change simulator timing, so cached results never leak across
     versions.
+
+    The trials of a cell differ only in their probed field and
+    ``trial_index``, so the rest of the text is spelled once per run of
+    trials whose shared values are the same objects (``is``, never
+    ``==``: ``MachineSpec(seed=1) == MachineSpec(seed=True)``, but they
+    encode as ``1`` and ``true``) at the same *version*; each further
+    trial costs the encoding of those two values and one SHA-256.  A
+    payload with a mutable shared value is spelled in full on every call.
+    The bytes are those of :func:`canonical_json` either way.
     """
-    # The canonical text of {"format", "trial", "version"}, keys in sorted
-    # order, spelled out: building and sorting that dict for every trial
-    # would cost more than encoding the trial itself.
-    return _digest(
-        '{"format":' + str(STORE_FORMAT) + ',"trial":' + canonical_json(trial)
-        + ',"version":' + canonical_json(version) + "}"
-    )
+    split = _SPLITS.get(type(trial))
+    if split is not None:
+        shared, varying = split
+        values = shared(trial)
+        cell = _CELLS.get(type(trial))
+        if (
+            cell is None
+            or cell.version is not version
+            or not all(map(is_, values, cell.values))
+        ):
+            cell = _cell_text(trial, values, version)
+            if cell is not None:
+                _CELLS[type(trial)] = cell
+        if cell is not None:
+            parts = [cell.head]
+            for value, after in zip(varying(trial), cell.rest):
+                parts.append(canonical_json(value))
+                parts.append(after)
+            return _digest("".join(parts))
+    return _digest(_key_text(canonical_json(trial), canonical_json(version)))
 
 
 def spec_digest(spec) -> str:
@@ -183,6 +291,13 @@ def spec_digest(spec) -> str:
 
 
 # -- record encoding -----------------------------------------------------------
+
+#: The one record decoder.  ``json.loads`` would re-enter
+#: ``JSONDecoder.decode`` and scan for whitespace around every line.  A
+#: record's text comes from a stripped line and ends in ``}``, so
+#: ``raw_decode`` plus a check that it consumed the whole text rejects
+#: exactly what ``json.loads`` rejects.
+_decode = json.JSONDecoder().raw_decode
 
 #: ``sum`` sorts after every other record field, so a record line is its
 #: canonical text with this, the checksum and ``"}`` in place of the
@@ -257,27 +372,24 @@ class ResultStore:
             text = line[:cut] + "}"
             if line[cut + len(_SUM_FIELD) : -2] != _record_sum(text):
                 raise ValueError("record checksum mismatch")
-            record = json.loads(text)
+            record, end = _decode(text)
+            if end != len(text):
+                raise ValueError("record has data after its object")
             key = record["key"]
-            body = {
-                field: record[field]
-                for field in ("result", "failure")
-                if field in record
-            }
-            if len(body) != 1:
+            failed = "failure" in record
+            if failed == ("result" in record):
                 raise ValueError("record needs exactly one of result/failure")
-            if "failure" in body:
-                failure = body["failure"]
+            if failed:
+                failure = record["failure"]
                 outcome: StoredOutcome = TrialFailure(
-                    attempts=int(failure["attempts"]),
-                    faults=tuple(str(fault) for fault in failure["faults"]),
-                    error=str(failure["error"]),
+                    int(failure["attempts"]),
+                    tuple(map(str, failure["faults"])),
+                    str(failure["error"]),
                 )
             else:
-                result = body["result"]
+                result = record["result"]
                 outcome = TrialResult(
-                    totes=tuple(int(t) for t in result["totes"]),
-                    cycles=int(result["cycles"]),
+                    tuple(map(int, result["totes"])), int(result["cycles"])
                 )
         except (ValueError, KeyError, TypeError) as exc:
             warnings.warn(

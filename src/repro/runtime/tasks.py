@@ -445,13 +445,20 @@ def trial_context(trial) -> tuple:
 
 # -- warm starts ---------------------------------------------------------------
 
-# Every field but the probed one and ``trial_index``, which seeds only
-# ambient noise -- inert at zero amplitude.  A field added to a kind keys
-# by default.
-_WARM_FIELDS = {
-    payload: attrgetter(
-        *(f.name for f in fields(payload) if f.name not in (kind.probe, "trial_index"))
+#: Per payload type, the fields every trial of one cell shares: all but
+#: the kind's probed field and ``trial_index``, which seeds only ambient
+#: noise -- inert at zero amplitude.  A field added to a kind is shared
+#: by default.  Warm starts key on them (kinds with a probe), and
+#: ``campaign.store.trial_key`` spells their text once per cell.
+SHARED_FIELDS: Dict[type, Tuple[str, ...]] = {
+    payload: tuple(
+        f.name for f in fields(payload) if f.name not in (kind.probe, "trial_index")
     )
+    for payload, kind in TRIAL_KINDS.items()
+}
+
+_WARM_FIELDS = {
+    payload: attrgetter(*SHARED_FIELDS[payload])
     for payload, kind in TRIAL_KINDS.items()
     if kind.probe is not None
 }

@@ -229,6 +229,97 @@ class TestReferenceIdentity:
         assert canonical_json(holder) == reference_json(holder) != first
 
 
+class TestKeyPerCell:
+    """``trial_key`` spells a cell's shared fields once and reuses the
+    text while the shared values are the same objects at the same
+    version.  Every key must still equal the reference encoder's."""
+
+    def channel_cell(self, spec, byte=0x41):
+        return [
+            ChannelTrial(spec=spec, byte=byte, test=test, batches=2, trial_index=test)
+            for test in range(4)
+        ]
+
+    def check(self, trials):
+        for trial in trials:
+            assert trial_key(trial) == reference_trial_key(trial)
+
+    def test_two_cells_of_one_kind_interleaved(self):
+        first = self.channel_cell(MachineSpec(seed=3))
+        second = self.channel_cell(MachineSpec(seed=4), byte=0x42)
+        self.check([trial for pair in zip(first, second) for trial in pair])
+        assert trial_key(first[0]) != trial_key(second[0])
+
+    def test_two_kinds_interleaved(self):
+        spec = MachineSpec(seed=3)
+        channel = self.channel_cell(spec)
+        kaslr = [
+            KaslrTrial(spec=spec, va=0xFFFFFFFF80000000 + slot * 0x200000,
+                       cr3_switch=False, trial_index=slot)
+            for slot in range(4)
+        ]
+        detect = [
+            DetectTrial(spec=spec, scenario="tet-cc", trial_index=index)
+            for index in range(4)
+        ]
+        self.check([trial for row in zip(channel, kaslr, detect) for trial in row])
+
+    @pytest.mark.parametrize(
+        "seeds", [(1, True), (True, 1)], ids=["1-then-True", "True-then-1"]
+    )
+    def test_equal_specs_in_adjacent_cells(self, seeds):
+        """``seed=1`` and ``seed=True`` compare equal but encode as ``1``
+        and ``true``: the second cell must not reuse the first's text."""
+        cells = [self.channel_cell(MachineSpec(seed=seed)) for seed in seeds]
+        assert cells[0][0] == cells[1][0]
+        for cell in cells:
+            self.check(cell)
+            self.check([
+                DetectTrial(spec=cell[0].spec, scenario="tet-cc", trial_index=index)
+                for index in range(3)
+            ])
+        assert trial_key(cells[0][0]) != trial_key(cells[1][0])
+
+    def test_mutated_shared_list_is_re_encoded(self):
+        suppression = ["tsx"]
+        trial = dataclasses.replace(
+            self.channel_cell(MachineSpec())[0], suppression=suppression
+        )
+        first = trial_key(trial)
+        assert first == reference_trial_key(trial)
+        suppression.append("signal")
+        assert trial_key(trial) == reference_trial_key(trial) != first
+
+    @pytest.mark.parametrize(
+        "trial, key", PINNED_KEYS,
+        ids=["channel-tsx", "kaslr-secret-kpti", "detect-unseeded"],
+    )
+    def test_version_argument_after_default_calls(self, trial, key):
+        """The text is reused only at the version it was spelled for.
+        ``"1.0.0"`` may equal the default, so another version sits
+        between the default-version calls and the pinned one."""
+        sibling = dataclasses.replace(trial, trial_index=trial.trial_index + 1)
+        self.check([trial, sibling, trial])
+        for version in ("9.9.9", "1.0.0"):
+            assert trial_key(sibling, version=version) == reference_trial_key(
+                sibling, version
+            )
+            assert trial_key(trial, version=version) == reference_trial_key(
+                trial, version
+            )
+        assert trial_key(trial, version="1.0.0") == key
+        self.check([sibling, trial])
+
+    def test_detect_cell_varies_only_its_index(self):
+        spec = MachineSpec(seed=None)
+        cell = [
+            DetectTrial(spec=spec, scenario="tet-cc", trial_index=index)
+            for index in range(8)
+        ]
+        self.check(cell)
+        assert len({trial_key(trial) for trial in cell}) == len(cell)
+
+
 def random_machine(rng: random.Random) -> MachineSpec:
     return MachineSpec(
         model=rng.choice(MATRIX_CPUS),
@@ -481,6 +572,29 @@ class TestCorruptRecords:
             handle.write(text[:-1] + ',"sum":"' + _record_sum(text) + '"}\n')
         with pytest.warns(UserWarning, match="corrupt store record"):
             assert ResultStore(str(tmp_path)).get("k9") is None
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"key":"k9","result":{"cycles":2,"totes":[2]}}{}',
+            # The line format closes every text with a brace, so an
+            # array record carries one after its bracket.
+            '[{"key":"k9","result":{"cycles":2,"totes":[2]}}]}',
+        ],
+        ids=["data-after-object", "array"],
+    )
+    def test_decoder_rejects_what_json_loads_rejects(self, tmp_path, text):
+        """A checksummed text the decoder does not consume whole is
+        skipped, and the last good record under its key still wins."""
+        with pytest.raises(ValueError):
+            json.loads(text)
+        store = self.fill(tmp_path, count=1)
+        good = TrialResult(totes=(9,), cycles=9)
+        store.put("k9", good)
+        with open(store.path, "a") as handle:
+            handle.write(text[:-1] + ',"sum":"' + _record_sum(text) + '"}\n')
+        with pytest.warns(UserWarning, match="corrupt store record"):
+            assert ResultStore(str(tmp_path)).get("k9") == good
 
     def test_blank_lines_ignored_silently(self, tmp_path):
         store = self.fill(tmp_path, count=1)
