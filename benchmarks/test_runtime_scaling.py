@@ -24,13 +24,8 @@ import warnings
 
 from benchmarks.conftest import banner, emit, emit_metric
 from repro.perf import cell_payloads
-from repro.runtime import TrialPool, default_workers
-from repro.runtime.batch import (
-    BatchStats,
-    clear_leader_trace_cache,
-    leader_cache_enabled,
-    run_trials_batched,
-)
+from repro.runtime import TrialPool, default_workers, tasks
+from repro.runtime.batch import BatchStats, leader_cache_enabled, run_trials_batched
 from repro.runtime.tasks import clear_worker_contexts, run_trial
 from repro.sim.machine import Machine
 from repro.whisper.channel import TetCovertChannel
@@ -116,14 +111,14 @@ def timed_batched(payloads, batch: int):
     """Time *payloads* through the batch executor at *batch* lanes.
 
     The warm-up fills the worker context and the decode caches, but its
-    packs share the timed packs' leader-cache key, so the leader cache
-    is cleared before the timed pass: otherwise every timed pack would
-    replay the warm-up's leader.  The timed pass counts into its own
+    packs share the timed packs' warm key, so the warm memo is cleared
+    before the timed pass: otherwise every timed pack would replay the
+    warm-up's recorded leader.  The timed pass counts into its own
     ``BatchStats``, and at least one leader-cache miss pins the fix.
     """
     clear_worker_contexts()
     run_trials_batched(payloads[:3], batch)
-    clear_leader_trace_cache()
+    tasks._warm_memo.clear()
     stats = BatchStats()
     start = time.perf_counter()
     results = run_trials_batched(payloads, batch, stats)

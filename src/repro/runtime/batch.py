@@ -4,10 +4,12 @@ Profiling shows the campaign hot path is per-uop Python dispatch in the
 out-of-order core.  Trials within a campaign cell are structurally
 identical -- same gadget, same decoded-uop plan, same warm/probe shape --
 and differ only in operand values (the ``r9`` test byte of a TET-CC
-scan).  This module exploits that: one *leader* lane executes each run
-for real on the scalar :class:`~repro.uarch.core.Core`, and every
-*follower* lane is reconstructed from the leader's uop trace by a
-taint-directed shadow replay instead of a full simulation.
+scan).  This module exploits that: one *leader* runs the pack's schedule
+for real on the scalar :class:`~repro.uarch.core.Core`, recording every
+run (:func:`record_leader`), and every lane is reconstructed from that
+recording by a taint-directed shadow replay instead of a full
+simulation.  Lane 0 of a pack is the recorded leader; the pack's trials
+ride lanes 1..N.
 
 The shadow holds follower state in structure-of-arrays form: for each
 register (and each divergent memory byte) that differs across lanes, a
@@ -46,29 +48,37 @@ diverge by *address* rather than by register value:
   candidate in a KPTI sweep, TLB window overflow, cache-set pressure)
   evict to scalar as usual; identity holds by construction.
 
-- **Cross-pack leader trace cache.**  Packs from the same sweep share
-  one structural identity (the pack key,
-  :func:`~repro.runtime.tasks.warm_key`), so the leader execution
-  of the first pack is memoized (:class:`LeaderTrace`) and replayed for
-  every later same-structure pack: the leader lane becomes a *phantom*
-  and zero machine execution happens per cache hit.  The cache never
-  keys on the probed value, is bounded (:data:`_LEADER_TRACE_LIMIT`),
-  and can be disabled with ``REPRO_BATCH_LEADER_CACHE=0`` -- results
-  are byte-identical either way.
+- **Cross-pack leader reuse.**  Packs from the same sweep share one
+  structural identity (the pack key,
+  :func:`~repro.runtime.tasks.warm_key`), so one recorded
+  :class:`LeaderTrace` serves every same-structure pack: after the
+  first, a pack runs no machine at all.  The recording lives in the
+  key's entry of the worker's warm memo (``runtime/tasks.py``), beside
+  the post-warm-up state its scalar trials load; the key never holds
+  the probed value.  ``REPRO_BATCH_LEADER_CACHE=0`` makes every pack
+  record its own leader and store none -- results are byte-identical
+  either way.
 """
 
 from __future__ import annotations
 
 import os
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from operator import methodcaller
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro import telemetry
 from repro.isa.opcodes import Op
 from repro.isa.registers import GPRS, MASK64
-from repro.runtime.tasks import TRIAL_KINDS, TrialResult, run_trial, warm_key
+from repro.runtime.tasks import (
+    TRIAL_KINDS,
+    PackSchedule,
+    TrialResult,
+    run_trial,
+    warm_get,
+    warm_key,
+    warm_put,
+)
 
 #: Sentinel for "the leader's value of this register is not tracked"
 #: (only ever true after a syscall handler may have rewritten it).
@@ -92,28 +102,32 @@ class BatchStats:
     leader_cache_hits: int = 0
     leader_cache_misses: int = 0
 
-    def merge_pack(self, batch: "LockstepBatch", offset: int) -> None:
-        """Fold one finished pack's per-lane outcome into the counters.
-
-        *offset* is the index of the first real-trial lane (1 when lane 0
-        is a phantom cached leader, else 0).
-        """
-        real = batch.lanes - offset
-        alive = sum(batch.alive[offset:])
+    def merge_pack(self, batch: "LockstepBatch") -> None:
+        """Fold one finished pack's trial lanes (1..N) into the counters."""
+        alive = sum(batch.alive[1:])
+        evicted = batch.lanes - 1 - alive
         self.packs += 1
         self.packed_trials += alive
-        self.evicted_lanes += real - alive
-        self.scalar_trials += real - alive
-        for lane, reason in batch.evict_reasons.items():
-            if lane >= offset:
-                self.evictions[reason] = self.evictions.get(reason, 0) + 1
+        self.evicted_lanes += evicted
+        self.scalar_trials += evicted
+        for reason in batch.evict_reasons.values():
+            self.evictions[reason] = self.evictions.get(reason, 0) + 1
 
 
 # -- one lockstep run ----------------------------------------------------------
 
 
+class LeaderRun(NamedTuple):
+    """One recorded leader ``machine.run``: its initial registers and its
+    result (records, resolution/translation events, final register
+    file)."""
+
+    regs: Dict[str, int]
+    result: object
+
+
 class LockstepRun:
-    """One ``machine.run`` viewed through every lane of a batch.
+    """One leader run viewed through every lane of a batch.
 
     ``result`` is the leader's :class:`~repro.uarch.core.RunResult`;
     :meth:`lane_reg` reads a register as lane *lane* would have left it.
@@ -135,21 +149,20 @@ class LockstepRun:
 
 
 class LockstepBatch:
-    """Step *lanes* virtual machines in lockstep over one real machine.
+    """Step *lanes* virtual machines in lockstep over one recorded leader.
 
-    Lane 0 is the leader and executes every run on *machine* for real;
-    lanes 1..N-1 exist only as taint vectors over the leader's trace.
-    Divergent-memory taint (``mem_taint``, byte-granular) persists across
-    runs within the batch; register/flag taint is reseeded per run from
-    the per-lane initial registers, matching the fresh
+    Lane 0 is the leader: each :meth:`run` is handed one of its recorded
+    runs (a :class:`LeaderRun`).  Lanes 1..N-1 exist only as taint
+    vectors over that trace; no machine runs here.  Divergent-memory
+    taint (``mem_taint``, byte-granular) persists across runs within the
+    batch; register/flag taint is reseeded per run from the per-lane
+    initial registers, matching the fresh
     :class:`~repro.isa.registers.RegisterFile` each ``run`` gets.
     """
 
-    def __init__(self, machine, program, lanes: int) -> None:
+    def __init__(self, lanes: int) -> None:
         if lanes < 1:
             raise ValueError("a batch needs at least the leader lane")
-        self.machine = machine
-        self.program = program
         self.lanes = lanes
         #: Lane liveness; evictions are permanent for the batch's lifetime
         #: (an evicted lane's trial re-runs scalar, never partially).
@@ -168,14 +181,6 @@ class LockstepBatch:
         #: that prove a follower's *divergent faulting* translation is
         #: cycle-isomorphic to the leader's instead of evicting it.
         self.translation_shadow: Optional["TranslationShadow"] = None
-        #: When a list, every leader run is captured into it as a
-        #: :class:`_CachedRun` for the cross-pack leader trace cache.
-        self.trace_sink: Optional[list] = None
-        #: When set (a :class:`LeaderTrace`'s runs), lane 0 is a *phantom*
-        #: leader: ``run`` replays the cached trace and never touches the
-        #: machine.  Real trials then occupy lanes 1..N.
-        self.replay_source: Optional[list] = None
-        self._run_index = 0
         # Per-run shadow state (reset by run()).
         self._leader: Dict[str, object] = {}
         self._reg_taint: Dict[str, List[int]] = {}
@@ -188,33 +193,23 @@ class LockstepBatch:
 
     # -- public API -------------------------------------------------------------
 
-    def run(self, lane_regs: Sequence[Dict[str, int]]) -> LockstepRun:
-        """Run the program once per lane, in lockstep.
+    def run(
+        self, leader: LeaderRun, lane_regs: Sequence[Dict[str, int]]
+    ) -> LockstepRun:
+        """Replay *leader* once per lane, in lockstep.
 
-        *lane_regs* gives each lane's initial registers (lane 0 drives
-        the real machine).  Returns a :class:`LockstepRun`; check
-        ``self.alive`` before trusting a follower lane's values.
+        *lane_regs* gives lanes 1..N-1 their initial registers; lane 0's
+        are the leader's own, and taint is computed against them.
+        Returns a :class:`LockstepRun`; check ``self.alive`` before
+        trusting a follower lane's values.
         """
-        if len(lane_regs) != self.lanes:
+        if len(lane_regs) != self.lanes - 1:
             raise ValueError(
-                f"expected {self.lanes} lane register sets, got {len(lane_regs)}"
+                f"expected {self.lanes - 1} follower register sets, "
+                f"got {len(lane_regs)}"
             )
-        if self.replay_source is not None:
-            # Phantom leader: lane 0 is the cached leader execution; its
-            # recorded trace substitutes for a machine run, and its
-            # initial registers replace whatever placeholder the caller
-            # put in slot 0 (taint is computed against the *cached*
-            # leader's values).
-            cached = self.replay_source[self._run_index]
-            self._run_index += 1
-            lane_regs = [cached.initial_regs, *lane_regs[1:]]
-            result = cached.result
-        else:
-            result = self.machine.run(
-                self.program, regs=dict(lane_regs[0]), record_trace=True
-            )
-            if self.trace_sink is not None:
-                self.trace_sink.append(_CachedRun(dict(lane_regs[0]), result))
+        lane_regs = [leader.regs, *lane_regs]
+        result = leader.result
         self._leader = {name: 0 for name in GPRS}
         for name, value in lane_regs[0].items():
             self._leader[name] = value & MASK64
@@ -242,7 +237,7 @@ class LockstepBatch:
         if not self.live_followers:
             # Leader-only from here on: any taint state is stale (the
             # replay stops the moment the last follower dies) and lane 0
-            # must read the engine's own registers.
+            # must read the leader's own registers.
             self._reg_taint = {}
             self._flag_taint = None
             self.mem_taint.clear()
@@ -950,43 +945,30 @@ class TranslationShadow:
 _PRESSURE_MARGIN = 2
 
 
-# -- cross-pack leader trace cache ---------------------------------------------
-
-
-class _CachedRun:
-    """One leader ``machine.run``: its initial registers and its result
-    (records, resolution/translation events, final register file)."""
-
-    __slots__ = ("initial_regs", "result")
-
-    def __init__(self, initial_regs: Dict[str, int], result) -> None:
-        self.initial_regs = initial_regs
-        self.result = result
+# -- the recorded leader ------------------------------------------------------
 
 
 @dataclass
 class LeaderTrace:
-    """Everything one pack's leader execution produced, replayable.
+    """One pack leader's recorded schedule: every run, then the cycle
+    count the schedule ends on.
 
     Packs are structurally identical within a sweep (same spec, same
-    warm/probe schedule; only the probed addresses differ), so one
-    leader execution -- run results, end-of-pack cycle count -- serves
-    every subsequent same-key pack as a *phantom* lane 0.
+    warm/probe schedule; only the probed values differ), so one
+    recording is lane 0 of its own pack and of every later pack with
+    its :func:`~repro.runtime.tasks.warm_key`.
     """
 
-    runs: List[_CachedRun]
+    runs: List[LeaderRun]
     cycles: int
 
 
-_LEADER_TRACE_LIMIT = 8
-_leader_traces: "OrderedDict[tuple, LeaderTrace]" = OrderedDict()
-
-
 def leader_cache_enabled() -> bool:
-    """Whether cross-pack leader memoization is on (env-overridable).
+    """Whether packs reuse a recorded leader across packs (env-overridable).
 
-    ``REPRO_BATCH_LEADER_CACHE=0`` disables it; results are byte-identical
-    either way (the cache only skips re-executing an identical leader).
+    ``REPRO_BATCH_LEADER_CACHE=0`` makes every pack record its own and
+    store none; results are byte-identical either way (reuse only skips
+    re-recording an identical leader).
     """
     flag = os.environ.get("REPRO_BATCH_LEADER_CACHE")
     if flag is not None and flag.strip().lower() in ("0", "false", "no", "off"):
@@ -994,36 +976,41 @@ def leader_cache_enabled() -> bool:
     return True
 
 
-def clear_leader_trace_cache() -> None:
-    """Drop all cached leader traces (context teardown / tests)."""
-    _leader_traces.clear()
-
-
-def _leader_trace_lookup(key: tuple) -> Optional[LeaderTrace]:
-    if not leader_cache_enabled():
-        return None
-    trace = _leader_traces.get(key)
-    if trace is not None:
-        _leader_traces.move_to_end(key)
-    return trace
-
-
-def _leader_trace_store(key: tuple, trace: LeaderTrace) -> None:
-    _leader_traces[key] = trace
-    while len(_leader_traces) > _LEADER_TRACE_LIMIT:
-        _leader_traces.popitem(last=False)
-
-
-# -- one pack driver -----------------------------------------------------------
-
-
-#: Pre-run hooks of a :class:`~repro.runtime.tasks.PackStep`: what a live
-#: leader does to its machine, and the lane models' matching notification
-#: (a phantom leader's cached runs already include the machine side).
+#: Pre-run hooks of a :class:`~repro.runtime.tasks.PackStep`: what the
+#: recording does to its machine, and the lane models' matching
+#: notification in the replay.
 _HOOKS = {
     "tlb-flush": (methodcaller("flush_tlb"), TranslationShadow.on_tlb_flush),
     "cr3-switch": (methodcaller("syscall_roundtrip"), TranslationShadow.on_cr3_switch),
 }
+
+
+def record_leader(
+    lead, schedule: PackSchedule, regs: Dict[str, int]
+) -> LeaderTrace:
+    """Run *lead*'s pack *schedule* on its machine from the boot state,
+    with *regs* in the per-lane steps, recording every run.
+
+    The only place the batch engine drives a machine: every pack replays
+    such a recording as its lane 0.
+    """
+    machine = schedule.machine
+    machine.reset_uarch(noise_seed=lead.spec.trial_seed(lead.trial_index))
+    if schedule.setup is not None:
+        schedule.setup()
+    runs = []
+    for step in schedule.steps:
+        if step.hook is not None:
+            _HOOKS[step.hook][0](machine)
+        step_regs = regs if step.lane else schedule.shared
+        result = machine.run(
+            schedule.program, regs=dict(step_regs), record_trace=True
+        )
+        runs.append(LeaderRun(step_regs, result))
+    return LeaderTrace(runs, machine.core.global_cycle)
+
+
+# -- one pack driver -----------------------------------------------------------
 
 
 def pack_eligible(trial) -> bool:
@@ -1078,84 +1065,71 @@ def run_pack(trials: Sequence, stats: Optional[BatchStats] = None) -> List:
 
     The one pack driver: the kind's
     :class:`~repro.runtime.tasks.PackSchedule` says what to run, and
-    this owns the rest.  The leader (``trials[0]``) executes the
-    schedule for real -- or, with the leader trace cache warm, lane 0 is
-    a phantom replaying a cached same-structure leader -- and every other
-    lane is the same trial with a different probed value, reconstructed
-    from the leader's trace.  Lanes the shadow evicts (a channel test
-    byte whose Jcc really does go the other way, a mapped KASLR
-    candidate) re-run through the ordinary scalar path, so every
-    returned :class:`~repro.runtime.tasks.TrialResult` is byte-identical
-    to a scalar run of its payload.
+    this owns the rest.  Lane 0 replays a recorded leader -- the warm
+    memo's for this pack key, or else ``trials[0]``'s, recorded now --
+    and the trials ride lanes 1..N, each the same trial with a different
+    probed value, reconstructed from the leader's trace.  Lanes the
+    shadow evicts (a channel test byte whose Jcc really does go the
+    other way, a mapped KASLR candidate) re-run through the ordinary
+    scalar path, so every returned
+    :class:`~repro.runtime.tasks.TrialResult` is byte-identical to a
+    scalar run of its payload.
     """
     lead = trials[0]
     kind = TRIAL_KINDS[type(lead)]
     schedule = kind.schedule(lead)
-    machine = schedule.machine
+    lane_set = [
+        {**schedule.shared, kind.register: getattr(trial, kind.probe)}
+        for trial in trials
+    ]
     # The pack key names the pack's *structure* (the kind and its other
     # fields), never the leader's own probed value -- which is exactly
-    # why one cached leader serves every same-structure pack.
+    # why one recorded leader serves every same-structure pack.
     key = warm_key(lead)
-    cached = _leader_trace_lookup(key)
-    live = cached is None
-    offset = 0 if live else 1
-    lanes = len(trials) + offset
-    if live:
-        machine.reset_uarch(noise_seed=lead.spec.trial_seed(lead.trial_index))
-        if schedule.setup is not None:
-            schedule.setup()
-    batch = LockstepBatch(machine, schedule.program, lanes)
+    cache = leader_cache_enabled()
+    leader = warm_get(key).leader if cache else None
+    hit = leader is not None
+    if not hit:
+        leader = record_leader(lead, schedule, lane_set[0])
+        if cache:
+            warm_put(key, leader=leader)
+    batch = LockstepBatch(len(trials) + 1)
     # Per-lane translation models follow the schedule's flushes and CR3
     # switches; a schedule without pre-hooks (the channel's) has nothing
     # for them to follow, and its address-divergent lanes simply evict.
     shadow = None
     if any(step.hook for step in schedule.steps):
-        shadow = batch.translation_shadow = TranslationShadow(machine.mmu, lanes)
-    if not live:
-        batch.replay_source = cached.runs
-    elif leader_cache_enabled():
-        batch.trace_sink = []
-    shared_set = [schedule.shared] * lanes
-    # In phantom-leader mode slot 0 is a placeholder: run() swaps in the
-    # cached leader's own initial registers before taint is computed.
-    lane_set = [schedule.shared] * offset + [
-        {**schedule.shared, kind.register: getattr(trial, kind.probe)}
-        for trial in trials
-    ]
-    totes: List[List[int]] = [[] for _ in range(lanes)]
-    for step in schedule.steps:
+        shadow = batch.translation_shadow = TranslationShadow(
+            schedule.machine.mmu, batch.lanes
+        )
+    shared_set = [schedule.shared] * len(trials)
+    totes: List[List[int]] = [[] for _ in trials]
+    for step, recorded in zip(schedule.steps, leader.runs):
         if step.hook is not None:
-            machine_hook, shadow_hook = _HOOKS[step.hook]
-            if live:
-                machine_hook(machine)
-            shadow_hook(shadow)
-        run = batch.run(lane_set if step.lane else shared_set)
+            _HOOKS[step.hook][1](shadow)
+        run = batch.run(recorded, lane_set if step.lane else shared_set)
         if step.timed:
-            for lane in range(offset, lanes):
+            for lane, samples in enumerate(totes, start=1):
                 if batch.alive[lane]:
-                    totes[lane].append(
+                    samples.append(
                         run.lane_reg(lane, "r15") - run.lane_reg(lane, "r14")
                     )
     if shadow is not None:
         shadow.finish(batch)
-    # The pack ran exactly one trial's worth of runs on one continuing
-    # cycle timeline, so the leader's cycle count is every live lane's.
-    cycles = machine.core.global_cycle if live else cached.cycles
-    if batch.trace_sink is not None:
-        _leader_trace_store(key, LeaderTrace(runs=batch.trace_sink, cycles=cycles))
     if stats is not None:
-        if not live:
-            stats.leader_cache_hits += 1
-        elif batch.trace_sink is not None:
-            stats.leader_cache_misses += 1
-        stats.merge_pack(batch, offset)
-    # Evicted lanes re-run scalar on the same cached context: purity makes
-    # that exactly the result a scalar-only campaign computes.
+        if cache:
+            stats.leader_cache_hits += hit
+            stats.leader_cache_misses += not hit
+        stats.merge_pack(batch)
+    # The leader ran exactly one trial's worth of runs on one continuing
+    # cycle timeline, so its cycle count is every live lane's.  Evicted
+    # lanes re-run scalar on the same cached context: purity makes that
+    # exactly the result a scalar-only campaign computes.
     return [
-        TrialResult(totes=tuple(totes[lane]), cycles=cycles)
-        if batch.alive[lane]
+        TrialResult(totes=tuple(samples), cycles=leader.cycles)
+        if alive
         else run_trial(trial)
-        for lane, trial in enumerate(trials, start=offset)
+        for trial, samples, alive in zip(trials, totes, batch.alive[1:])
     ]
 
 

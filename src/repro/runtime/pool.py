@@ -563,7 +563,7 @@ class TrialPool:
     as a context manager; :meth:`close` is idempotent.
 
     Fail-fast maps on the crew adapt their dispatch granularity (see
-    :meth:`_run_crew`); ``chunk_size`` pins it instead.
+    :meth:`_run_crew`).
 
     With a :class:`~repro.faults.resilience.ResiliencePolicy` as
     ``policy``, failed trials retry with seeded backoff, payloads that
@@ -590,7 +590,6 @@ class TrialPool:
     def __init__(
         self,
         workers: int = 1,
-        chunk_size: Optional[int] = None,
         policy=None,
         lanes: Optional[int] = None,
     ) -> None:
@@ -614,9 +613,6 @@ class TrialPool:
         self.fault_stats = FaultStats()
         self._fault_plan = None
         self._crew: Optional[WorkerCrew] = None
-        #: Explicit crew dispatch granularity; ``None`` selects the
-        #: adaptive heuristic (see :meth:`_run_crew`).
-        self.chunk_size = chunk_size
         #: EWMA of seconds of worker compute per payload (None = no data).
         self._per_payload_est: Optional[float] = None
 
@@ -735,8 +731,6 @@ class TrialPool:
 
     def _pick_chunk(self, count: int) -> int:
         """Chunk size for a *count*-payload map (1 = per-payload)."""
-        if self.chunk_size is not None:
-            return max(1, int(self.chunk_size))
         estimate = self._per_payload_est
         if estimate is None:
             return 1  # first map: measure before grouping

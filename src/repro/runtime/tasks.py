@@ -86,7 +86,8 @@ class PackSchedule(NamedTuple):
     """A trial function as ``runtime/batch.py``'s ``run_pack`` runs it:
     the leader's cached machine and program, the warm registers every
     lane shares (a lane's own put its probed value in the kind's
-    register), the ordered runs, and a live leader's post-reset setup."""
+    register), the ordered runs, and the leader recording's post-reset
+    setup."""
 
     machine: object
     program: object
@@ -471,18 +472,47 @@ def warm_key(trial) -> tuple:
     On a noise-free spec, trials with one key run the same warm prefix
     from the same boot state, so they leave the machine in the same state
     before their probes differ.  The key is also the lockstep engine's
-    pack and leader-trace-cache key (``runtime/batch.py``): a pack's
-    lanes are such trials.
+    pack key (``runtime/batch.py``): a pack's lanes are such trials, and
+    one recorded leader serves them all.
     """
     kind = type(trial)
     return kind, _WARM_FIELDS[kind](trial)
 
 
-#: Post-warm-up machine states by :func:`warm_key`, least recently used
-#: first.  A state holds 10-50 KB, and campaigns run each key's trials
-#: together (a channel cell one byte at a time), so a few entries serve.
-_WARM_STATE_LIMIT = 8
-_warm_states: "OrderedDict[tuple, tuple]" = OrderedDict()
+class WarmEntry(NamedTuple):
+    """What one :func:`warm_key` paid for once: the post-warm-up machine
+    state its scalar trials load, and the recorded pack leader
+    (``runtime/batch.py:LeaderTrace``) its packs replay."""
+
+    state: Optional[tuple] = None
+    leader: Optional[object] = None
+
+
+_NO_ENTRY = WarmEntry()
+
+#: The warm memo: a :class:`WarmEntry` per :func:`warm_key`, least
+#: recently used first.  A state holds 10-50 KB, and campaigns run each
+#: key's trials together (a channel cell one byte at a time), so a few
+#: entries serve.
+_WARM_LIMIT = 8
+_warm_memo: "OrderedDict[tuple, WarmEntry]" = OrderedDict()
+
+
+def warm_get(key: tuple) -> WarmEntry:
+    """*key*'s memo entry (an empty one if none), marked most recently
+    used."""
+    entry = _warm_memo.get(key)
+    if entry is None:
+        return _NO_ENTRY
+    _warm_memo.move_to_end(key)
+    return entry
+
+
+def warm_put(key: tuple, **parts) -> None:
+    """Save *parts* (``state=`` and/or ``leader=``) in *key*'s entry."""
+    _warm_memo[key] = _warm_memo.pop(key, _NO_ENTRY)._replace(**parts)
+    if len(_warm_memo) > _WARM_LIMIT:
+        _warm_memo.popitem(last=False)
 
 
 def _warm_start(machine, trial, warm_up: Callable[[], object]) -> None:
@@ -499,17 +529,14 @@ def _warm_start(machine, trial, warm_up: Callable[[], object]) -> None:
     noise_free = trial.spec.noise_amplitude == 0
     if noise_free:
         key = warm_key(trial)
-        state = _warm_states.get(key)
+        state = warm_get(key).state
         if state is not None:
-            _warm_states.move_to_end(key)
             machine.load_uarch(state)
             return
     machine.reset_uarch(noise_seed=trial.spec.trial_seed(trial.trial_index))
     warm_up()
     if noise_free:
-        _warm_states[key] = machine.save_uarch()
-        while len(_warm_states) > _WARM_STATE_LIMIT:
-            _warm_states.popitem(last=False)
+        warm_put(key, state=machine.save_uarch())
 
 
 # -- dispatch ------------------------------------------------------------------
@@ -584,12 +611,7 @@ def run_trial(trial) -> TrialResult:
 
 
 def clear_worker_contexts() -> None:
-    """Drop all cached machines and saved warm states (tests that need
-    cold workers)."""
-    from repro.runtime.batch import clear_leader_trace_cache
-
+    """Drop all cached machines and the warm memo (tests that need cold
+    workers)."""
     _contexts.clear()
-    _warm_states.clear()
-    # Cached leader traces reference machines from the dropped contexts;
-    # a cold worker should not replay a warm worker's leader.
-    clear_leader_trace_cache()
+    _warm_memo.clear()

@@ -22,9 +22,10 @@ import random
 import pytest
 
 from repro.kernel.kaslr import user_mapped_slots
-from repro.kernel.layout import slot_base
+from repro.kernel.layout import KPTI_TRAMPOLINE_OFFSET, slot_base
 from repro.runtime.batch import (
     BatchStats,
+    LeaderRun,
     LockstepBatch,
     plan_packs,
     run_pack,
@@ -102,9 +103,11 @@ def check_batch_equals_scalar(seed: int, lanes: int = 5, runs: int = 2) -> None:
     machine.reset_uarch(noise_seed=99)
     machine.write_data(page, PAGE_IMAGE)
     lane_regs = _lane_regs(page, lanes)
-    batch = LockstepBatch(machine, program, lanes)
+    batch = LockstepBatch(lanes)
     for _ in range(runs):
-        run = batch.run(lane_regs)
+        # Lane 0 is the leader: record its run, then replay it for all.
+        result = machine.run(program, regs=dict(lane_regs[0]), record_trace=True)
+        run = batch.run(LeaderRun(lane_regs[0], result), lane_regs[1:])
     leader_pmu = dict(machine.core.pmu.counts)
     leader_cycles = machine.core.global_cycle
     assert batch.alive[0], "the leader lane can never be evicted"
@@ -319,25 +322,70 @@ else:  # pragma: no cover - exercised only without hypothesis
             check_kaslr_random_case(seed)
 
 
+def _batched_both_ways(payloads, batch_size, monkeypatch):
+    """Batch *payloads* on a cold worker with the leader cache on, then
+    off, asserting each run equals hermetic scalar trials; returns each
+    run's ``BatchStats`` by whether the cache was on."""
+    clear_worker_contexts()
+    scalar = [run_trial(p) for p in payloads]
+    stats = {}
+    for leader_cache in (True, False):
+        monkeypatch.setenv("REPRO_BATCH_LEADER_CACHE", "1" if leader_cache else "0")
+        clear_worker_contexts()
+        stats[leader_cache] = BatchStats()
+        assert run_trials_batched(payloads, batch_size, stats[leader_cache]) == scalar
+    clear_worker_contexts()
+    return stats
+
+
 class TestKaslrPackStructure:
-    def test_mapped_candidate_evicts_unmapped_survive(self):
-        """A sweep straddling the trampoline slot: the one user-mapped
-        candidate evicts with the translation-divergence reason; every
-        unmapped lane rides the leader's walk shape."""
+    @pytest.mark.parametrize("position", [3, 0])
+    def test_mapped_candidate_evicts_unmapped_survive(self, position, monkeypatch):
+        """A sweep straddling the trampoline slot, which is trial
+        *position* of the pack.  Mid-pack, the one user-mapped
+        candidate evicts with the translation-divergence reason and every
+        unmapped lane rides the leader's walk shape; leading the pack, the
+        mapped slot is the recorded leader, so every other lane evicts.
+        Either way, with the leader cache on and off."""
         spec = MachineSpec("i7-7700", seed=21, kpti=True)
         layout = _kaslr_layout(spec)
         mapped = user_mapped_slots(layout, kpti=True)
         assert len(mapped) == 1  # KPTI: just the trampoline remnant
         (tramp_slot,) = mapped
-        slots = list(range(tramp_slot - 3, tramp_slot + 5))
+        first = tramp_slot - position
+        slots = list(range(first, first + 8))
         payloads = _kaslr_payloads(21, slots, False, None)
-        clear_worker_contexts()
-        scalar = [run_trial(p) for p in payloads]
-        clear_worker_contexts()
-        stats = BatchStats()
-        assert run_trials_batched(payloads, len(payloads), stats) == scalar
-        assert stats.evictions == {"translation-divergence": 1}
-        clear_worker_contexts()
+        evicted = 1 if position else len(payloads) - 1
+        for stats in _batched_both_ways(payloads, len(payloads), monkeypatch).values():
+            assert stats.evictions == {"translation-divergence": evicted}
+
+    def test_flare_bypass_packs_equal_scalar(self, monkeypatch):
+        """The flare-bypass scan under KPTI+FLARE (trampoline offset, CR3
+        switch between the probes) in 8-lane packs, so the cr3-switch hook
+        runs in the recording and in the replay.  FLARE maps a dummy page
+        at every candidate, which makes each walk's paging-structure-cache
+        keys hold its own slot: no lane is isomorphic to another slot's
+        leader, and every eviction is a translation divergence.  With the
+        cache on, the second pack replays the first pack's leader and all
+        8 of its lanes evict; off, each pack keeps its own leader's lane.
+        The sweep straddles the real trampoline's slot."""
+        spec = MachineSpec("i9-10980XE", seed=21, kpti=True, flare=True)
+        layout = _kaslr_layout(spec)
+        (tramp_slot,) = user_mapped_slots(
+            layout, kpti=True, probe_offset=KPTI_TRAMPOLINE_OFFSET
+        )
+        payloads = [
+            KaslrTrial(
+                spec=spec,
+                va=slot_base(slot) + KPTI_TRAMPOLINE_OFFSET,
+                cr3_switch=True,
+                trial_index=index,
+            )
+            for index, slot in enumerate(range(tramp_slot - 5, tramp_slot + 11))
+        ]
+        stats = _batched_both_ways(payloads, 8, monkeypatch)
+        assert stats[True].evictions == {"translation-divergence": 15}
+        assert stats[False].evictions == {"translation-divergence": 14}
 
     def test_leader_cache_hits_across_same_structure_packs(self):
         """Every pack after the first in a uniform sweep replays the

@@ -173,15 +173,18 @@ class TestExecutionShapeIdentity:
             for test in range(12)
         ]
 
-    def test_serial_pooled_chunked_identical(self):
+    def test_serial_pooled_chunked_identical(self, monkeypatch):
         payloads = self._payloads()
         shapes = {}
         for label, kwargs in (
             ("serial", {"workers": 1}),
             ("pooled-2", {"workers": 2}),
             ("pooled-4", {"workers": 4}),
-            ("chunked", {"workers": 2, "chunk_size": 5}),
+            ("chunked", {"workers": 2}),
         ):
+            if label == "chunked":
+                # 5-payload chunks from the first map on.
+                monkeypatch.setattr(TrialPool, "_pick_chunk", lambda self, count: 5)
             with TrialPool(**kwargs) as pool:
                 shapes[label] = pool.map(run_trial, payloads)
         assert shapes["serial"] == shapes["pooled-2"] == shapes["pooled-4"]

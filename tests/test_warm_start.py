@@ -286,18 +286,18 @@ def check_warm_equals_cold(trials):
     and rerun it cold on the same worker context.  Every warm run must
     equal its cold one, and every trial after its key's first must have
     been warm-started."""
-    tasks._warm_states.clear()
+    tasks._warm_memo.clear()
     seen = set()
     for trial in trials:
         key = warm_key(trial)
-        assert (key in tasks._warm_states) is (key in seen), trial
+        assert (key in tasks._warm_memo) is (key in seen), trial
         seen.add(key)
         warm = _observe(trial)
-        memo = tasks._warm_states.copy()
-        tasks._warm_states.clear()
+        memo = tasks._warm_memo.copy()
+        tasks._warm_memo.clear()
         assert _observe(trial) == warm, trial
-        tasks._warm_states.clear()
-        tasks._warm_states.update(memo)
+        tasks._warm_memo.clear()
+        tasks._warm_memo.update(memo)
     clear_worker_contexts()
 
 
@@ -387,7 +387,7 @@ def test_noisy_trials_never_warm_start():
         for test in range(3)
     ]
     results = [run_trial(trial) for trial in trials]
-    assert not tasks._warm_states
+    assert not tasks._warm_memo
     clear_worker_contexts()
     assert [run_trial(trial) for trial in reversed(trials)] == results[::-1]
     clear_worker_contexts()
@@ -396,11 +396,35 @@ def test_noisy_trials_never_warm_start():
 def test_memo_is_bounded_and_cleared():
     spec = MachineSpec("i7-7700", seed=2)
     clear_worker_contexts()
-    for byte in range(tasks._WARM_STATE_LIMIT + 3):
+    for byte in range(tasks._WARM_LIMIT + 3):
         run_trial(ChannelTrial(spec=spec, byte=byte, test=0, batches=1, trial_index=byte))
-    assert len(tasks._warm_states) == tasks._WARM_STATE_LIMIT
+    assert len(tasks._warm_memo) == tasks._WARM_LIMIT
     clear_worker_contexts()
-    assert not tasks._warm_states
+    assert not tasks._warm_memo
+
+
+def test_one_entry_holds_a_keys_state_and_leader(monkeypatch):
+    """A pack and its evicted lane's scalar re-run share one memo entry:
+    the recorded leader and the saved state.  With the leader cache off,
+    packs store no leader."""
+    from repro.runtime.batch import run_trials_batched
+
+    spec = MachineSpec("i7-7700", seed=2)
+    trials = [
+        ChannelTrial(spec=spec, byte=7, test=test, batches=1, trial_index=test)
+        for test in range(4, 10)
+    ]
+    key = warm_key(trials[0])
+    for leader_cache in (True, False):
+        monkeypatch.setenv("REPRO_BATCH_LEADER_CACHE", "1" if leader_cache else "0")
+        clear_worker_contexts()
+        run_trials_batched(trials, 8)  # test 7's Jcc diverges: it runs scalar
+        assert list(tasks._warm_memo) == [key]
+        entry = tasks._warm_memo[key]
+        assert entry.state is not None
+        assert (entry.leader is not None) is leader_cache
+    clear_worker_contexts()
+    assert not tasks._warm_memo
 
 
 def test_failed_warm_up_saves_nothing(monkeypatch):
@@ -425,9 +449,9 @@ def test_failed_warm_up_saves_nothing(monkeypatch):
     monkeypatch.setattr(machine, "run_many", failing_run_many)
     with pytest.raises(RuntimeError):
         run_trial(trial)
-    assert not tasks._warm_states
+    assert not tasks._warm_memo
     assert run_trial(trial) == expected
-    assert warm_key(trial) in tasks._warm_states
+    assert warm_key(trial) in tasks._warm_memo
     clear_worker_contexts()
 
 
