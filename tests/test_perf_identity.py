@@ -8,7 +8,8 @@ pins that contract two ways:
 
 * **golden constants**: ToTE tuples and cycle counts for fixed
   ``ChannelTrial``/``KaslrTrial`` payloads, captured from the
-  pre-overhaul tree.  Any optimisation that shifts a number here has
+  pre-overhaul tree, and feature vectors for one ``DetectTrial`` window
+  per detect scenario.  Any optimisation that shifts a number here has
   changed the simulated microarchitecture, not just its implementation.
 * **execution-shape identity** (the ``w1``/``w8`` pattern from
   ``test_faults_chaos.py``): the same payload list run serially, pooled
@@ -28,7 +29,13 @@ import pytest
 
 from repro.runtime import TrialPool
 from repro.runtime.spec import MachineSpec
-from repro.runtime.tasks import ChannelTrial, KaslrTrial, run_trial, trial_context
+from repro.runtime.tasks import (
+    ChannelTrial,
+    DetectTrial,
+    KaslrTrial,
+    run_trial,
+    trial_context,
+)
 from repro.sim.machine import Machine
 
 #: (model, seed, secret byte, test value, trial index) -> (totes, cycles),
@@ -86,6 +93,32 @@ GOLDEN_KASLR_PMU = [
     ((8, 112, 240, 609, 65, 43, 0, 29, 10, 3, 96), "39c359c126dfe751"),
     ((8, 112, 240, 624, 65, 43, 0, 29, 10, 3, 96), "0d4b15f6f7a2828a"),
     ((8, 112, 240, 609, 65, 43, 0, 29, 10, 3, 96), "39c359c126dfe751"),
+]
+
+
+#: (scenario, victim noise amplitude) -> (feature vector, cycles, PMU
+#: digest) for ``DetectTrial(MachineSpec("i7-7700", seed=31,
+#: noise_amplitude=noise), scenario, trial_index=3)``: one window of every
+#: detect scenario, captured before the run envelope and memory path
+#: were rewritten.  The Flush+Reload windows are 257 short runs each; the
+#: noise-2 cells pin the order of the ambient-noise draws as well.
+GOLDEN_DETECT = [
+    (('fr-meltdown', 0), ((71140, 2570, 2563, 1, 28, 14, 257, 256, 257, 256), 71140, 'd508e2579555886a')),
+    (('fr-meltdown', 2), ((71640, 2570, 2563, 1, 28, 14, 257, 256, 257, 256), 71640, 'e9407851cd6414bb')),
+    (('fr-user', 0), ((71683, 2569, 2569, 0, 0, 0, 258, 257, 258, 256), 71683, 'd7c615d48dc78d11')),
+    (('fr-user', 2), ((72199, 2569, 2569, 0, 0, 0, 258, 257, 258, 256), 72199, 'd13780f64ef6bde1')),
+    (('tet-cc', 0), ((4258, 168, 96, 8, 258, 126, 9, 1, 1, 0), 4258, '69d0e62ff63620e1')),
+    (('tet-cc', 2), ((4311, 168, 96, 8, 258, 126, 9, 1, 1, 0), 4311, 'f3aff2558fe0785e')),
+    (('tet-md', 0), ((11888, 653, 324, 36, 1100, 518, 1, 0, 0, 0), 11888, '4034b7cd5056c35e')),
+    (('tet-md', 2), ((11962, 651, 324, 36, 1098, 518, 1, 0, 0, 0), 11962, '01b7889b398987ed')),
+    (('tet-kaslr', 0), ((10417, 168, 88, 8, 240, 112, 8, 0, 0, 0), 10417, '54d2af504623acde')),
+    (('tet-kaslr', 2), ((10448, 168, 88, 8, 240, 112, 8, 0, 0, 0), 10448, 'a1efc59f54e1f5cd')),
+    (('benign-compute', 0), ((1714, 1569, 1544, 0, 58, 70, 0, 0, 0, 0), 1714, 'a23b2331358280e4')),
+    (('benign-compute', 2), ((2064, 1560, 1544, 0, 55, 70, 0, 0, 0, 0), 2064, 'a5de9152708d64b2')),
+    (('benign-stream', 0), ((4226, 48, 48, 0, 0, 0, 12, 12, 15, 0), 4226, '41686499d45534a7')),
+    (('benign-stream', 2), ((4277, 48, 48, 0, 0, 0, 12, 12, 15, 0), 4277, '72875fa88de3a2bf')),
+    (('benign-fault', 0), ((3516, 15, 5, 5, 120, 70, 5, 0, 0, 0), 3516, '2cd1e4369e17fe36')),
+    (('benign-fault', 2), ((3529, 15, 5, 5, 120, 70, 5, 0, 0, 0), 3529, 'f79ce7ea8a984893')),
 ]
 
 
@@ -159,6 +192,18 @@ class TestGoldenConstants:
     )
     def test_kaslr_trial_pmu_bank(self, key, expected):
         assert _pmu_pin(_kaslr_payload(*key)) == expected
+
+    @pytest.mark.parametrize("key,expected", GOLDEN_DETECT)
+    def test_detect_window_matches_golden(self, key, expected):
+        scenario, noise = key
+        trial = DetectTrial(
+            spec=MachineSpec("i7-7700", seed=31, noise_amplitude=noise),
+            scenario=scenario,
+            trial_index=3,
+        )
+        result = run_trial(trial)
+        core = trial_context(trial)[0].core
+        assert (tuple(result.totes), result.cycles, _pmu_digest(core)) == expected
 
 
 class TestExecutionShapeIdentity:
