@@ -62,7 +62,8 @@ DEFAULT_ROOT = ".campaigns"
 # -- canonical JSON ------------------------------------------------------------
 
 #: Compact sorted JSON, as ``json.dumps(sort_keys=True, separators=(",",
-#: ":"))`` writes it: the spelling of plain values and of record text.
+#: ":"))`` writes it: the spelling of floats and of subclasses of the
+#: leaf types.
 _json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
@@ -305,17 +306,23 @@ _decode = json.JSONDecoder().raw_decode
 _SUM_FIELD = ',"sum":"'
 
 
-def _outcome_body(outcome: StoredOutcome) -> dict:
-    """The record body for one stored outcome (result or failure)."""
+def _record_text(key: str, outcome: StoredOutcome) -> str:
+    """The canonical text of one record before its checksum: the key and
+    a ``result`` (cycles, totes) or ``failure`` (attempts, error, faults)
+    body, in sorted key order.  Spelled out, like :func:`_key_text`:
+    building the dict and running the sorted encoder cost more than the
+    rest of a checkpoint's per-record work."""
     if isinstance(outcome, TrialFailure):
-        return {
-            "failure": {
-                "attempts": outcome.attempts,
-                "faults": list(outcome.faults),
-                "error": outcome.error,
-            }
-        }
-    return {"result": {"totes": list(outcome.totes), "cycles": outcome.cycles}}
+        return (
+            '{"failure":{"attempts":' + str(outcome.attempts)
+            + ',"error":' + _json_string(outcome.error)
+            + ',"faults":[' + ",".join(map(_json_string, outcome.faults))
+            + ']},"key":' + _json_string(key) + "}"
+        )
+    return (
+        '{"key":' + _json_string(key) + ',"result":{"cycles":' + str(outcome.cycles)
+        + ',"totes":[' + ",".join(map(str, outcome.totes)) + "]}}"
+    )
 
 
 def _record_sum(text: str) -> str:
@@ -425,7 +432,7 @@ class ResultStore:
         The seam fault injection hooks: :class:`repro.faults.inject.FaultyStore`
         overrides this to damage the bytes between encoding and disk.
         """
-        text = _json({"key": key, **_outcome_body(outcome)})
+        text = _record_text(key, outcome)
         return text[:-1] + _SUM_FIELD + _record_sum(text) + '"}'
 
     def put(self, key: str, outcome: StoredOutcome) -> None:
@@ -450,9 +457,10 @@ class ResultStore:
                     reader.seek(-1, os.SEEK_END)
                     if reader.read(1) != b"\n":
                         handle.write("\n")
-            for key, outcome in records:
-                handle.write(self._encode_record(key, outcome) + "\n")
-                index[key] = outcome
+            handle.write(
+                "".join(self._encode_record(key, outcome) + "\n" for key, outcome in records)
+            )
+            index.update(records)
             handle.flush()
             os.fsync(handle.fileno())
 

@@ -54,22 +54,32 @@ class Cache:
         line = paddr >> LINE_SHIFT
         return line in self._sets.get(line % self._set_count, ())
 
-    def touch(self, paddr: int) -> bool:
-        """Look up *paddr*; on hit refresh LRU.  Returns hit/miss."""
+    def access(self, paddr: int) -> bool:
+        """Look up *paddr*: on a hit refresh its LRU position, on a miss
+        insert it (evicting the set's LRU line).  Returns hit/miss."""
         line = paddr >> LINE_SHIFT
-        ways = self._sets.get(line % self._set_count)
-        if ways is not None and line in ways:
+        index = line % self._set_count
+        ways = self._sets.get(index)
+        if ways is None:
+            ways = self._sets[index] = OrderedDict()
+        elif line in ways:
             ways.move_to_end(line)
             self.hits += 1
             return True
+        elif len(ways) >= self._way_count:
+            ways.popitem(last=False)
+        ways[line] = True
         self.misses += 1
         return False
 
     def fill(self, paddr: int) -> Optional[int]:
         """Insert the line holding *paddr*; return evicted line or None."""
         line = paddr >> LINE_SHIFT
-        ways = self._sets.setdefault(line % self._set_count, OrderedDict())
-        if line in ways:
+        index = line % self._set_count
+        ways = self._sets.get(index)
+        if ways is None:
+            ways = self._sets[index] = OrderedDict()
+        elif line in ways:
             ways.move_to_end(line)
             return None
         evicted = None
@@ -80,8 +90,8 @@ class Cache:
 
     def flush_line(self, paddr: int) -> bool:
         """Remove the line holding *paddr*; return whether it was present."""
-        set_index, line = self._set_for(paddr)
-        ways = self._sets.get(set_index)
+        line = paddr >> LINE_SHIFT
+        ways = self._sets.get(line % self._set_count)
         if ways is not None and line in ways:
             del ways[line]
             return True
@@ -153,18 +163,15 @@ class CacheHierarchy:
         self._dram_outcome = MemoryAccessOutcome(dram_latency, "DRAM")
 
     def _access(self, first_level: Cache, paddr: int) -> MemoryAccessOutcome:
-        if first_level.touch(paddr):
+        # Every level that misses takes the line (inclusive fills); the
+        # levels are independent, so each one's lookup and fill are one
+        # Cache.access.
+        if first_level.access(paddr):
             return first_level.hit_outcome
-        if self.l2.touch(paddr):
-            first_level.fill(paddr)
+        if self.l2.access(paddr):
             return self._l2_outcome
-        if self.llc.touch(paddr):
-            first_level.fill(paddr)
-            self.l2.fill(paddr)
+        if self.llc.access(paddr):
             return self._llc_outcome
-        first_level.fill(paddr)
-        self.l2.fill(paddr)
-        self.llc.fill(paddr)
         return self._dram_outcome
 
     def data_access(self, paddr: int) -> MemoryAccessOutcome:
@@ -178,8 +185,10 @@ class CacheHierarchy:
     def clflush(self, paddr: int) -> None:
         """Flush the line holding *paddr* from every level."""
         self.clflush_count += 1
-        for cache in (self.l1d, self.l1i, self.l2, self.llc):
-            cache.flush_line(paddr)
+        self.l1d.flush_line(paddr)
+        self.l1i.flush_line(paddr)
+        self.l2.flush_line(paddr)
+        self.llc.flush_line(paddr)
 
     def flush_all(self) -> None:
         """Empty the entire hierarchy (cold-cache experiment setup)."""

@@ -10,13 +10,12 @@ with a captured data snapshot; :meth:`sample_stale` hands back one of them.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque, Optional
+from typing import Deque, NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class LfbEntry:
-    """One fill buffer entry: line address, snapshot and owning thread."""
+class LfbEntry(NamedTuple):
+    """One fill buffer entry: line address, snapshot and owning thread (a
+    NamedTuple: one is built per L1 miss)."""
 
     paddr_line: int
     data: bytes  # 64-byte snapshot captured when the fill completed

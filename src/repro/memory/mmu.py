@@ -383,7 +383,8 @@ class Mmu:
             if rng is not None:
                 latency += rng.randint(0, self._noise_amplitude)
             tlb_hit = False
-            if walk.pte is None:
+            pte = walk.pte
+            if pte is None:
                 latency += self.fault_determination_cost
                 fault = Fault(_NOT_PRESENT, va)
                 if self.translation_log is not None:
@@ -392,11 +393,6 @@ class Mmu:
                         fault, False, None,
                     )
                 return AccessResult(va, None, None, fault, latency, False, "", False, walk)
-            pte = walk.pte
-            fault_preview = self._check_permissions(pte, write, user, False, va)
-            if fault_preview is None or self.fill_tlb_on_faulting_access:
-                self.dtlb.fill(va, pte)
-                tlb_filled = True
 
         paddr = pte.physical_address(va)
         # _check_permissions, inlined (data side is the hot path).
@@ -406,6 +402,9 @@ class Mmu:
             fault = Fault(_WRITE_PROTECT, va)
         else:
             fault = None
+        if walk is not None and (fault is None or self.fill_tlb_on_faulting_access):
+            self.dtlb.fill(va, pte)
+            tlb_filled = True
         if fault is not None:
             latency += self.fault_determination_cost
             was_cached = self.hierarchy.data_resident(paddr)
@@ -418,8 +417,9 @@ class Mmu:
                 va, paddr, None, fault, latency, tlb_hit, "", was_cached, walk
             )
 
-        was_cached = self.hierarchy.data_resident(paddr)
         outcome = self.hierarchy.data_access(paddr)
+        # The line was resident before this access iff some level hit.
+        was_cached = outcome.hit_level != "DRAM"
         latency += outcome.latency
         if outcome.hit_level != "L1":
             # The fill buffers sit between L1D and the rest of the

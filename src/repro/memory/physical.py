@@ -31,6 +31,10 @@ class PhysicalMemory:
 
     def read_bytes(self, paddr: int, length: int) -> bytes:
         """Read *length* bytes starting at physical address *paddr*."""
+        offset = paddr & PAGE_MASK
+        if 0 < length <= PAGE_SIZE - offset:
+            # Within one frame: every cache line and aligned word is.
+            return bytes(self._frame(paddr)[offset : offset + length])
         out = bytearray()
         while length > 0:
             frame = self._frame(paddr)

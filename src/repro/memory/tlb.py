@@ -63,12 +63,13 @@ class Tlb:
     def fill(self, va: int, pte: Pte) -> None:
         """Install the translation for *va* (evicting LRU if needed)."""
         vpn = va // self._page_bytes
-        ways = self._sets.setdefault(vpn % self.sets, OrderedDict())
-        if vpn in ways:
+        index = vpn % self.sets
+        ways = self._sets.get(index)
+        if ways is None:
+            ways = self._sets[index] = OrderedDict()
+        elif vpn in ways:
             ways.move_to_end(vpn)
-            ways[vpn] = TlbEntry(vpn, pte, self.page_size)
-            return
-        if len(ways) >= self.ways:
+        elif len(ways) >= self.ways:
             ways.popitem(last=False)
         ways[vpn] = TlbEntry(vpn, pte, self.page_size)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.memory.cache import CacheHierarchy
 from repro.memory.paging import AddressSpace, Pte, WalkStep
@@ -28,7 +28,7 @@ class WalkResult:
     """Outcome of one hardware page walk."""
 
     pte: Optional[Pte]
-    steps: List[WalkStep]
+    steps: Tuple[WalkStep, ...]
     latency: int
     queue_delay: int
     psc_hits: int
@@ -99,20 +99,6 @@ class PageWalker:
         """Drop all cached paging-structure entries (full TLB flush)."""
         self._psc.clear()
 
-    def _psc_lookup(self, key: Tuple[int, int]) -> bool:
-        if key in self._psc:
-            self._psc.move_to_end(key)
-            return True
-        return False
-
-    def _psc_fill(self, key: Tuple[int, int]) -> None:
-        if key in self._psc:
-            self._psc.move_to_end(key)
-            return
-        if len(self._psc) >= self.psc_entries:
-            self._psc.popitem(last=False)
-        self._psc[key] = True
-
     def walk(self, space: AddressSpace, va: int, now: int = 0) -> WalkResult:
         """Perform a hardware walk of *space* for *va* starting at cycle *now*."""
         steps, pte = space.walk_path(va)
@@ -121,27 +107,32 @@ class PageWalker:
         psc_hits = 0
         entry_fetches = 0
         details = [] if self.record_details else None
-        for step in steps:
-            key = (step.level, (va >> 12) >> (9 * (3 - step.level)))
-            if not step.is_leaf and self._psc_lookup(key):
-                psc_hits += 1
-                latency += 1
-                if details is not None:
-                    details.append(
-                        (step.level, step.entry_paddr, step.present,
-                         step.is_leaf, True, None)
-                    )
-                continue
-            outcome = self.hierarchy.data_access(step.entry_paddr)
+        psc = self._psc
+        data_access = self.hierarchy.data_access
+        vpn = va >> 12
+        for level, _, entry_paddr, present, is_leaf in steps:
+            if not is_leaf:
+                # A non-leaf step is present, and its paging-structure
+                # cache key is the VA bits above the level's index.
+                key = (level, vpn >> (9 * (3 - level)))
+                if key in psc:
+                    psc.move_to_end(key)
+                    psc_hits += 1
+                    latency += 1
+                    if details is not None:
+                        details.append((level, entry_paddr, present, is_leaf, True, None))
+                    continue
+            outcome = data_access(entry_paddr)
             entry_fetches += 1
             latency += outcome.latency
             if details is not None:
                 details.append(
-                    (step.level, step.entry_paddr, step.present,
-                     step.is_leaf, False, outcome.hit_level)
+                    (level, entry_paddr, present, is_leaf, False, outcome.hit_level)
                 )
-            if not step.is_leaf and step.present:
-                self._psc_fill(key)
+            if not is_leaf:
+                if len(psc) >= self.psc_entries:
+                    psc.popitem(last=False)
+                psc[key] = True
         if pte is None:
             latency += self.not_present_cost
         self.walks += 1

@@ -73,7 +73,17 @@ class MachineSpec:
 
     @classmethod
     def of(cls, machine) -> "MachineSpec":
-        """Recover the spec a live machine was built from."""
+        """Recover the spec a live machine was built from.
+
+        A machine built with ``seed=None`` has no spec: its KASLR layout
+        was drawn at random, so a worker rebuilding it would simulate
+        another machine.  Such a machine raises ``ValueError``.
+        """
+        if machine.init_args["seed"] is None:
+            raise ValueError(
+                "a machine built with seed=None cannot be rebuilt in a worker; "
+                "pass seed= to Machine(...)"
+            )
         return cls(**machine.init_args)
 
     def trial_seed(self, index: int) -> int:

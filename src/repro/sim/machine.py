@@ -133,14 +133,7 @@ class Machine:
         handler_pc = getattr(program, "signal_handler_pc", None)
         if handler_pc is not None:
             self.core.signal_handler_pc = handler_pc
-        return self.core.run(
-            program,
-            regs=regs,
-            entry=entry,
-            user=True,
-            record_trace=record_trace,
-            max_instructions=max_instructions,
-        )
+        return self.core.run(program, regs, entry, True, max_instructions, record_trace)
 
     def run_many(
         self,
@@ -151,24 +144,18 @@ class Machine:
     ) -> List[RunResult]:
         """Run *program* once per register set, in order.
 
-        The batched single-process trial primitive: the signal handler is
-        installed once, then the core runs back-to-back on one continuing
-        cycle timeline -- exactly equivalent to calling :meth:`run` in a
-        loop, minus the per-call setup.
+        The signal handler is installed once, then the core runs
+        back-to-back on one continuing cycle timeline -- exactly
+        equivalent to calling :meth:`run` in a loop.  The handler lookup
+        is the only per-call work it saves: every run still pays
+        :meth:`Core.run`'s own setup (decode-plan lookup, run engine,
+        PMU epilogue).
         """
         handler_pc = getattr(program, "signal_handler_pc", None)
         if handler_pc is not None:
             self.core.signal_handler_pc = handler_pc
-        return [
-            self.core.run(
-                program,
-                regs=regs,
-                entry=entry,
-                user=True,
-                max_instructions=max_instructions,
-            )
-            for regs in reg_sets
-        ]
+        run = self.core.run
+        return [run(program, regs, entry, True, max_instructions) for regs in reg_sets]
 
     def save_uarch(self) -> tuple:
         """The machine's timing state as a value.

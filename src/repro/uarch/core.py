@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.isa.opcodes import Op
 from repro.isa.program import INSTRUCTION_SIZE, Program
@@ -317,7 +317,23 @@ class Core:
 
 
 class _RunEngine:
-    """The per-run state machine (split out of Core to keep state explicit)."""
+    """The per-run state machine (split out of Core to keep state explicit).
+
+    Slotted: with more attributes than CPython shares dict keys for (30),
+    every ``self.x`` on the dispatch path would be a dict probe.
+    """
+
+    __slots__ = (
+        "core", "model", "mmu", "pmu", "bpu", "frontend", "program", "user",
+        "max_instructions", "plan", "start_cycle", "pc", "spec", "reg_ready",
+        "flag_ready", "serialize_until", "max_ready", "recovery_busy_until",
+        "records", "contexts", "tsx_stack", "undo_log", "store_ready",
+        "side_journal", "journal_live", "events", "faults", "retire_cursor",
+        "retire_slots", "retired_instructions", "dispatched_uops",
+        "squashed_uops", "freed_retired_uops", "retire_ptr", "alu_pool",
+        "load_pool", "store_pool", "branch_pool", "system_pool", "halted",
+        "end_cycle", "force_resolve", "iside_walk_base",
+    )
 
     def __init__(
         self,
@@ -380,21 +396,20 @@ class _RunEngine:
         self.freed_retired_uops = 0
         self.retire_ptr = 0  # occupancy scan cursor into self.records
 
-        # Each port books the discrete cycles it issues in: an older uop
-        # stalled on operands must not block a younger, ready one (the
-        # scheduler is out of order).  One pool per issuing uop class;
-        # NOP and FENCE uops need no execution port.
-        model = self.model
-        self.alu_pool = [set() for _ in range(model.alu_ports)]
-        self.load_pool = [set() for _ in range(model.load_ports)]
-        self.store_pool = [set() for _ in range(model.store_ports)]
-        self.branch_pool = [set() for _ in range(model.branch_ports)]
-        self.system_pool = [set()]
+        # Each pool books the discrete cycles its ports issue in, as
+        # cycle -> ports busy (see _port_start): an older uop stalled on
+        # operands must not block a younger, ready one (the scheduler is
+        # out of order).  One pool per issuing uop class; NOP and FENCE
+        # uops need no execution port.
+        self.alu_pool: Dict[int, int] = {}
+        self.load_pool: Dict[int, int] = {}
+        self.store_pool: Dict[int, int] = {}
+        self.branch_pool: Dict[int, int] = {}
+        self.system_pool: Dict[int, int] = {}
 
         self.halted = False
         self.end_cycle = self.start_cycle
         self.force_resolve = False
-        self.dispatch_cycles: Set[int] = set()
         self.iside_walk_base = self.mmu.iside_walk_cycles
 
     # -- small helpers ---------------------------------------------------------
@@ -471,31 +486,13 @@ class _RunEngine:
         self.squashed_uops += squashed
         return squashed
 
-    def _occupancy_earliest(self, upcoming_cycle: int, uop_count: int) -> Optional[int]:
-        """ROB-capacity stall: earliest cycle allocation may proceed, or
-        ``None`` when the ROB is stuffed with speculative uops that only a
-        squash can free (caller must resolve a context)."""
+    def _rob_full_until(self, upcoming_cycle: int) -> Optional[int]:
+        """With the ROB full at *upcoming_cycle*: the cycle after its oldest
+        live record retires, or ``None`` when that record is speculative
+        and only a squash can free room (the caller resolves a context)."""
         records = self.records
-        retire_ptr = self.retire_ptr
-        count = len(records)
-        freed = self.freed_retired_uops
-        while retire_ptr < count:
-            record = records[retire_ptr]
-            if record.squashed:
-                retire_ptr += 1
-                continue
-            retire_cycle = record.retire_cycle
-            if retire_cycle is not None and retire_cycle <= upcoming_cycle:
-                freed += record.uop_count
-                retire_ptr += 1
-                continue
-            break
-        self.retire_ptr = retire_ptr
-        self.freed_retired_uops = freed
-        live = self.dispatched_uops - freed - self.squashed_uops
-        if live + uop_count <= self.model.rob_size:
-            return upcoming_cycle
-        for record in self.records[self.retire_ptr :]:
+        for index in range(self.retire_ptr, len(records)):
+            record = records[index]
             if record.squashed:
                 continue
             if record.retire_cycle is None:
@@ -649,10 +646,11 @@ class _RunEngine:
         counts = self.pmu.counts
         records = self.records
         records_append = records.append
-        dispatch_cycles_add = self.dispatch_cycles.add
         deliver = frontend.deliver
         user = self.user
         tsx_stack = self.tsx_stack
+        retire_width = self.model.retire_width
+        rob_size = self.model.rob_size
         _resolve_cycle_of = _CTX_RESOLVE_CYCLE
         while not self.halted:
             instruction_budget -= 1
@@ -718,22 +716,37 @@ class _RunEngine:
                 fall_through = pc + INSTRUCTION_SIZE
 
             earliest = fetch_floor
-            occupancy_earliest = self._occupancy_earliest(earliest, uop_count)
-            if occupancy_earliest is None:
-                if ctx is not None:
-                    self._resolve(ctx)
-                    continue
-                raise SimulationError("ROB deadlock outside speculation")
-            if occupancy_earliest > earliest:
-                stall = occupancy_earliest - earliest
-                counts["RESOURCE_STALLS.ANY"] += stall
-                counts["de_dis_dispatch_token_stalls2.retire_token_stall"] += stall
-                earliest = occupancy_earliest
+            # ROB capacity: a cursor frees the uops of the records retired
+            # (or squashed) by `earliest`; when the new uops still do not
+            # fit, allocation waits for the oldest live record to retire.
+            retire_ptr = self.retire_ptr
+            while retire_ptr < len(records):
+                oldest = records[retire_ptr]
+                if not oldest.squashed:
+                    retired = oldest.retire_cycle
+                    if retired is None or retired > earliest:
+                        break
+                    self.freed_retired_uops += oldest.uop_count
+                retire_ptr += 1
+            self.retire_ptr = retire_ptr
+            live = self.dispatched_uops - self.freed_retired_uops - self.squashed_uops
+            if live + uop_count > rob_size:
+                occupancy_earliest = self._rob_full_until(earliest)
+                if occupancy_earliest is None:
+                    if ctx is not None:
+                        self._resolve(ctx)
+                        continue
+                    raise SimulationError("ROB deadlock outside speculation")
+                if occupancy_earliest > earliest:
+                    stall = occupancy_earliest - earliest
+                    counts["RESOURCE_STALLS.ANY"] += stall
+                    counts["de_dis_dispatch_token_stalls2.retire_token_stall"] += stall
+                    earliest = occupancy_earliest
             if ctx is not None and earliest >= ctx.resolve_cycle:
                 self._resolve(ctx)
                 continue
 
-            transient = bool(contexts)
+            transient = ctx is not None  # dispatched under a live speculation
             dispatch_cycle, source = deliver(pc, instruction, earliest, user, info, line)
             if ctx is not None and dispatch_cycle >= ctx.resolve_cycle:
                 # The flush kills the frontend before this delivery lands.
@@ -746,49 +759,52 @@ class _RunEngine:
             records_append(record)
             self.dispatched_uops += uop_count
             counts["UOPS_ISSUED.ANY"] += uop_count
-            dispatch_cycles_add(dispatch_cycle)
 
             if handler is None:
                 raise SimulationError(f"no handler for {instruction.op}")
             self.pc = fall_through  # fall-through default;
             #                         branch handlers override
             handler(self, record, instruction, dispatch_cycle)
-            if record.ready_cycle > self.max_ready:
-                self.max_ready = record.ready_cycle
-            if (
-                not record.transient
-                and record.fault is None
-                and record.retire_cycle is None
-                and not self.halted
-            ):
-                self._commit_retire(record)
+            ready = record.ready_cycle
+            if ready > self.max_ready:
+                self.max_ready = ready
+            if transient or record.fault is not None:
+                continue
+            # Commit: in order, retire_width uops per cycle.  A transient
+            # or faulting record never retires (a resolution squashes it).
+            retire = ready + 1
+            cursor = self.retire_cursor
+            if retire > cursor:
+                slots = uop_count
+            else:
+                retire = cursor
+                slots = self.retire_slots + uop_count
+                if slots > retire_width:
+                    retire += 1
+                    slots = uop_count
+            self.retire_cursor = retire
+            self.retire_slots = slots
+            record.retire_cycle = retire
+            self.retired_instructions += 1
+            counts["UOPS_RETIRED.RETIRE_SLOTS"] += uop_count
+            if self.halted:
+                self.end_cycle = retire
 
         self._pmu_epilogue(self.end_cycle)
+        spec = self.spec
+        if self.journal_live:
+            spec.end_journal()
+        # The engine is done with its register file: it becomes the result's.
         return RunResult(
             self.start_cycle,
             self.end_cycle,
             self.retired_instructions,
             self.dispatched_uops,
-            self.spec.copy(),
+            spec,
             self.halted,
             self.events,
             self.faults,
         )
-
-    def _commit_retire(self, record: UopRecord) -> None:
-        retire = max(record.ready_cycle + 1, self.retire_cursor)
-        if retire == self.retire_cursor:
-            if self.retire_slots + record.uop_count > self.model.retire_width:
-                retire += 1
-                self.retire_slots = record.uop_count
-            else:
-                self.retire_slots += record.uop_count
-        else:
-            self.retire_slots = record.uop_count
-        self.retire_cursor = retire
-        record.retire_cycle = retire
-        self.retired_instructions += 1
-        self.pmu.counts["UOPS_RETIRED.RETIRE_SLOTS"] += record.uop_count
 
     # -- per-instruction semantics ---------------------------------------------
 
@@ -813,7 +829,7 @@ class _RunEngine:
         self.store_ready[va] = cycle
 
     def _op_mov_ri(self, record, instruction, dispatch):
-        start = _port_start(self.alu_pool, dispatch)
+        start = _port_start(self.alu_pool, self.model.alu_ports, dispatch)
         record.start_cycle = start
         record.ready_cycle = start + 1
         value = instruction.imm if instruction.imm is not None else instruction.target_addr
@@ -822,7 +838,9 @@ class _RunEngine:
     def _op_mov_rr(self, record, instruction, dispatch):
         src_ready = self.reg_ready.get(instruction.src, self.start_cycle)
         start = _port_start(
-            self.alu_pool, src_ready if src_ready > dispatch else dispatch
+            self.alu_pool,
+            self.model.alu_ports,
+            src_ready if src_ready > dispatch else dispatch,
         )
         record.start_cycle = start
         record.ready_cycle = start + 1
@@ -837,7 +855,7 @@ class _RunEngine:
             reg_ready.get(mem.base, start_cycle),
             reg_ready.get(mem.index, start_cycle),
         )
-        start = _port_start(self.alu_pool, deps)
+        start = _port_start(self.alu_pool, self.model.alu_ports, deps)
         record.start_cycle = start
         record.ready_cycle = start + 1
         self._write_dest(record, instruction.dst, mem.effective_address(self.spec.read))
@@ -857,7 +875,7 @@ class _RunEngine:
             reg_ready.get(instruction.dst, start_cycle),
             reg_ready.get(instruction.src, start_cycle) if instruction.src else dispatch,
         )
-        start = _port_start(self.alu_pool, deps)
+        start = _port_start(self.alu_pool, self.model.alu_ports, deps)
         record.start_cycle = start
         record.ready_cycle = start + 1
 
@@ -872,7 +890,7 @@ class _RunEngine:
         record.ready_cycle = dispatch
 
     def _op_fence(self, record, instruction, dispatch):
-        start = max(dispatch, self.max_ready)
+        start = self.max_ready if self.max_ready > dispatch else dispatch
         record.start_cycle = start
         record.ready_cycle = start + instruction.info.base_latency
         if self.contexts:
@@ -890,7 +908,8 @@ class _RunEngine:
             self.serialize_until = record.ready_cycle
 
     def _op_rdtsc(self, record, instruction, dispatch):
-        start = _port_start(self.system_pool, max(dispatch, self.max_ready))
+        floor = self.max_ready if self.max_ready > dispatch else dispatch
+        start = _port_start(self.system_pool, 1, floor)
         record.start_cycle = start
         record.ready_cycle = start + instruction.info.base_latency
         self.serialize_until = record.ready_cycle
@@ -916,9 +935,9 @@ class _RunEngine:
             # nothing more to do until the window resolves.
             self.force_resolve = True
             return
-        self._commit_retire(record)
+        # The run ends when this record retires (the dispatch loop's
+        # commit sets end_cycle).
         self.halted = True
-        self.end_cycle = record.retire_cycle
 
     def _op_prefetch(self, record, instruction, dispatch):
         mem = instruction.mem
@@ -929,7 +948,7 @@ class _RunEngine:
             reg_ready.get(mem.base, start_cycle),
             reg_ready.get(mem.index, start_cycle),
         )
-        start = _port_start(self.load_pool, deps)
+        start = _port_start(self.load_pool, self.model.load_ports, deps)
         va = mem.effective_address(self.spec.read)
         latency = self.mmu.prefetch(
             va, user=self.user, now=start, thread_id=self.core.thread_id
@@ -948,7 +967,7 @@ class _RunEngine:
             reg_ready.get(mem.base, start_cycle),
             reg_ready.get(mem.index, start_cycle),
         )
-        start = _port_start(self.store_pool, deps)
+        start = _port_start(self.store_pool, self.model.store_ports, deps)
         va = mem.effective_address(self.spec.read)
         self.mmu.clflush(va, user=self.user)
         record.start_cycle = start
@@ -964,9 +983,11 @@ class _RunEngine:
             reg_ready.get(mem.base, start_cycle),
             reg_ready.get(mem.index, start_cycle),
         )
-        start = _port_start(self.load_pool, deps)
+        start = _port_start(self.load_pool, self.model.load_ports, deps)
         va = mem.effective_address(self.spec.read)
-        start = max(start, self.store_ready.get(va, self.start_cycle))
+        forwarded = self.store_ready.get(va, start_cycle)
+        if forwarded > start:
+            start = forwarded
         access = self.mmu.data_access(
             va,
             write=False,
@@ -1007,7 +1028,7 @@ class _RunEngine:
             self._reg_time(mem.index),
             self._reg_time(instruction.src) if instruction.src else dispatch,
         )
-        start = _port_start(self.store_pool, deps)
+        start = _port_start(self.store_pool, self.model.store_ports, deps)
         va = mem.effective_address(self.spec.read)
         old = self.mmu.peek_raw_bytes(va, 8)
         access = self.mmu.data_access(
@@ -1031,7 +1052,7 @@ class _RunEngine:
         self._set_store_ready(va, record.ready_cycle)
 
     def _op_jmp(self, record, instruction, dispatch):
-        start = _port_start(self.branch_pool, dispatch)
+        start = _port_start(self.branch_pool, self.model.branch_ports, dispatch)
         record.start_cycle = start
         record.ready_cycle = start + 1
         record.is_branch = True
@@ -1044,7 +1065,9 @@ class _RunEngine:
         taken_target = instruction.target_addr
         fallthrough = record.pc + INSTRUCTION_SIZE
         predicted_taken, _ = self.bpu.predict_conditional(record.pc, taken_target)
-        start = _port_start(self.branch_pool, max(dispatch, self.flag_ready))
+        start = _port_start(
+            self.branch_pool, self.model.branch_ports, max(dispatch, self.flag_ready)
+        )
         record.start_cycle = start
         record.ready_cycle = start + 1
         record.is_branch = True
@@ -1083,7 +1106,7 @@ class _RunEngine:
         return_address = record.pc + INSTRUCTION_SIZE
         rsp = (self.spec.read("rsp") - 8) & MASK64
         deps = max(dispatch, self._reg_time("rsp"))
-        start = _port_start(self.branch_pool, deps)
+        start = _port_start(self.branch_pool, self.model.branch_ports, deps)
         old = self.mmu.peek_raw_bytes(rsp, 8)
         access = self.mmu.data_access(
             rsp,
@@ -1113,7 +1136,7 @@ class _RunEngine:
     def _op_ret(self, record, instruction, dispatch):
         rsp = self.spec.read("rsp")
         deps = max(dispatch, self._reg_time("rsp"))
-        start = _port_start(self.load_pool, deps)
+        start = _port_start(self.load_pool, self.model.load_ports, deps)
         start = max(start, self.store_ready.get(rsp, self.start_cycle))
         access = self.mmu.data_access(
             rsp, write=False, user=self.user, now=start, thread_id=self.core.thread_id
@@ -1263,25 +1286,37 @@ class _RunEngine:
         hi = end_cycle
         span = max(1, hi - lo)
         # Clip to [lo, hi] while scanning, then merge each list once.
+        # Records are in dispatch order and the frontend clock never runs
+        # backwards within a run, so the in-flight intervals arrive sorted
+        # by start and merge as they come, and each distinct dispatch
+        # cycle is a change from the last.
         exec_intervals = []
         mem_intervals = []
-        inflight_intervals = []
+        inflight = 0
+        merge_start = merge_end = lo
+        dispatch_cycles = 0
+        last_dispatch = None
         for record in self.records:
             start = record.start_cycle
             ready = record.ready_cycle
             dispatch = record.dispatch_cycle
+            if dispatch != last_dispatch:
+                dispatch_cycles += 1
+                last_dispatch = dispatch
             if ready > start and ready > lo and start < hi:
                 exec_intervals.append(
                     (start if start > lo else lo, ready if ready < hi else hi)
                 )
             infl_end = ready if ready > dispatch + 1 else dispatch + 1
             if infl_end > lo and dispatch < hi:
-                inflight_intervals.append(
-                    (
-                        dispatch if dispatch > lo else lo,
-                        infl_end if infl_end < hi else hi,
-                    )
-                )
+                if infl_end > hi:
+                    infl_end = hi
+                if dispatch <= merge_end:
+                    if infl_end > merge_end:
+                        merge_end = infl_end
+                else:
+                    inflight += merge_end - merge_start
+                    merge_start, merge_end = dispatch, infl_end
             if (
                 record.memory_va is not None
                 and record.instruction.info.is_load
@@ -1291,34 +1326,34 @@ class _RunEngine:
                 mem_intervals.append(
                     (start if start > lo else lo, ready if ready < hi else hi)
                 )
+        inflight += merge_end - merge_start
         counts = self.pmu.counts
         idle = max(0, span - _merged_length(exec_intervals))
         counts["UOPS_EXECUTED.CORE_CYCLES_NONE"] += idle
         counts["UOPS_EXECUTED.STALL_CYCLES"] += idle
         counts["CYCLE_ACTIVITY.STALLS_TOTAL"] += idle
         counts["CYCLE_ACTIVITY.CYCLES_MEM_ANY"] += _merged_length(mem_intervals)
-        counts["RS_EVENTS.EMPTY_CYCLES"] += max(0, span - _merged_length(inflight_intervals))
-        issue_idle = max(0, span - len(self.dispatch_cycles))
+        counts["RS_EVENTS.EMPTY_CYCLES"] += max(0, span - inflight)
+        issue_idle = max(0, span - dispatch_cycles)
         counts["UOPS_ISSUED.STALL_CYCLES"] += issue_idle
         counts["de_dis_uop_queue_empty_di0"] += issue_idle
         counts["ITLB_MISSES.WALK_ACTIVE"] += self.mmu.iside_walk_cycles - self.iside_walk_base
 
 
-def _port_start(pool: List[set], earliest: int) -> int:
-    """Claim the earliest free issue slot in the port *pool* at or
-    after *earliest* (ports are pipelined: one issue slot per cycle)."""
-    best_port = None
-    best_cycle = None
-    for port in pool:
-        cycle = earliest
-        while cycle in port:
-            cycle += 1
-        if best_cycle is None or cycle < best_cycle:
-            best_port, best_cycle = port, cycle
-            if cycle == earliest:
-                break
-    best_port.add(best_cycle)
-    return best_cycle
+def _port_start(pool: Dict[int, int], ports: int, earliest: int) -> int:
+    """Claim the earliest free issue slot among *ports* pipelined ports at
+    or after *earliest* (one issue slot per port per cycle).
+
+    *pool* counts the ports busy in each booked cycle.  A count is all
+    the choice needs: the earliest cycle some port is free in is the
+    earliest cycle fewer than *ports* are busy, whichever port takes it.
+    """
+    busy = pool.get(earliest, 0)
+    while busy >= ports:
+        earliest += 1
+        busy = pool.get(earliest, 0)
+    pool[earliest] = busy + 1
+    return earliest
 
 
 def _merged_length(intervals: List[Tuple[int, int]]) -> int:

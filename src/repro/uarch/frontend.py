@@ -155,7 +155,9 @@ class Frontend:
             if fetch.tlb_hit:
                 counts["bp_l1_tlb_fetch_hit"] += 1
             counts["ic_fw32"] += 1
-            if self._dsb_lookup(line):
+            dsb = self._dsb
+            if line in dsb:
+                dsb.move_to_end(line)
                 source = "dsb"
             else:
                 source = "mite"
@@ -181,7 +183,7 @@ class Frontend:
         # (plain MITE uop counts are visible through the cycle counters)
 
         # Width-limited allocation: issue_width uops per cycle.  The
-        # one-uop-at-a-time loop reduces to a single divmod: starting at
+        # one-uop-at-a-time loop reduces to one division: starting at
         # ``slots_used`` slots consumed, placing ``uop_count`` more uops
         # advances the clock by ``(slots_used + uop_count - 1) // width``
         # and leaves ``(slots_used + uop_count - 1) % width + 1`` consumed.
@@ -191,9 +193,10 @@ class Frontend:
             clock = start
             slots_used = 0
         if uop_count:
-            advance, rem = divmod(slots_used + uop_count - 1, self._issue_width)
-            clock += advance
-            slots_used = rem + 1
+            placed = slots_used + uop_count - 1
+            width = self._issue_width
+            clock += placed // width
+            slots_used = placed % width + 1
         self._clock = clock
         self._slots_used = slots_used
 
@@ -207,9 +210,3 @@ class Frontend:
                 counts["IDQ.ALL_MITE_CYCLES_ANY_UOPS"] += 1
 
         return clock, source
-
-    def _dsb_lookup(self, line: int) -> bool:
-        if line in self._dsb:
-            self._dsb.move_to_end(line)
-            return True
-        return False

@@ -185,7 +185,9 @@ class TetKaslr:
         Each trial warms its worker machine with a probe of a known
         unmapped reference before the timed double-probe, so the first
         trial on a fresh worker behaves like the thousandth.  Summed
-        per-trial cycles are charged to this machine's timeline.
+        per-trial cycles are charged to this machine's timeline.  A
+        machine built with ``seed=None`` raises ``ValueError``: workers
+        could not rebuild its KASLR layout (:meth:`MachineSpec.of`).
         """
         from repro.runtime.spec import MachineSpec
         from repro.runtime.tasks import kaslr_trials, run_kaslr_trial

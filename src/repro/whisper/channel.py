@@ -112,7 +112,9 @@ class TetCovertChannel:
         Each trial runs on a worker-owned machine reset to a just-booted
         profile, so results are bit-identical at any worker count.  The
         summed per-trial cycle cost is charged to this machine's timeline
-        (the simulated work is the same; only the wall clock shrinks).
+        (the simulated work is the same; only the wall clock shrinks).  A
+        machine built with ``seed=None`` raises ``ValueError``: workers
+        could not rebuild it (:meth:`MachineSpec.of`).
         """
         from repro.runtime.spec import MachineSpec
         from repro.runtime.tasks import channel_trials, run_channel_trial

@@ -536,6 +536,55 @@ class TestRecordCodec:
         with pytest.warns(UserWarning, match="corrupt store record"):
             assert store.get(RESULT_KEY) is None
 
+    @pytest.mark.parametrize(
+        "outcome",
+        [
+            TrialResult(totes=(278, 270, 270), cycles=4588),
+            TrialResult(totes=(), cycles=0),
+            TrialResult(totes=(-3, 0, 1 << 70), cycles=(1 << 64) + 5),
+            TrialFailure(attempts=3, faults=("raise", "hang", "timeout"), error="boom"),
+            TrialFailure(attempts=1, faults=(), error=""),
+            TrialFailure(
+                attempts=2,
+                faults=("worker-lost", "gärbage"),
+                error='ValueError: "quoted"\\path\n\ttab \x00 ∂ 🐛',
+            ),
+        ],
+        ids=["result", "empty", "big-ints", "failure", "no-faults", "escaped"],
+    )
+    def test_spelled_record_equals_sorted_json(self, outcome):
+        """The record text is spelled by hand; it must be exactly what
+        the sorted compact encoder writes, escapes and non-ASCII included."""
+        if isinstance(outcome, TrialFailure):
+            body = {
+                "failure": {
+                    "attempts": outcome.attempts,
+                    "faults": list(outcome.faults),
+                    "error": outcome.error,
+                }
+            }
+        else:
+            body = {"result": {"totes": list(outcome.totes), "cycles": outcome.cycles}}
+        text = json.dumps({"key": RESULT_KEY, **body}, sort_keys=True, separators=(",", ":"))
+        line = ResultStore()._encode_record(RESULT_KEY, outcome)
+        assert line == text[:-1] + ',"sum":"' + _record_sum(text) + '"}'
+
+    def test_checkpoint_lines_match_single_puts(self, tmp_path):
+        """A batch written in one call holds the same bytes as the records
+        put one at a time."""
+        records = [
+            (f"k{i}", TrialResult(totes=(i, i + 1), cycles=10 * i)) for i in range(5)
+        ] + [("kf", TrialFailure(attempts=2, faults=("raise", "raise"), error="x"))]
+        batch, single = ResultStore(str(tmp_path / "a")), ResultStore(str(tmp_path / "b"))
+        batch.put_many(records)
+        for key, outcome in records:
+            single.put(key, outcome)
+        with open(batch.path) as one, open(single.path) as other:
+            assert one.read() == other.read()
+        assert ResultStore(str(tmp_path / "a")).get_many([k for k, _ in records]) == dict(
+            records
+        )
+
 
 class TestCorruptRecords:
     def fill(self, tmp_path, count=3) -> ResultStore:

@@ -13,9 +13,8 @@ class TestCacheLevel:
 
     def test_miss_then_hit(self):
         cache = self.make()
-        assert cache.touch(0x1000) is False
-        cache.fill(0x1000)
-        assert cache.touch(0x1000) is True
+        assert cache.access(0x1000) is False  # a miss fills the line
+        assert cache.access(0x1000) is True
 
     def test_same_line_different_bytes_hit(self):
         cache = self.make()
@@ -37,7 +36,7 @@ class TestCacheLevel:
         conflict2 = 2 * sets * LINE_SIZE
         cache.fill(base)
         cache.fill(conflict)
-        cache.touch(base)  # refresh LRU: base is now MRU
+        cache.access(base)  # a hit refreshes LRU: base is now MRU
         evicted = cache.fill(conflict2)
         assert evicted is not None
         assert cache.probe(base)  # survived
@@ -57,9 +56,9 @@ class TestCacheLevel:
 
     def test_hit_miss_counters(self):
         cache = self.make()
-        cache.touch(0)
-        cache.fill(0)
-        cache.touch(0)
+        cache.access(0)
+        cache.access(0)
+        cache.fill(0)  # an insert is not a lookup
         assert cache.misses == 1 and cache.hits == 1
 
 

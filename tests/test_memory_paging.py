@@ -155,3 +155,109 @@ def test_walk_path_agrees_with_lookup(va):
     steps, walk_pte = space.walk_path(va)
     assert walk_pte == space.lookup(va)
     assert 1 <= len(steps) <= 4
+
+
+# -- the per-page walk memo ------------------------------------------------------
+
+
+def _reference_walk(space, va):
+    """The walk straight off the radix tree, memo-free: (level, entry
+    address, present, is_leaf) per step, and the present leaf or None."""
+    va &= (1 << 48) - 1
+    node, steps = space.root, []
+    for level, shift in enumerate((39, 30, 21, 12)):
+        index = (va >> shift) & 0x1FF
+        paddr = node.table_paddr + index * 8
+        child = node.entries.get(index)
+        if child is None:
+            return steps + [(level, paddr, False, True)], None
+        if not hasattr(child, "entries"):
+            steps.append((level, paddr, child.present, True))
+            return steps, (child if child.present else None)
+        steps.append((level, paddr, True, False))
+        node = child
+    raise AssertionError("walk descended past PT level")
+
+
+def _memo_walk(space, va):
+    steps, pte = space.walk_path(va)
+    return [(s.level, s.entry_paddr, s.present, s.is_leaf) for s in steps], pte
+
+
+class TestWalkMemo:
+    VA = 0x7000_0000
+
+    def test_map_and_unmap_reach_a_memoized_walk(self):
+        space = AddressSpace()
+        assert space.walk_path(self.VA)[1] is None
+        pte = space.map_page(self.VA, 0x9000, user=True)
+        steps, found = space.walk_path(self.VA)
+        assert found is pte and len(steps) == 4
+        assert space.unmap(self.VA)
+        steps, found = space.walk_path(self.VA)
+        assert found is None and not steps[-1].present
+        assert space.lookup(self.VA) is None
+
+    def test_pte_presence_change_is_seen(self):
+        """A Pte is a mutable dataclass: flipping ``present`` after a walk
+        was memoized must show in the next walk and lookup."""
+        space = AddressSpace()
+        pte = space.map_page(self.VA, 0x9000)
+        assert space.lookup(self.VA) is pte
+        pte.present = False
+        steps, found = space.walk_path(self.VA)
+        assert found is None and not steps[-1].present
+        assert space.lookup(self.VA) is None
+        pte.present = True
+        assert space.walk_path(self.VA) == (steps[:-1] + (steps[-1]._replace(present=True),), pte)
+
+    def test_huge_page_over_a_walked_table(self):
+        """Mapping a 2 MiB page where 4 KiB tables were walked turns a
+        deep walk into a three-level one."""
+        space = AddressSpace()
+        space.map_page(KERNEL_VA + 0x5000, 0x9000)
+        assert len(space.walk_path(KERNEL_VA + 0x5000)[0]) == 4
+        space.map_page(KERNEL_VA, 0x4000_0000, size=PageSize.SIZE_2M)
+        steps, pte = space.walk_path(KERNEL_VA + 0x5000)
+        assert len(steps) == 3 and pte.page_size == PageSize.SIZE_2M
+        assert _memo_walk(space, KERNEL_VA + 0x5000) == _reference_walk(space, KERNEL_VA + 0x5000)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["map4k", "map2m", "unmap", "flip", "walk"]),
+                st.integers(0, 7),
+            ),
+            max_size=40,
+        )
+    )
+    def test_memo_matches_a_fresh_walk_after_any_writes(self, ops):
+        space = AddressSpace()
+        vas = [KERNEL_VA + slot * 0x10_0000 + 0x3000 for slot in range(8)]
+        for op, slot in ops:
+            va = vas[slot]
+            if op == "map4k":
+                space.map_page(va, 0x9000 + slot * 0x1000)
+            elif op == "map2m":
+                space.map_page(va, 0x4000_0000, size=PageSize.SIZE_2M)
+            elif op == "unmap":
+                space.unmap(va)
+            elif op == "flip":
+                pte = _leaf(space, va)
+                if pte is not None:
+                    pte.present = not pte.present
+            for probe in vas:
+                assert _memo_walk(space, probe) == _reference_walk(space, probe)
+                assert space.lookup(probe) == _reference_walk(space, probe)[1]
+
+
+def _leaf(space, va):
+    """The leaf Pte covering *va* even when it is not present."""
+    node = space.root
+    for shift in (39, 30, 21, 12):
+        child = node.entries.get((va >> shift) & 0x1FF)
+        if child is None or not hasattr(child, "entries"):
+            return child
+        node = child
+    return None

@@ -208,6 +208,32 @@ class TestSeedDerivation:
         assert rebuilt.model.name == machine.model.name
         assert rebuilt.kernel.layout.base == machine.kernel.layout.base
 
+    def test_seedless_machine_has_no_spec(self):
+        with pytest.raises(ValueError, match="pass seed="):
+            MachineSpec.of(Machine("i7-7700"))
+        # The spec type itself still admits seed=None (store keys use it).
+        assert MachineSpec(seed=None).seed is None
+
+    def test_pooled_kaslr_refuses_seedless_machine(self):
+        """A worker would boot another random layout and report a wrong
+        base; the pooled sweep raises before any trial runs."""
+        from repro.whisper.attacks.kaslr import TetKaslr
+
+        machine = Machine("i7-7700", kpti=True)
+        with TrialPool(workers=1) as pool:
+            with pytest.raises(ValueError, match="pass seed="):
+                TetKaslr(machine, pool=pool).break_kaslr_kpti()
+            assert pool.trials_executed == 0
+
+    def test_pooled_channel_refuses_seedless_machine(self):
+        with TrialPool(workers=1) as pool:
+            channel = TetCovertChannel(
+                Machine("i7-7700"), batches=1, values=VALUES, pool=pool
+            )
+            with pytest.raises(ValueError, match="pass seed="):
+                channel.send_byte(0x2A)
+            assert pool.trials_executed == 0
+
 
 class TestBatchStanddown:
     """``batch.standdown`` events: a requested-but-bypassed batch path

@@ -139,12 +139,12 @@ def _canon(value, where):
     """A comparable, order-preserving copy of one attribute's value."""
     if isinstance(value, random.Random):
         return ("random", value.getstate())
+    if isinstance(value, LEAF_TYPES):  # before tuples: LfbEntry is a NamedTuple
+        return value
     if isinstance(value, dict):
         return tuple((_canon(k, where), _canon(v, where)) for k, v in value.items())
     if isinstance(value, (list, tuple, deque)):
         return tuple(_canon(item, where) for item in value)
-    if isinstance(value, LEAF_TYPES):
-        return value
     raise AssertionError(
         f"{where} holds a {type(value).__name__}: give its class a "
         "snapshot()/restore() pair and a NOT_STATE row"
