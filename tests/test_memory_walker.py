@@ -96,3 +96,21 @@ class TestNotPresentCost:
         result = walker.walk(space, 0x1000)
         assert not result.present
         assert result.latency >= 25
+
+
+class TestPagingStructureCache:
+    def test_psc_hit_refreshes_lru_order(self):
+        """A PSC hit moves its entry to the most-recent end: after walks of
+        A, B, A (different 2 MiB regions, shared upper levels) A's PD
+        entry is the newest key, so B's is the next to be evicted."""
+        walker = PageWalker(small_hierarchy())
+        space = AddressSpace("lru")
+        a, b = 0x5000, 0x20_5000
+        space.map_page(a, 0x9000, user=True)
+        space.map_page(b, 0xA000, user=True)
+        for va in (a, b, a):
+            walker.walk(space, va)
+        keys = walker.snapshot()[0]
+        assert keys[-1] == (2, a >> 21)
+        assert keys[-2] == (1, a >> 30)
+        assert (2, b >> 21) in keys
