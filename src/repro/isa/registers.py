@@ -1,9 +1,10 @@
 """Architectural register file and status flags.
 
-The simulator keeps architectural state in a :class:`RegisterFile`; the
-out-of-order core snapshots and restores it on squashes, and transient
-execution operates on a speculative copy so that rolled-back work never
-reaches architectural state (the defining property the paper exploits).
+The simulator keeps architectural state in a :class:`RegisterFile`.
+Transient execution writes the run engine's file directly; while
+speculation is live every write is journaled into the engine's undo
+list, so a squash puts back exactly what the rolled-back work changed
+(the defining property the paper exploits).
 """
 
 from __future__ import annotations
@@ -38,6 +39,12 @@ FLAGS = ("zf", "cf", "sf", "of")
 _ZERO_REGS = {name: 0 for name in GPRS}
 _CLEAR_FLAGS = {name: False for name in FLAGS}
 
+#: Kinds of the undo entries the register file journals, as
+#: ``(kind, key, old)``: a register, a flag, or the four ALU flags
+#: together (key ``None``, old ``(zf, sf, cf, of)``).  A journal's owner
+#: numbers its own entry kinds above these.
+REG, FLAG, ALU_FLAGS = 0, 1, 2
+
 
 class RegisterFile:
     """Sixteen 64-bit general-purpose registers plus ZF/CF/SF/OF.
@@ -52,10 +59,8 @@ class RegisterFile:
     def __init__(self) -> None:
         self._regs = _ZERO_REGS.copy()
         self._flags = _CLEAR_FLAGS.copy()
-        #: Copy-on-write journal: ``None`` when inactive, else a list of
-        #: undo entries appended before every mutation (see
-        #: :meth:`begin_journal`).  The out-of-order core uses it so a
-        #: speculation snapshot is an O(1) mark instead of a full copy.
+        #: The undo list mutations are journaled into (see
+        #: :meth:`begin_journal`), or ``None`` when nothing records.
         self._journal = None
 
     def read(self, name: str) -> int:
@@ -68,7 +73,7 @@ class RegisterFile:
         if name not in regs:
             raise KeyError(f"unknown register {name!r}")
         if self._journal is not None:
-            self._journal.append((0, name, regs[name]))
+            self._journal.append((REG, name, regs[name]))
         regs[name] = value & MASK64
 
     def read_flag(self, name: str) -> bool:
@@ -81,7 +86,7 @@ class RegisterFile:
         if name not in flags:
             raise KeyError(f"unknown flag {name!r}")
         if self._journal is not None:
-            self._journal.append((1, name, flags[name]))
+            self._journal.append((FLAG, name, flags[name]))
         flags[name] = bool(value)
 
     def set_alu_flags(self, result: int, carry: bool = False, overflow: bool = False) -> None:
@@ -90,67 +95,36 @@ class RegisterFile:
         flags = self._flags
         if self._journal is not None:
             self._journal.append(
-                (2, None, (flags["zf"], flags["sf"], flags["cf"], flags["of"]))
+                (ALU_FLAGS, None, (flags["zf"], flags["sf"], flags["cf"], flags["of"]))
             )
         flags["zf"] = result == 0
         flags["sf"] = bool(result >> 63)
         flags["cf"] = carry
         flags["of"] = overflow
 
-    # -- copy-on-write journaling ----------------------------------------------
+    # -- journaling ------------------------------------------------------------
 
-    def begin_journal(self) -> None:
-        """Arm the undo journal: every subsequent mutation records the
-        value it overwrites.  :meth:`journal_mark` then captures the
-        current state in O(1) and :meth:`journal_rollback` restores it in
-        time proportional to the writes since the mark -- the property
-        that makes transient-window squashes cost what the transient work
-        cost, not what the architectural state weighs.
-
-        The journal lives *inside* the register file (rather than in the
-        core) so external mutators -- the kernel's syscall handler gets
-        handed the speculative file directly -- are journaled too.
-        """
-        self._journal = []
+    def begin_journal(self, journal: list) -> None:
+        """Append an undo entry to *journal* before every mutation from
+        now on.  The run engine hands in its one undo list, which also
+        holds its readiness, TSX-stack and memory entries, so external
+        mutators -- the kernel's syscall handler gets handed this file
+        directly -- are journaled too."""
+        self._journal = journal
 
     def end_journal(self) -> None:
-        """Disarm and drop the journal (mutations stop being recorded)."""
+        """Stop journaling (the list itself belongs to the caller)."""
         self._journal = None
 
-    def journal_mark(self) -> int:
-        """O(1) snapshot: the current journal length."""
-        return len(self._journal)
-
-    def journal_rollback(self, mark: int) -> None:
-        """Undo every mutation recorded since :meth:`journal_mark`
-        returned *mark*, newest first."""
-        journal = self._journal
-        regs = self._regs
-        flags = self._flags
-        while len(journal) > mark:
-            kind, name, old = journal.pop()
-            if kind == 0:
-                regs[name] = old
-            elif kind == 1:
-                flags[name] = old
-            else:  # composite ALU-flags entry
-                flags["zf"], flags["sf"], flags["cf"], flags["of"] = old
-
-    def snapshot(self) -> dict:
-        """Return a copyable snapshot of the full architectural state."""
-        return {"regs": dict(self._regs), "flags": dict(self._flags)}
-
-    def restore(self, snapshot: dict) -> None:
-        """Restore state captured by :meth:`snapshot`."""
-        self._regs = dict(snapshot["regs"])
-        self._flags = dict(snapshot["flags"])
-
-    def copy(self) -> "RegisterFile":
-        """Return an independent copy (used for speculative state)."""
-        clone = RegisterFile()
-        clone._regs = dict(self._regs)
-        clone._flags = dict(self._flags)
-        return clone
+    def undo(self, kind: int, name, old) -> None:
+        """Put back one journaled entry's *old* value, unjournaled."""
+        if kind == REG:
+            self._regs[name] = old
+        elif kind == FLAG:
+            self._flags[name] = old
+        else:
+            flags = self._flags
+            flags["zf"], flags["sf"], flags["cf"], flags["of"] = old
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         live = {name: value for name, value in self._regs.items() if value}

@@ -151,7 +151,7 @@ class ResolutionEvent(NamedTuple):
     ``trigger_seq + 1``; a signal-suppressed fault drops them,
     ``trigger_seq``; a TSX abort unwinds to its ``xbegin``).  The batch
     executor replays these between records to keep its per-lane shadow
-    state aligned with the engine's journals.
+    state aligned with the engine's undo journal.
     """
 
     kind: str  # "branch" | "tsx" | "signal"

@@ -78,33 +78,6 @@ class TestAluFlags:
         assert regs.read_flag("cf") is False
 
 
-class TestSnapshotRestore:
-    def test_snapshot_restores_registers_and_flags(self):
-        regs = RegisterFile()
-        regs.write("rax", 42)
-        regs.write_flag("cf", True)
-        saved = regs.snapshot()
-        regs.write("rax", 99)
-        regs.write_flag("cf", False)
-        regs.restore(saved)
-        assert regs.read("rax") == 42
-        assert regs.read_flag("cf") is True
-
-    def test_snapshot_is_independent_of_later_writes(self):
-        regs = RegisterFile()
-        saved = regs.snapshot()
-        regs.write("rdx", 1)
-        assert saved["regs"]["rdx"] == 0
-
-    def test_copy_is_independent(self):
-        regs = RegisterFile()
-        regs.write("rsi", 5)
-        clone = regs.copy()
-        clone.write("rsi", 6)
-        assert regs.read("rsi") == 5
-        assert clone.read("rsi") == 6
-
-
 @given(st.sampled_from(GPRS), st.integers(min_value=-(2**70), max_value=2**70))
 def test_any_write_reads_back_masked(name, value):
     regs = RegisterFile()
@@ -112,17 +85,34 @@ def test_any_write_reads_back_masked(name, value):
     assert regs.read(name) == value & MASK64
 
 
+def _state(regs):
+    return [regs.read(name) for name in GPRS], [regs.read_flag(name) for name in FLAGS]
+
+
 @given(
     st.dictionaries(st.sampled_from(GPRS), st.integers(0, MASK64), min_size=1),
     st.dictionaries(st.sampled_from(GPRS), st.integers(0, MASK64), min_size=1),
+    st.lists(st.integers(0, MASK64), max_size=3),
 )
-def test_snapshot_restore_is_exact(first, second):
+def test_journal_undo_is_exact(first, second, alu_results):
+    """Undoing a journal newest-first restores every register and flag,
+    and nothing records once the journal has ended."""
     regs = RegisterFile()
     for name, value in first.items():
         regs.write(name, value)
-    saved = regs.snapshot()
+    regs.set_alu_flags(1 << 63, carry=True)
+    before = _state(regs)
+    journal = []
+    regs.begin_journal(journal)
     for name, value in second.items():
         regs.write(name, value)
-    regs.restore(saved)
-    for name, value in first.items():
-        assert regs.read(name) == value
+    regs.write_flag("of", True)
+    for result in alu_results:
+        regs.set_alu_flags(result)
+    regs.end_journal()
+    assert len(journal) == len(second) + 1 + len(alu_results)
+    while journal:
+        regs.undo(*journal.pop())
+    assert _state(regs) == before
+    regs.write("rax", 7)
+    assert journal == []
