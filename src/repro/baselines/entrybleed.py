@@ -15,7 +15,7 @@ mitigation surfaces against TET-KASLR.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.kernel.layout import (
     KASLR_SLOTS,
@@ -23,7 +23,7 @@ from repro.kernel.layout import (
     KPTI_TRAMPOLINE_OFFSET,
     slot_base,
 )
-from repro.whisper.analysis import classify_bimodal
+from repro.whisper.analysis import kaslr_decision
 from repro.whisper.attacks.kaslr import KaslrBreakResult
 
 
@@ -63,11 +63,7 @@ class EntryBleedKaslr:
         totes: Dict[int, int] = {}
         for slot in range(KASLR_SLOTS):
             totes[slot] = self.probe_latency(slot_base(slot) + KPTI_TRAMPOLINE_OFFSET)
-        threshold, is_low = classify_bimodal(totes)
-        mapped = sorted(slot for slot, low in is_low.items() if low)
-        found: Optional[int] = None
-        if 0 < len(mapped) < KASLR_SLOTS:
-            found = slot_base(mapped[0])
+        threshold, mapped, found = kaslr_decision(totes)
         cycles = self.machine.core.global_cycle - start_cycle
         return KaslrBreakResult(
             found_base=found,

@@ -10,10 +10,10 @@ than TET's suppressed-fault measurement; the benches compare the two.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.kernel.layout import KASLR_SLOTS, KASLR_UNMAPPED_REFERENCE, slot_base
-from repro.whisper.analysis import classify_bimodal
+from repro.whisper.analysis import kaslr_decision
 from repro.whisper.attacks.kaslr import KaslrBreakResult
 from repro.whisper.gadgets import RESUME_LABEL
 
@@ -55,11 +55,7 @@ class FaultTimingKaslr:
         totes: Dict[int, int] = {}
         for slot in range(KASLR_SLOTS):
             totes[slot] = self.probe_latency(slot_base(slot))
-        threshold, is_low = classify_bimodal(totes)
-        mapped = sorted(slot for slot, low in is_low.items() if low)
-        found: Optional[int] = None
-        if 0 < len(mapped) < KASLR_SLOTS:
-            found = slot_base(mapped[0])
+        threshold, mapped, found = kaslr_decision(totes)
         cycles = self.machine.core.global_cycle - start_cycle
         return KaslrBreakResult(
             found_base=found,

@@ -5,14 +5,17 @@ The paper's receiver is simple by design (§4.3.1): scan the test value
 the TET-ZBL/shorter-window gadgets) per batch, and after several batches
 take the most frequent winner.  TET-KASLR instead needs a binary
 classifier over a bimodal ToTE population; :func:`classify_bimodal`
-splits it at the widest gap.
+splits it at the widest gap, and :func:`kaslr_decision` turns that split
+of one slot sweep into a kernel base.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+from repro.kernel.layout import KASLR_SLOTS, slot_base
 
 
 @dataclass
@@ -102,6 +105,21 @@ def classify_bimodal(samples: Dict[int, int]) -> Tuple[float, Dict[int, bool]]:
     widest, index = max(gaps)
     threshold = (ordered[index] + ordered[index + 1]) / 2
     return threshold, {key: value <= threshold for key, value in samples.items()}
+
+
+def kaslr_decision(totes: Dict[int, int]) -> Tuple[float, List[int], Optional[int]]:
+    """Decide a kernel base from one sweep's ``{slot: ToTE}``.
+
+    Returns ``(threshold, mapped, found_base)``: the
+    :func:`classify_bimodal` split, the low (mapped) slots in slot order,
+    and the lowest mapped slot's base.  ``found_base`` is ``None`` when no
+    slot or every slot looks mapped: a degenerate split means the oracle
+    is blind (the AMD case).
+    """
+    threshold, is_low = classify_bimodal(totes)
+    mapped = sorted(slot for slot, low in is_low.items() if low)
+    found = slot_base(mapped[0]) if 0 < len(mapped) < KASLR_SLOTS else None
+    return threshold, mapped, found
 
 
 def error_rate(sent: bytes, received: bytes) -> float:

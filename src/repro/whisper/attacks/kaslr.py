@@ -30,7 +30,7 @@ from typing import Dict, List, Optional
 
 from repro.kernel.layout import KASLR_SLOTS, KASLR_UNMAPPED_REFERENCE, slot_base
 from repro.runtime.tasks import KASLR_SCANS, kaslr_strategy
-from repro.whisper.analysis import classify_bimodal
+from repro.whisper.analysis import kaslr_decision
 from repro.whisper.gadgets import GadgetBuilder, Suppression
 
 
@@ -159,13 +159,7 @@ class TetKaslr:
             for slot in range(KASLR_SLOTS):
                 va = slot_base(slot) + offset
                 totes[slot] = self.probe_tote(va, cr3_switch=cr3_switch)
-        threshold, is_low = classify_bimodal(totes)
-        mapped = sorted(slot for slot, low in is_low.items() if low)
-        # Degenerate classification (all candidates look the same) means
-        # the oracle is blind -- the AMD case.
-        found: Optional[int] = None
-        if 0 < len(mapped) < KASLR_SLOTS:
-            found = slot_base(mapped[0])
+        threshold, mapped, found = kaslr_decision(totes)
         cycles = self.machine.core.global_cycle - start_cycle
         return KaslrBreakResult(
             found_base=found,
