@@ -735,7 +735,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help="fan trials across N worker processes (0 = classic serial "
-        "path; results are identical at any worker count)",
+        "path). Decoded bytes, found bases and campaign reports are the "
+        "same at any N, but demo, send and kaslr report more simulated "
+        "time pooled: each pooled trial pays for its own warm-up",
     )
     execution = argparse.ArgumentParser(add_help=False, parents=[workers])
     execution.add_argument(

@@ -111,10 +111,13 @@ class TetCovertChannel:
 
         Each trial runs on a worker-owned machine reset to a just-booted
         profile, so results are bit-identical at any worker count.  The
-        summed per-trial cycle cost is charged to this machine's timeline
-        (the simulated work is the same; only the wall clock shrinks).  A
-        machine built with ``seed=None`` raises ``ValueError``: workers
-        could not rebuild it (:meth:`MachineSpec.of`).
+        summed per-trial cycle cost is charged to this machine's
+        timeline.  That is more simulated work than the serial scan does:
+        each trial runs its own warm-up, which the serial path runs once
+        per channel.  So the decoded byte matches the serial path's while
+        the simulated time and throughput do not.  A machine built with
+        ``seed=None`` raises ``ValueError``: workers could not rebuild it
+        (:meth:`MachineSpec.of`).
         """
         from repro.runtime.spec import MachineSpec
         from repro.runtime.tasks import channel_trials, run_channel_trial
