@@ -45,6 +45,80 @@ outer_out:
         # transaction's rax write (before the inner xbegin) survives.
         assert result.regs.read("rax") == 1
 
+    def test_two_inner_aborts_then_outer_fault(self, machine):
+        # Each inner abort must leave nothing behind for the outer one to
+        # undo: the outer abort pops exactly its own transaction.
+        program = machine.load_program("""
+    xbegin outer_out
+    mov rax, 1
+    xbegin first_out
+    mov rbx, [r13]       ; faults: aborts to first_out
+    xend
+first_out:
+    add rsi, 1
+    xbegin second_out
+    mov rbx, [r13]       ; faults: aborts to second_out
+    xend
+second_out:
+    add rsi, 1
+    mov rbx, [r13]       ; faults: aborts the outer transaction
+    xend
+outer_out:
+    mov rcx, 7
+    hlt
+""")
+        result = machine.run(program, regs={"r13": 0}, record_trace=True)
+        assert result.halted
+        # The outer abort undoes everything since its xbegin, the inner
+        # fallbacks' increments included.
+        assert [result.regs.read(r) for r in ("rax", "rcx", "rsi")] == [0, 7, 0]
+        assert [f.suppression for f in result.events.flushes] == ["tsx"] * 3
+        assert [tuple(r) for r in result.events.resolutions] == [
+            ("tsx", 3, 14, 2),
+            ("tsx", 16, 23, 15),
+            ("tsx", 24, 28, 0),
+        ]
+        assert (result.cycles, result.instructions_retired) == (1646, 8)
+
+    def test_two_inner_aborts_then_middle_fault_keeps_outermost(self, machine):
+        # One level deeper: the middle transaction's abort must leave the
+        # outermost one open for its own xend.
+        program = machine.load_program("""
+    xbegin top_out
+    mov rdx, 3
+    xbegin outer_out
+    mov rax, 1
+    xbegin first_out
+    mov rbx, [r13]
+    xend
+first_out:
+    add rsi, 1
+    xbegin second_out
+    mov rbx, [r13]
+    xend
+second_out:
+    add rsi, 1
+    mov rbx, [r13]       ; aborts the middle transaction only
+    xend
+outer_out:
+    mov rcx, 7
+    xend                 ; commits the outermost transaction
+top_out:
+    add rdi, 1
+    hlt
+""")
+        result = machine.run(program, regs={"r13": 0}, record_trace=True)
+        assert result.halted
+        assert [result.regs.read(r) for r in ("rax", "rcx", "rdx", "rsi", "rdi")] == [
+            0, 7, 3, 0, 1,
+        ]
+        assert [tuple(r) for r in result.events.resolutions] == [
+            ("tsx", 5, 16, 4),
+            ("tsx", 18, 27, 17),
+            ("tsx", 28, 34, 2),
+        ]
+        assert (result.cycles, result.instructions_retired) == (1668, 12)
+
     def test_back_to_back_windows(self, machine):
         program = machine.load_program("""
     xbegin first_out
