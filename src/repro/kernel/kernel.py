@@ -17,6 +17,7 @@ configurations the paper attacks:
 
 from __future__ import annotations
 
+import itertools
 from typing import List, Optional
 
 from repro.kernel.frames import FrameAllocator
@@ -59,7 +60,9 @@ class Kernel:
         self.flare = flare
         self.fgkaslr = fgkaslr
         self.layout: KernelLayout = randomize_layout(seed=seed, kaslr=kaslr, fgkaslr=fgkaslr)
-        self.kernel_space = AddressSpace("kernel")
+        #: Numbers the table frames of every space this kernel builds.
+        self._table_frames = itertools.count()
+        self.kernel_space = AddressSpace("kernel", self._table_frames)
         self._map_kernel_image()
         self.user_template: Optional[AddressSpace] = None
         if kpti:
@@ -92,7 +95,7 @@ class Kernel:
 
     def _build_kpti_user_template(self) -> AddressSpace:
         """The user-side table: only the trampoline remnant is kernel-mapped."""
-        template = AddressSpace("kpti-user")
+        template = AddressSpace("kpti-user", self._table_frames)
         trampoline_va = self.layout.trampoline_va
         trampoline_pa = self.kernel_text_paddr + KPTI_TRAMPOLINE_OFFSET
         template.map_page(

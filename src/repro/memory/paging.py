@@ -9,8 +9,9 @@ walk longer" (the paper's RQ3 answer) comes from mechanistically.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass, field
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, NamedTuple, Optional, Tuple
 
 VA_BITS = 48
 CANONICAL_MASK = (1 << VA_BITS) - 1
@@ -79,12 +80,15 @@ class WalkStep(NamedTuple):
 class AddressSpace:
     """A 4-level page-table tree plus the software operations the kernel
     substrate uses to build address spaces (map, unmap, protect, fork-lite).
+
+    *frames* numbers the space's table frames.  A kernel hands one counter
+    to every space it builds (clones share their source's), so a
+    machine's page-table addresses depend on nothing built before it.
     """
 
-    _next_table_frame = 0
-
-    def __init__(self, name: str = "") -> None:
+    def __init__(self, name: str = "", frames: Optional[Iterator[int]] = None) -> None:
         self.name = name
+        self._frames = itertools.count() if frames is None else frames
         self.root = self._new_node(0)
         #: The walk down to each page table reached so far, by the 2 MiB
         #: region the table maps: ``(PML4, PDPT and PD steps, table)``.
@@ -94,10 +98,8 @@ class AddressSpace:
         #: entry per page table, so the tree bounds its size.
         self._tables: Dict[int, tuple] = {}
 
-    @classmethod
-    def _new_node(cls, level: int) -> _TableNode:
-        paddr = TABLE_FRAME_BASE + cls._next_table_frame * int(PageSize.SIZE_4K)
-        cls._next_table_frame += 1
+    def _new_node(self, level: int) -> _TableNode:
+        paddr = TABLE_FRAME_BASE + next(self._frames) * int(PageSize.SIZE_4K)
         return _TableNode(level=level, table_paddr=paddr)
 
     @staticmethod
@@ -237,7 +239,7 @@ class AddressSpace:
     def clone_shared(self, name: str = "") -> "AddressSpace":
         """Return a new address space sharing no structure (deep copy of
         the mapping set).  Used to derive KPTI user-side tables."""
-        clone = AddressSpace(name=name or f"{self.name}-clone")
+        clone = AddressSpace(name or f"{self.name}-clone", self._frames)
 
         def copy(node: _TableNode, target: _TableNode) -> None:
             for index, child in node.entries.items():

@@ -6,6 +6,11 @@ built machines with identical seeds and require identical outcomes --
 including the PMU counters and the cycle-exact timings.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from repro.sim.machine import Machine
 from repro.whisper.attacks.kaslr import TetKaslr
 from repro.whisper.attacks.meltdown import TetMeltdown
@@ -35,6 +40,58 @@ def test_identical_machines_have_identical_kaslr_layouts():
     second = Machine("i9-10980XE", seed=31337)
     assert first.kernel.layout.base == second.kernel.layout.base
     assert first.kernel.layout.symbols == second.kernel.layout.symbols
+
+
+def test_machines_built_in_a_row_share_page_table_addresses():
+    """Each kernel numbers its own table frames: a machine's page-table
+    addresses do not depend on how many tables earlier machines made."""
+    first = Machine("i7-7700", seed=5, kpti=True)
+    second = Machine("i7-7700", seed=5, kpti=True)
+    assert (
+        first.kernel.kernel_space.root.table_paddr
+        == second.kernel.kernel_space.root.table_paddr
+    )
+    assert first.process.space.root.table_paddr == second.process.space.root.table_paddr
+
+
+#: Three unrelated machines first, then one ``sets``-eviction KASLR trial
+#: on a cold worker context, twice, with one more machine built between
+#: the runs: the eviction working set's walks read the table lines, so
+#: table addresses that leaked between machines moved its cycles.
+FRESH_INTERPRETER_TRIAL = """
+from repro.kernel.layout import KPTI_TRAMPOLINE_OFFSET, slot_base
+from repro.runtime.spec import MachineSpec
+from repro.runtime.tasks import KaslrTrial, clear_worker_contexts, run_trial
+from repro.sim.machine import Machine
+
+for _ in range(3):
+    Machine("i7-7700", seed=99)
+trial = KaslrTrial(
+    MachineSpec("i7-7700", seed=13, kpti=True),
+    va=slot_base(3) + KPTI_TRAMPOLINE_OFFSET,
+    cr3_switch=True,
+    trial_index=1,
+    eviction="sets",
+)
+clear_worker_contexts()
+print(run_trial(trial))
+Machine("i7-7700", seed=99)
+clear_worker_contexts()
+print(run_trial(trial))
+"""
+
+
+def test_trial_bytes_ignore_machines_built_before_it():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    first, second = subprocess.run(
+        [sys.executable, "-c", FRESH_INTERPRETER_TRIAL],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.splitlines()
+    assert first == second == "TrialResult(totes=(276,), cycles=63077)"
 
 
 def test_different_seeds_randomise_the_layout():
