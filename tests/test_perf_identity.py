@@ -59,6 +59,16 @@ GOLDEN_KASLR = [
 
 KASLR_BASE = 0xFFFFFFFF8A800000
 
+#: GOLDEN_KASLR's payloads with ``eviction="sets"``: each probe evicts
+#: the TLB by walking the eviction working set instead of flushing it,
+#: and pays the walk's cycles.  Captured once page-table frames were
+#: numbered per machine.
+GOLDEN_KASLR_SETS = [
+    ((0x0, False, 0), ((270,), 101961)),
+    ((0x0, True, 1), ((276,), 102669)),
+    ((0x200000, False, 4), ((270,), 101961)),
+]
+
 #: Table 3's rows, read by name from the trial machine's PMU bank after
 #: each golden payload: the trigger-vs-quiet differential the paper's
 #: toolset filters (``IDQ.DSB_CYCLES_OK`` stays 0 on these gadgets).
@@ -93,6 +103,11 @@ GOLDEN_KASLR_PMU = [
     ((8, 112, 240, 609, 65, 43, 0, 29, 10, 3, 96), "39c359c126dfe751"),
     ((8, 112, 240, 624, 65, 43, 0, 29, 10, 3, 96), "0d4b15f6f7a2828a"),
     ((8, 112, 240, 609, 65, 43, 0, 29, 10, 3, 96), "39c359c126dfe751"),
+]
+GOLDEN_KASLR_SETS_PMU = [
+    ((8, 112, 240, 600, 65, 43, 0, 29, 10, 3, 96), "f1a8c675f6fc0c63"),
+    ((8, 112, 240, 615, 65, 43, 0, 29, 10, 3, 96), "3932a5511aa7e738"),
+    ((8, 112, 240, 600, 65, 43, 0, 29, 10, 3, 96), "f1a8c675f6fc0c63"),
 ]
 
 
@@ -132,12 +147,13 @@ def _channel_payload(model, seed, secret, test, index) -> ChannelTrial:
     )
 
 
-def _kaslr_payload(offset, cr3_switch, index) -> KaslrTrial:
+def _kaslr_payload(offset, cr3_switch, index, eviction="direct") -> KaslrTrial:
     return KaslrTrial(
         spec=MachineSpec("i7-7700", seed=21, kaslr=True, kpti=True),
         va=KASLR_BASE + offset,
         cr3_switch=cr3_switch,
         trial_index=index,
+        eviction=eviction,
         warm_probes=3,
     )
 
@@ -192,6 +208,18 @@ class TestGoldenConstants:
     )
     def test_kaslr_trial_pmu_bank(self, key, expected):
         assert _pmu_pin(_kaslr_payload(*key)) == expected
+
+    @pytest.mark.parametrize("key,expected", GOLDEN_KASLR_SETS)
+    def test_kaslr_sets_trial_bytes(self, key, expected):
+        result = run_trial(_kaslr_payload(*key, eviction="sets"))
+        assert (tuple(result.totes), result.cycles) == expected
+
+    @pytest.mark.parametrize(
+        "key,expected",
+        [(key, pin) for (key, _), pin in zip(GOLDEN_KASLR_SETS, GOLDEN_KASLR_SETS_PMU)],
+    )
+    def test_kaslr_sets_trial_pmu_bank(self, key, expected):
+        assert _pmu_pin(_kaslr_payload(*key, eviction="sets")) == expected
 
     @pytest.mark.parametrize("key,expected", GOLDEN_DETECT)
     def test_detect_window_matches_golden(self, key, expected):
