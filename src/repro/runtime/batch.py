@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from operator import methodcaller
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro import telemetry
@@ -72,8 +71,10 @@ from repro.isa.opcodes import Op
 from repro.isa.registers import GPRS, MASK64
 from repro.runtime.tasks import (
     TRIAL_KINDS,
-    PackSchedule,
+    Schedule,
     TrialResult,
+    run_steps,
+    trial_regs,
     run_trial,
     warm_get,
     warm_key,
@@ -395,21 +396,12 @@ class LockstepBatch:
 
     def _shadow_lea(self, record, ins) -> None:
         mem = ins.mem
-        base_t = self._reg_taint.get(mem.base) if mem.base else None
-        index_t = self._reg_taint.get(mem.index) if mem.index else None
         value = record.dest_value
-        if base_t is None and index_t is None:
-            self._jset_reg(ins.dst, value, None)
-            return
-        vector = []
-        for lane in range(self.lanes):
-            delta = 0
-            if base_t is not None:
-                delta += base_t[lane] - base_t[0]
-            if index_t is not None:
-                delta += (index_t[lane] - index_t[0]) * mem.scale
-            vector.append((value + delta) & MASK64)
-        self._jset_reg(ins.dst, value, self._taint_or_none(vector))
+        deltas = self._address_deltas(mem.base, mem.index, mem.scale)
+        taint = None
+        if deltas is not None:
+            taint = self._taint_or_none([(value + delta) & MASK64 for delta in deltas])
+        self._jset_reg(ins.dst, value, taint)
 
     def _shadow_alu(self, record, ins) -> None:
         info = ins.info
@@ -551,17 +543,21 @@ class LockstepBatch:
             if ins.dst is not None:
                 self._jset_reg(ins.dst, record.dest_value, None)
             return
-        size = 1 if ins.op is Op.LOAD_BYTE else 8
         value = record.dest_value
-        overlap = None
-        if self.mem_taint:
-            va = record.memory_va
-            overlap = [self.mem_taint.get(va + i) for i in range(size)]
-            if not any(vec is not None for vec in overlap):
-                overlap = None
-        if overlap is None:
-            self._jset_reg(ins.dst, value, None)
-            return
+        size = 1 if ins.op is Op.LOAD_BYTE else 8
+        vector = self._lane_values(record.memory_va, size, value)
+        taint = None if vector is None else self._taint_or_none(vector)
+        self._jset_reg(ins.dst, value, taint)
+
+    def _lane_values(self, va: int, size: int, value: int) -> Optional[List[int]]:
+        """Per lane, the *size* bytes at *va* read as one integer: the
+        leader's *value* with the lane's tainted bytes spliced in (None
+        when no byte there is tainted)."""
+        if not self.mem_taint:
+            return None
+        overlap = [self.mem_taint.get(va + i) for i in range(size)]
+        if all(vec is None for vec in overlap):
+            return None
         leader_bytes = value.to_bytes(size, "little")
         vector = []
         for lane in range(self.lanes):
@@ -570,7 +566,15 @@ class LockstepBatch:
                 if vec is not None:
                     raw[i] = vec[lane]
             vector.append(int.from_bytes(raw, "little"))
-        self._jset_reg(ins.dst, value, self._taint_or_none(vector))
+        return vector
+
+    def _untaint_word(self, va: int) -> None:
+        """Every lane wrote the same 8 bytes at *va*: a strong update,
+        clearing any taint they carried."""
+        if self.mem_taint:
+            for i in range(8):
+                if va + i in self.mem_taint:
+                    self._jset_mem(va + i, None)
 
     def _shadow_store(self, record, ins) -> None:
         mem = ins.mem
@@ -580,12 +584,7 @@ class LockstepBatch:
         va = record.memory_va
         value_t = self._reg_taint.get(ins.src) if ins.src is not None else None
         if value_t is None:
-            # All lanes stored the same bytes: strong update, clearing any
-            # taint the 8 bytes carried.
-            if self.mem_taint:
-                for i in range(8):
-                    if va + i in self.mem_taint:
-                        self._jset_mem(va + i, None)
+            self._untaint_word(va)
             return
         for i in range(8):
             shift = 8 * i
@@ -605,10 +604,7 @@ class LockstepBatch:
         if record.fault is not None:
             return
         va = record.memory_va
-        if self.mem_taint:
-            for i in range(8):
-                if va + i in self.mem_taint:
-                    self._jset_mem(va + i, None)  # return address: lane-invariant
+        self._untaint_word(va)  # the return address is lane-invariant
         rsp_t = self._reg_taint.get("rsp")
         taint = (
             [(value - 8) & MASK64 for value in rsp_t] if rsp_t is not None else None
@@ -621,20 +617,11 @@ class LockstepBatch:
             return
         va = record.memory_va
         target = record.actual_target
-        if self.mem_taint:
-            overlap = [self.mem_taint.get(va + i) for i in range(8)]
-            if any(vec is not None for vec in overlap):
-                leader_bytes = target.to_bytes(8, "little")
-                alive = self.alive
-                for lane in range(1, self.lanes):
-                    if not alive[lane]:
-                        continue
-                    raw = bytearray(leader_bytes)
-                    for i, vec in enumerate(overlap):
-                        if vec is not None:
-                            raw[i] = vec[lane]
-                    if int.from_bytes(raw, "little") != target:
-                        self._evict(lane, "return-target-divergence")
+        targets = self._lane_values(va, 8, target)
+        if targets is not None:
+            for lane in range(1, self.lanes):
+                if targets[lane] != target:
+                    self._evict(lane, "return-target-divergence")
         rsp_t = self._reg_taint.get("rsp")
         taint = (
             [(value + 8) & MASK64 for value in rsp_t] if rsp_t is not None else None
@@ -760,15 +747,15 @@ class TranslationShadow:
         #: Sticky: a guard tripped that invalidates *every* lane's model.
         self.overflow = False
 
-    # -- orchestration notifications (the pack driver's hooks) -----------------
+    # -- step hooks, named by the ``Machine`` method they follow -------------
 
-    def on_tlb_flush(self) -> None:
-        """The pack driver flushed the TLB (lane-invariant)."""
+    def flush_tlb(self) -> None:
+        """The leader flushed the TLB between runs (lane-invariant)."""
         for tlb in self.lane_tlb:
             tlb.clear()
         self.window_fills = 0
 
-    def on_cr3_switch(self) -> None:
+    def syscall_roundtrip(self) -> None:
         """A syscall round-trip happened between runs: non-global TLB
         entries are gone (in every lane, identically)."""
         for tlb in self.lane_tlb:
@@ -976,37 +963,18 @@ def leader_cache_enabled() -> bool:
     return True
 
 
-#: Pre-run hooks of a :class:`~repro.runtime.tasks.PackStep`: what the
-#: recording does to its machine, and the lane models' matching
-#: notification in the replay.
-_HOOKS = {
-    "tlb-flush": (methodcaller("flush_tlb"), TranslationShadow.on_tlb_flush),
-    "cr3-switch": (methodcaller("syscall_roundtrip"), TranslationShadow.on_cr3_switch),
-}
-
-
-def record_leader(
-    lead, schedule: PackSchedule, regs: Dict[str, int]
-) -> LeaderTrace:
-    """Run *lead*'s pack *schedule* on its machine from the boot state,
-    with *regs* in the per-lane steps, recording every run.
-
-    The only place the batch engine drives a machine: every pack replays
-    such a recording as its lane 0.
-    """
+def record_leader(lead, schedule: Schedule, regs: Dict[str, int]) -> LeaderTrace:
+    """Run *lead*'s *schedule* from the boot state -- reset, setup, then
+    every step through :func:`~repro.runtime.tasks.run_steps` with *regs*
+    in the lane steps -- recording each run: every pack's lane 0."""
     machine = schedule.machine
     machine.reset_uarch(noise_seed=lead.spec.trial_seed(lead.trial_index))
-    if schedule.setup is not None:
-        schedule.setup()
-    runs = []
-    for step in schedule.steps:
-        if step.hook is not None:
-            _HOOKS[step.hook][0](machine)
-        step_regs = regs if step.lane else schedule.shared
-        result = machine.run(
-            schedule.program, regs=dict(step_regs), record_trace=True
-        )
-        runs.append(LeaderRun(step_regs, result))
+    schedule.setup()
+    results = run_steps(schedule, regs, record_trace=True)
+    runs = [
+        LeaderRun(regs if step.lane else schedule.shared, result)
+        for step, result in zip(schedule.steps, results)
+    ]
     return LeaderTrace(runs, machine.core.global_cycle)
 
 
@@ -1014,10 +982,10 @@ def record_leader(
 
 
 def pack_eligible(trial) -> bool:
-    """Whether *trial* may ride a lockstep pack: its kind has a pack
-    schedule and admits it, and its ambient noise is zero -- the
-    per-trial noise seed is inert at amplitude 0, which is what lets one
-    leader reset stand in for every lane's."""
+    """Whether *trial* may ride a lockstep pack: its kind has a schedule
+    and admits it, and its ambient noise is zero -- the per-trial noise
+    seed is inert at amplitude 0, which is what lets one leader reset
+    stand in for every lane's."""
     kind = TRIAL_KINDS.get(type(trial))
     return (
         kind is not None
@@ -1064,8 +1032,8 @@ def run_pack(trials: Sequence, stats: Optional[BatchStats] = None) -> List:
     """Run a pack of structurally identical trials in lockstep.
 
     The one pack driver: the kind's
-    :class:`~repro.runtime.tasks.PackSchedule` says what to run, and
-    this owns the rest.  Lane 0 replays a recorded leader -- the warm
+    :class:`~repro.runtime.tasks.Schedule` says what to run, and this
+    owns the rest.  Lane 0 replays a recorded leader -- the warm
     memo's for this pack key, or else ``trials[0]``'s, recorded now --
     and the trials ride lanes 1..N, each the same trial with a different
     probed value, reconstructed from the leader's trace.  Lanes the
@@ -1076,12 +1044,8 @@ def run_pack(trials: Sequence, stats: Optional[BatchStats] = None) -> List:
     scalar run of its payload.
     """
     lead = trials[0]
-    kind = TRIAL_KINDS[type(lead)]
-    schedule = kind.schedule(lead)
-    lane_set = [
-        {**schedule.shared, kind.register: getattr(trial, kind.probe)}
-        for trial in trials
-    ]
+    schedule = TRIAL_KINDS[type(lead)].schedule(lead)
+    lane_set = [trial_regs(trial, schedule) for trial in trials]
     # The pack key names the pack's *structure* (the kind and its other
     # fields), never the leader's own probed value -- which is exactly
     # why one recorded leader serves every same-structure pack.
@@ -1094,9 +1058,10 @@ def run_pack(trials: Sequence, stats: Optional[BatchStats] = None) -> List:
         if cache:
             warm_put(key, leader=leader)
     batch = LockstepBatch(len(trials) + 1)
-    # Per-lane translation models follow the schedule's flushes and CR3
-    # switches; a schedule without pre-hooks (the channel's) has nothing
-    # for them to follow, and its address-divergent lanes simply evict.
+    # Per-lane translation models follow the schedule's hooks, each by
+    # the name of the machine method the leader ran; a schedule without
+    # hooks (the channel's) has nothing for them to follow, and its
+    # address-divergent lanes simply evict.
     shadow = None
     if any(step.hook for step in schedule.steps):
         shadow = batch.translation_shadow = TranslationShadow(
@@ -1106,7 +1071,7 @@ def run_pack(trials: Sequence, stats: Optional[BatchStats] = None) -> List:
     totes: List[List[int]] = [[] for _ in trials]
     for step, recorded in zip(schedule.steps, leader.runs):
         if step.hook is not None:
-            _HOOKS[step.hook][1](shadow)
+            getattr(shadow, step.hook)()
         run = batch.run(recorded, lane_set if step.lane else shared_set)
         if step.timed:
             for lane, samples in enumerate(totes, start=1):

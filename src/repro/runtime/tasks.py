@@ -74,26 +74,73 @@ class TrialFailure:
     error: str
 
 
-class PackStep(NamedTuple):
-    """One ``batch.run`` of a pack schedule."""
+class Step(NamedTuple):
+    """One run of a :class:`Schedule`, after its hook: ``flush_tlb``,
+    ``evict_tlb_realistic``, ``syscall_roundtrip`` (a ``Machine`` method) or None."""
 
-    hook: Optional[str] = None  # pre-run: "tlb-flush" | "cr3-switch" | None
-    lane: bool = False  # per-lane registers (else the shared warm ones)
+    hook: Optional[str] = None
+    lane: bool = False  # the trial's own registers (else the shared warm ones)
     timed: bool = False  # the run's r15 - r14 is a ToTE sample
 
 
-class PackSchedule(NamedTuple):
-    """A trial function as ``runtime/batch.py``'s ``run_pack`` runs it:
-    the leader's cached machine and program, the warm registers every
-    lane shares (a lane's own put its probed value in the kind's
-    register), the ordered runs, and the leader recording's post-reset
-    setup."""
+class Schedule(NamedTuple):
+    """A trial's one run sequence: its cached machine and program, the
+    warm registers every step shares (a lane step's copy puts the
+    trial's probed value in its kind's register), the ordered steps --
+    those before the first lane step are the warm prefix -- and what a
+    run sets up first (the channel's sender byte).  The scalar trial
+    runs it, and a lockstep pack replays one recording of it."""
 
     machine: object
     program: object
     shared: Dict[str, int]
-    steps: Sequence[PackStep]
-    setup: Optional[Callable[[], None]] = None
+    steps: Sequence[Step]
+    setup: Callable[[], None] = lambda: None
+
+
+def run_steps(schedule: Schedule, regs, steps=None, record_trace=False) -> list:
+    """The one step runner -- scalar trials, pack leaders and
+    ``TetKaslr.probe_tote`` drive a machine through it: run *steps* (all
+    of *schedule*'s by default) in order, each step's hook, then one
+    ``machine.run`` with *regs* in a lane step, else the shared ones."""
+    machine, program, shared = schedule.machine, schedule.program, schedule.shared
+    results = []
+    for step in schedule.steps if steps is None else steps:
+        if step.hook is not None:
+            getattr(machine, step.hook)()
+        step_regs = regs if step.lane else shared
+        results.append(machine.run(program, step_regs, record_trace=record_trace))
+    return results
+
+
+def timed_totes(steps: Sequence[Step], results: Sequence) -> Tuple[int, ...]:
+    """Each timed step's ToTE sample: its run's ``r15 - r14``."""
+    return tuple(
+        result.regs.read("r15") - result.regs.read("r14")
+        for step, result in zip(steps, results)
+        if step.timed
+    )
+
+
+def trial_regs(trial, schedule: Schedule) -> Dict[str, int]:
+    """*trial*'s lane-step registers: the shared ones, with its probed
+    value in its kind's register."""
+    kind = TRIAL_KINDS[type(trial)]
+    return {**schedule.shared, kind.register: getattr(trial, kind.probe)}
+
+
+def _run_scalar(trial) -> TrialResult:
+    """Run *trial*'s schedule: the setup, the warm prefix (which
+    :func:`_warm_start` may load instead), then the other steps on one
+    continuing cycle timeline."""
+    schedule = TRIAL_KINDS[type(trial)].schedule(trial)
+    machine, steps = schedule.machine, schedule.steps
+    warm = next((i for i, step in enumerate(steps) if step.lane), len(steps))
+    regs = trial_regs(trial, schedule)
+    schedule.setup()  # memory, not timing state: it is in the warm key
+    _warm_start(machine, trial, lambda: run_steps(schedule, regs, steps[:warm]))
+    results = run_steps(schedule, regs, steps[warm:])
+    return TrialResult(timed_totes(steps[warm:], results), machine.core.global_cycle)
 
 
 # -- TET-CC byte-scan trials ---------------------------------------------------
@@ -163,50 +210,34 @@ def _build_channel_context(spec: MachineSpec, suppression: Optional[str]):
     return machine, program, sender_page
 
 
-def run_channel_trial(trial: ChannelTrial) -> TrialResult:
-    """One TET-CC trial: warm the gadget, then time *batches* probes.
+_TRAIN, _PROBE = Step(), Step(lane=True, timed=True)
 
-    The warm-up runs use the can-never-match test value 256, training the
-    gadget's Jcc exactly as the serial scan's non-matching neighbours do,
-    so a matching probe mispredicts and lengthens the window.  Per batch,
-    ``warmup`` training runs then the timed probe, on one continuing cycle
-    timeline; the first batch's training runs are the warm prefix
-    :func:`_warm_start` may load instead of running.
+
+def _channel_schedule(trial: ChannelTrial) -> Schedule:
+    """Figure 1's window: the setup writes the sender's byte, then per
+    batch ``warmup`` training runs and the timed probe of the test value.
+
+    The training runs use the can-never-match test value 256, training
+    the gadget's Jcc exactly as the serial scan's non-matching neighbours
+    do, so a matching probe mispredicts and lengthens the window.
     """
     machine, program, sender_page = trial_context(trial)
-    # Memory is not microarchitectural state: the byte is written before
-    # the warm start, and it is part of the warm key.
-    machine.write_data(sender_page, bytes([trial.byte & 0xFF]) + b"\x00" * 7)
-    warm_regs = {"r12": sender_page, "r13": NULL_POINTER, "r9": 256}
-    probe_regs = {"r12": sender_page, "r13": NULL_POINTER, "r9": trial.test}
-    reg_sets = ([warm_regs] * trial.warmup + [probe_regs]) * trial.batches
-    prefix = reg_sets[: trial.warmup]
-    _warm_start(machine, trial, lambda: machine.run_many(program, prefix))
-    results = machine.run_many(program, reg_sets[trial.warmup :])
-    totes = tuple(
-        result.regs.read("r15") - result.regs.read("r14")
-        for result in results[:: trial.warmup + 1]
-    )
-    return TrialResult(totes=totes, cycles=machine.core.global_cycle)
-
-
-def _channel_schedule(lead: ChannelTrial) -> PackSchedule:
-    """:func:`run_channel_trial` as pack steps: per batch, ``warmup``
-    training runs on the never-matching test value 256, then the timed
-    probe."""
-    machine, program, sender_page = trial_context(lead)
-    warm, probe = PackStep(), PackStep(lane=True, timed=True)
 
     def write_sender_byte() -> None:
-        machine.write_data(sender_page, bytes([lead.byte & 0xFF]) + b"\x00" * 7)
+        machine.write_data(sender_page, bytes([trial.byte & 0xFF]) + b"\x00" * 7)
 
-    return PackSchedule(
+    return Schedule(
         machine,
         program,
         {"r12": sender_page, "r13": NULL_POINTER, "r9": 256},
-        ((warm,) * lead.warmup + (probe,)) * lead.batches,
+        ((_TRAIN,) * trial.warmup + (_PROBE,)) * trial.batches,
         write_sender_byte,
     )
+
+
+def run_channel_trial(trial: ChannelTrial) -> TrialResult:
+    """One TET-CC trial: its schedule, *batches* ToTE samples."""
+    return _run_scalar(trial)
 
 
 # -- TET-KASLR probe trials ----------------------------------------------------
@@ -282,45 +313,49 @@ def kaslr_trials(
     return pairs, start_index + KASLR_SLOTS
 
 
-def _build_kaslr_context(spec: MachineSpec, eviction: str, suppression: Optional[str]):
-    from repro.whisper.attacks.kaslr import TetKaslr
-    from repro.whisper.gadgets import Suppression
+def kaslr_schedule(
+    machine, program, eviction: str, cr3_switch: bool, warm_probes: int = 0
+) -> Schedule:
+    """§4.5's double-probe as steps: evict the TLB, fault on the address
+    once (filling the TLB iff it is mapped), round-trip a syscall if
+    *cr3_switch*, then the timed probe -- on the known-unmapped
+    reference *warm_probes* times, then on the candidate in ``r13``.
 
-    attack = TetKaslr(
-        spec.build(),
-        suppression=Suppression(suppression) if suppression else None,
-        eviction=eviction,
+    ``r9`` = 256 can never match a forwarded byte, so the probe's Jcc
+    direction is constant and the classifier sees pure TLB timing.
+    """
+    evict = {"direct": "flush_tlb", "sets": "evict_tlb_realistic"}[eviction]
+    switch = "syscall_roundtrip" if cr3_switch else None
+    return Schedule(
+        machine,
+        program,
+        {"r13": KASLR_UNMAPPED_REFERENCE, "r9": 256},
+        (Step(evict), Step(switch)) * warm_probes
+        + (Step(evict, lane=True), Step(switch, lane=True, timed=True)),
     )
-    return attack.machine, attack
+
+
+def _build_kaslr_context(spec: MachineSpec, eviction: str, suppression: Optional[str]):
+    # ``eviction`` keys the context without shaping it: a ``sets``
+    # machine maps its eviction working set on its first eviction.
+    if eviction not in ("direct", "sets"):
+        raise ValueError(f"eviction must be 'direct' or 'sets', not {eviction!r}")
+    from repro.whisper.gadgets import GadgetBuilder, Suppression
+
+    machine = spec.build()
+    suppression = Suppression(suppression) if suppression else None
+    return machine, GadgetBuilder(machine, suppression=suppression).kaslr_probe()
+
+
+def _kaslr_schedule(trial: KaslrTrial) -> Schedule:
+    return kaslr_schedule(
+        *trial_context(trial), trial.eviction, trial.cr3_switch, trial.warm_probes
+    )
 
 
 def run_kaslr_trial(trial: KaslrTrial) -> TrialResult:
-    """One TET-KASLR trial: warm probes on a known-unmapped reference
-    (the warm prefix), then the timed double-probe of the candidate."""
-    machine, attack = trial_context(trial)
-
-    def warm_up() -> None:
-        for _ in range(trial.warm_probes):
-            attack.probe_tote(KASLR_UNMAPPED_REFERENCE, cr3_switch=trial.cr3_switch)
-
-    _warm_start(machine, trial, warm_up)
-    tote = attack.probe_tote(trial.va, cr3_switch=trial.cr3_switch)
-    return TrialResult(totes=(tote,), cycles=machine.core.global_cycle)
-
-
-def _kaslr_schedule(lead: KaslrTrial) -> PackSchedule:
-    """``TetKaslr.probe_tote`` as pack steps -- evict, fill probe,
-    optional syscall round trip, timed probe -- on the known-unmapped
-    reference ``warm_probes`` times, then on each lane's candidate."""
-    machine, attack = trial_context(lead)
-    switch = "cr3-switch" if lead.cr3_switch else None
-    return PackSchedule(
-        machine,
-        attack.program,
-        {"r13": KASLR_UNMAPPED_REFERENCE, "r9": 256},
-        (PackStep("tlb-flush"), PackStep(switch)) * lead.warm_probes
-        + (PackStep("tlb-flush", lane=True), PackStep(switch, lane=True, timed=True)),
-    )
+    """One TET-KASLR trial: its schedule, one ToTE sample."""
+    return _run_scalar(trial)
 
 
 # -- detector observation-window trials ----------------------------------------
@@ -381,12 +416,12 @@ class TrialKind(NamedTuple):
     #: context, and the function that builds it from their values.
     context: Callable[[object], tuple]
     build: Callable[..., tuple]
-    #: The field a sweep probes, and the register a pack lane carries it in.
+    #: The field a sweep probes, and the register a lane step carries it in.
     probe: Optional[str] = None
     register: Optional[str] = None
-    #: The trial function as pack steps (None: always scalar), and any
-    #: rule beyond a noise-free spec for riding a pack.
-    schedule: Optional[Callable[[object], PackSchedule]] = None
+    #: The trial's :class:`Schedule` (None: a trial function of its own,
+    #: always scalar), and any rule beyond a noise-free spec for packs.
+    schedule: Optional[Callable[[object], Schedule]] = None
     eligible: Optional[Callable[[object], bool]] = None
 
 
@@ -433,8 +468,8 @@ _contexts: Dict[tuple, tuple] = {}
 def trial_context(trial) -> tuple:
     """The per-process context *trial* runs on, built on first use: its
     machine, then whatever else its kind prepares once (the channel's
-    program and sender page, the KASLR attack, the detect scenario's
-    bound runner)."""
+    program and sender page, the KASLR probe program, the detect
+    scenario's bound runner)."""
     kind = TRIAL_KINDS[type(trial)]
     values = kind.context(trial)
     key = (type(trial), values)

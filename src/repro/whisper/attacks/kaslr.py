@@ -29,7 +29,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.kernel.layout import KASLR_SLOTS, KASLR_UNMAPPED_REFERENCE, slot_base
-from repro.runtime.tasks import KASLR_SCANS, kaslr_strategy
+from repro.runtime.tasks import (
+    KASLR_SCANS,
+    kaslr_schedule,
+    kaslr_strategy,
+    run_steps,
+    timed_totes,
+)
 from repro.whisper.analysis import kaslr_decision
 from repro.whisper.gadgets import GadgetBuilder, Suppression
 
@@ -91,30 +97,17 @@ class TetKaslr:
 
     # -- the probe primitive ------------------------------------------------------
 
-    def _evict(self) -> None:
-        if self.eviction == "sets":
-            self.machine.evict_tlb_realistic()
-        else:
-            self.machine.flush_tlb()
-
     def probe_tote(self, va: int, cr3_switch: bool = False) -> int:
-        """The timed double-probe of one candidate address.
+        """The timed double-probe of one candidate address: a KASLR
+        trial's two lane steps (``runtime.tasks.kaslr_schedule``).
 
         Returns the ToTE of the second (timed) probe.  ``cr3_switch``
         inserts the syscall round-trip of the FLARE bypass between the
         fill probe and the timed probe.
         """
-        self._evict()
-        self._run_probe(va)  # fills the TLB iff the address is mapped
-        if cr3_switch:
-            self.machine.syscall_roundtrip()
-        result = self._run_probe(va)
-        return result.regs.read("r15") - result.regs.read("r14")
-
-    def _run_probe(self, va: int):
-        # r9=256 can never match a forwarded byte, so the probe's Jcc
-        # direction is constant and the classifier sees pure TLB timing.
-        return self.machine.run(self.program, regs={"r13": va, "r9": 256})
+        probe = kaslr_schedule(self.machine, self.program, self.eviction, cr3_switch)
+        runs = run_steps(probe, {**probe.shared, "r13": va})
+        return timed_totes(probe.steps, runs)[0]
 
     def detect_mapped(self, va: int, reference_unmapped: Optional[int] = None) -> bool:
         """The boolean oracle: is *va* mapped?

@@ -160,3 +160,20 @@ def test_shard_worker_loads_no_asyncio(tmp_path):
     )
     assert "repro.distrib.shard" in loaded
     assert "asyncio" not in loaded
+
+
+KASLR_TRIAL = """
+import sys
+from repro.kernel.layout import slot_base
+from repro.runtime.spec import MachineSpec
+from repro.runtime.tasks import KaslrTrial, run_trial
+trial = KaslrTrial(MachineSpec("i7-7700", seed=3, kpti=True), slot_base(7), False, 0)
+print(run_trial(trial).cycles > 0, "repro.whisper.attacks" in sys.modules)
+"""
+
+
+def test_kaslr_trial_loads_no_attack_classes():
+    """A worker runs a KASLR trial from its kind's schedule and the probe
+    program; the attack classes, which import ``repro.runtime.tasks``
+    themselves, stay unloaded."""
+    assert _python(KASLR_TRIAL).split() == ["True", "False"]

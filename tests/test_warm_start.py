@@ -436,17 +436,17 @@ def test_failed_warm_up_saves_nothing(monkeypatch):
     expected = run_trial(trial)
     clear_worker_contexts()
     machine, _, _ = trial_context(trial)
-    real_run_many = machine.run_many
+    real_run = machine.run
     calls = []
 
-    def failing_run_many(program, reg_sets, **kwargs):
-        calls.append(len(reg_sets))
+    def failing_run(program, regs=None, **kwargs):
+        calls.append(regs)
         if len(calls) == 1:
-            real_run_many(program, reg_sets[:1], **kwargs)  # dirty the machine
+            real_run(program, regs, **kwargs)  # dirty the machine
             raise RuntimeError("injected warm-up failure")
-        return real_run_many(program, reg_sets, **kwargs)
+        return real_run(program, regs, **kwargs)
 
-    monkeypatch.setattr(machine, "run_many", failing_run_many)
+    monkeypatch.setattr(machine, "run", failing_run)
     with pytest.raises(RuntimeError):
         run_trial(trial)
     assert not tasks._warm_memo
