@@ -155,6 +155,62 @@ def test_seed_254_batch_path():
     check_batch_equals_scalar(254)
 
 
+#: Lane-divergent bytes read back from memory: an 8-byte load straddling
+#: a store of r9 (each lane's stored bytes spliced into the leader's
+#: value), a load after a lane-invariant store over them (no taint left),
+#: and a callee that moves its own return address by 4 bytes in the one
+#: lane whose r9 (71) has bit 6 set, so that lane alone returns past
+#: ``mov rdx, 1``.
+SPLICE_PROGRAM = """
+    store [r12 + 16], r9
+    load r10, [r12 + 12]
+    add r11, r10
+    store [r12 + 16], r12
+    load rdi, [r12 + 16]
+    mov rbx, r9
+    shr rbx, 6
+    shl rbx, 2
+    call fn
+    mov rdx, 1
+    mov rsi, 2
+    hlt
+fn:
+    load rcx, [rsp]
+    add rcx, rbx
+    store [rsp], rcx
+    ret
+"""
+
+
+def test_tainted_memory_reaches_loads_and_return_targets():
+    """The random programs need not read tainted memory back, and never
+    return: a load and a ``ret`` over lane-divergent bytes keep every lane
+    equal to its hermetic scalar run, and only the lane whose return
+    target differs from the leader's is evicted."""
+
+    def fresh():
+        machine = Machine("i7-7700", seed=7)
+        page = machine.alloc_data()
+        program = machine.load_program(SPLICE_PROGRAM)
+        machine.reset_uarch(noise_seed=99)
+        machine.write_data(page, PAGE_IMAGE)
+        return machine, page, program
+
+    machine, page, program = fresh()
+    lane_regs = [{**regs, "rsp": page + 2048} for regs in _lane_regs(page, 5)]
+    batch = LockstepBatch(5)
+    result = machine.run(program, regs=dict(lane_regs[0]), record_trace=True)
+    run = batch.run(LeaderRun(lane_regs[0], result), lane_regs[1:])
+    assert batch.evict_reasons == {4: "return-target-divergence"}
+    for lane in range(4):
+        scalar_machine, _, scalar_program = fresh()
+        scalar = scalar_machine.run(scalar_program, regs=dict(lane_regs[lane]))
+        got = {name: run.lane_reg(lane, name) for name in GPRS}
+        assert got == {name: scalar.regs.read(name) for name in GPRS}, lane
+        assert scalar_machine.core.global_cycle == machine.core.global_cycle, lane
+    assert len({run.lane_reg(lane, "r10") for lane in range(4)}) == 4
+
+
 # -- trial-level identity ------------------------------------------------------
 
 
