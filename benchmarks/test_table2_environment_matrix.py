@@ -6,6 +6,7 @@ verified) are reported with our simulator's outcome but not asserted.
 """
 
 from benchmarks.conftest import banner, emit
+from repro.campaign.builtin import MATRIX_CPUS
 from repro.sim.machine import Machine
 from repro.whisper.attacks.kaslr import TetKaslr
 from repro.whisper.attacks.meltdown import TetMeltdown
@@ -14,7 +15,6 @@ from repro.whisper.attacks.zombieload import TetZombieload
 from repro.whisper.channel import TetCovertChannel
 
 ATTACKS = ("TET-CC", "TET-MD", "TET-ZBL", "TET-RSB", "TET-KASLR")
-CPUS = ("i7-6700", "i7-7700", "i9-10980XE", "i9-13900K", "ryzen-5600G")
 
 #: Table 2 verdicts: True=✓, False=✗, None=? (not verified by the paper).
 PAPER = {
@@ -49,7 +49,8 @@ def run_cell(cpu: str, attack: str) -> bool:
 
 def run_matrix():
     return {
-        cpu: {attack: run_cell(cpu, attack) for attack in ATTACKS} for cpu in CPUS
+        cpu: {attack: run_cell(cpu, attack) for attack in ATTACKS}
+        for cpu in MATRIX_CPUS
     }
 
 
@@ -66,7 +67,7 @@ def test_table2_environment_and_experiments(benchmark):
     header = f"{'CPU':14} " + " ".join(f"{a:>16}" for a in ATTACKS)
     emit(header)
     emit("-" * len(header))
-    for cpu in CPUS:
+    for cpu in MATRIX_CPUS:
         cells = []
         for attack in ATTACKS:
             ours = glyph(matrix[cpu][attack])
@@ -78,7 +79,7 @@ def test_table2_environment_and_experiments(benchmark):
 
     mismatches = [
         (cpu, attack)
-        for cpu in CPUS
+        for cpu in MATRIX_CPUS
         for attack in ATTACKS
         if PAPER[cpu][attack] is not None and matrix[cpu][attack] != PAPER[cpu][attack]
     ]

@@ -163,50 +163,16 @@ def render_run_observability(stats, metrics: Dict[str, dict]) -> str:
 
 
 def _render_cell(cell: dict) -> List[str]:
-    head = f"[cell {cell['cell']}] {cell['kind']} on {cell['model']}"
-    lines = [head]
-    if cell["kind"] == "channel":
-        sent = cell["payload"]
-        for rep in cell["reps"]:
-            status = "ok" if rep["error_rate"] == 0.0 else "errors"
-            lines.append(
-                f"  rep {rep['rep']}: sent {sent} received {rep['received']} "
-                f"error {rep['error_rate']:.2%} ({status})"
-            )
-        lines.append(
-            f"  {cell['trials']} trials, {cell['cycles']:,} cycles "
-            f"({cell['seconds']:.6f} s simulated, "
-            f"{cell['bytes_per_second']:,.0f} B/s)"
-        )
-    elif cell["kind"] == "detect":
-        head = (
-            f"[cell {cell['cell']}] detect:{cell['scenario']} "
-            f"({cell['taxonomy']}) on {cell['model']}"
-        )
-        lines[0] = head
-        for rep in cell["reps"]:
-            lines.append(
-                f"  rep {rep['rep']}: {len(rep['windows'])} windows, "
-                f"mean clflush/kuop {rep['mean_clflush_per_kilo_uop']:.2f}, "
-                f"mean LLC-miss/kuop {rep['mean_llc_miss_per_kilo_uop']:.2f}, "
-                f"mean clears/kuop {rep['mean_machine_clears_per_kilo_uop']:.2f}"
-            )
-        lines.append(
-            f"  {cell['trials']} trials, {cell['cycles']:,} cycles "
-            f"({cell['seconds']:.6f} s simulated)"
-        )
-    else:
-        for rep in cell["reps"]:
-            status = "BROKEN" if rep["success"] else "failed"
-            found = rep["found_base"] if rep["found_base"] is not None else "none"
-            lines.append(
-                f"  rep {rep['rep']}: {cell['strategy']} {status}: found {found} "
-                f"(true {rep['true_base']}, {len(rep['mapped_slots'])} mapped slots)"
-            )
-        lines.append(
-            f"  {cell['trials']} trials, {cell['cycles']:,} cycles "
-            f"({cell['seconds']:.6f} s simulated)"
-        )
+    _, text = _REPORT_KINDS[cell["kind"]]
+    what, reps = text(cell)
+    simulated = f"{cell['seconds']:.6f} s simulated"
+    if "bytes_per_second" in cell:
+        simulated += f", {cell['bytes_per_second']:,.0f} B/s"
+    lines = [
+        f"[cell {cell['cell']}] {what} on {cell['model']}",
+        *reps,
+        f"  {cell['trials']} trials, {cell['cycles']:,} cycles ({simulated})",
+    ]
     failures = cell["failures"]
     if failures:
         shown = failures[:_RENDERED_FAILURES]
@@ -255,14 +221,7 @@ def build_report(
     for ref, result in zip(refs, results):
         by_cell.setdefault(ref.cell, []).append((ref, result))
     for cell_index, cell in enumerate(spec.cells):
-        pairs = by_cell.get(cell_index, [])
-        if cell.kind == "channel":
-            record = _channel_record(cell_index, cell, pairs)
-        elif cell.kind == "detect":
-            record = _detect_record(cell_index, cell, pairs)
-        else:
-            record = _kaslr_record(cell_index, cell, pairs)
-        report.cells.append(record)
+        report.cells.append(_cell_record(cell_index, cell, by_cell.get(cell_index, [])))
     return report
 
 
@@ -272,15 +231,18 @@ def _machine_record(machine) -> dict:
     return record
 
 
-def _split_outcomes(pairs):
-    """Partition (ref, outcome) pairs into successes and failure records.
+def _cell_record(cell_index: int, cell, pairs) -> dict:
+    """A cell's record: the fields every kind holds, then its kind's own.
 
     Failure records are sorted by ``(rep, unit, coord)`` -- never by
-    completion order -- as part of the byte-identity contract.
+    completion order -- as part of the byte-identity contract.  The
+    kind's record reads each rep's successful ``(ref, result)`` pairs,
+    reps in order; a rep whose every trial failed still reports.
     """
-    ok: List[Tuple[TrialRef, TrialResult]] = []
     failures: List[dict] = []
+    by_rep: Dict[int, List[Tuple[TrialRef, TrialResult]]] = {}
     for ref, outcome in pairs:
+        ok = by_rep.setdefault(ref.rep, [])
         if isinstance(outcome, TrialFailure):
             failures.append(
                 {
@@ -296,28 +258,34 @@ def _split_outcomes(pairs):
         else:
             ok.append((ref, outcome))
     failures.sort(key=lambda f: (f["rep"], f["unit"], f["coord"]))
-    return ok, failures
+    cycles = sum(result.cycles for ok in by_rep.values() for _, result in ok)
+    model = cell.machine.model
+    seconds = cpu_model(model).seconds(cycles)
+    record, _ = _REPORT_KINDS[cell.kind]
+    return {
+        "cell": cell_index,
+        "kind": cell.kind,
+        "model": model,
+        "machine": _machine_record(cell.machine),
+        "failures": failures,
+        "trials": len(pairs),
+        "cycles": cycles,
+        "seconds": seconds,
+        **record(cell, {rep: by_rep[rep] for rep in sorted(by_rep)}, seconds),
+    }
 
 
-def _channel_record(cell_index, cell, pairs) -> dict:
+def _channel_record(cell, by_rep, seconds) -> dict:
     payload: bytes = cell.param("payload")
-    decoder = ArgExtremeDecoder("max", statistic=cell.param("statistic", "vote"))
-    ok, failures = _split_outcomes(pairs)
-    cycles = sum(result.cycles for _, result in ok)
-    by_rep: Dict[int, Dict[str, Dict[int, List[int]]]] = {}
-    for ref, _ in pairs:
-        by_rep.setdefault(ref.rep, {})  # a fully-failed rep still reports
-    for ref, result in ok:
-        unit_totes = by_rep[ref.rep].setdefault(ref.unit, {})
-        unit_totes[ref.coord] = list(result.totes)
+    decoder = ArgExtremeDecoder("max", statistic=cell.param("statistic"))
     reps = []
-    for rep in sorted(by_rep):
+    for rep, ok in by_rep.items():
+        units: Dict[str, Dict[int, List[int]]] = {}
+        for ref, result in ok:
+            units.setdefault(ref.unit, {})[ref.coord] = list(result.totes)
         scans = [
-            decoder.decode(unit_totes) if unit_totes else None
-            for unit_totes in (
-                by_rep[rep].get(f"byte{position}", {})
-                for position in range(len(payload))
-            )
+            decoder.decode(units[unit]) if unit in units else None
+            for unit in (f"byte{position}" for position in range(len(payload)))
         ]
         received = "".join(
             f"{scan.value:02x}" if scan is not None else "??" for scan in scans
@@ -340,51 +308,37 @@ def _channel_record(cell_index, cell, pairs) -> dict:
                 ],
             }
         )
-    model = cell.machine.model
-    seconds = cpu_model(model).seconds(cycles)
     sent_bytes = len(payload) * max(len(reps), 1)
     return {
-        "cell": cell_index,
-        "kind": "channel",
-        "model": model,
-        "machine": _machine_record(cell.machine),
         "payload": payload.hex(),
-        "batches": cell.param("batches", 3),
-        "statistic": cell.param("statistic", "vote"),
-        "test_values": len(cell.param("values", ())),
+        "batches": cell.param("batches"),
+        "statistic": cell.param("statistic"),
+        "test_values": len(cell.param("values")),
         "reps": reps,
-        "failures": failures,
-        "trials": len(pairs),
-        "cycles": cycles,
-        "seconds": seconds,
         "bytes_per_second": sent_bytes / seconds if seconds > 0 else 0.0,
     }
 
 
-def _detect_record(cell_index, cell, pairs) -> dict:
+def _detect_record(cell, by_rep, seconds) -> dict:
     from repro.defend.features import FeatureVector
     from repro.defend.scenarios import get_scenario
 
     scenario = get_scenario(cell.param("scenario"))
-    ok, failures = _split_outcomes(pairs)
-    cycles = sum(result.cycles for _, result in ok)
-    by_rep: Dict[int, Dict[int, FeatureVector]] = {}
-    for ref, _ in pairs:
-        by_rep.setdefault(ref.rep, {})  # a fully-failed rep still reports
-    for ref, result in ok:
-        by_rep[ref.rep][ref.coord] = FeatureVector.from_ints(result.totes)
     reps = []
-    for rep in sorted(by_rep):
-        windows = [
-            {"coord": coord, "features": by_rep[rep][coord].to_dict()}
-            for coord in sorted(by_rep[rep])
-        ]
-        vectors = [by_rep[rep][coord] for coord in sorted(by_rep[rep])]
+    for rep, ok in by_rep.items():
+        by_coord = {
+            ref.coord: FeatureVector.from_ints(result.totes) for ref, result in ok
+        }
+        coords = sorted(by_coord)
+        vectors = [by_coord[coord] for coord in coords]
         count = max(1, len(vectors))
         reps.append(
             {
                 "rep": rep,
-                "windows": windows,
+                "windows": [
+                    {"coord": coord, "features": by_coord[coord].to_dict()}
+                    for coord in coords
+                ],
                 "mean_clflush_per_kilo_uop": sum(
                     v.clflush_per_kilo_uop for v in vectors
                 )
@@ -399,39 +353,22 @@ def _detect_record(cell_index, cell, pairs) -> dict:
                 / count,
             }
         )
-    model = cell.machine.model
     return {
-        "cell": cell_index,
-        "kind": "detect",
-        "model": model,
-        "machine": _machine_record(cell.machine),
         "scenario": scenario.name,
         "taxonomy": scenario.taxonomy,
         "attack": scenario.attack,
         "reps": reps,
-        "failures": failures,
-        "trials": len(pairs),
-        "cycles": cycles,
-        "seconds": cpu_model(model).seconds(cycles),
     }
 
 
-def _kaslr_record(cell_index, cell, pairs) -> dict:
+def _kaslr_record(cell, by_rep, seconds) -> dict:
     machine = cell.machine
-    strategy = kaslr_strategy(machine, cell.param("strategy", "auto"))
     true_base = randomize_layout(
         seed=machine.seed, kaslr=machine.kaslr, fgkaslr=machine.fgkaslr
     ).base
-    ok, failures = _split_outcomes(pairs)
-    cycles = sum(result.cycles for _, result in ok)
-    by_rep: Dict[int, Dict[int, int]] = {}
-    for ref, _ in pairs:
-        by_rep.setdefault(ref.rep, {})  # a fully-failed rep still reports
-    for ref, result in ok:
-        by_rep[ref.rep][ref.coord] = result.totes[0]
     reps = []
-    for rep in sorted(by_rep):
-        totes = by_rep[rep]
+    for rep, ok in by_rep.items():
+        totes = {ref.coord: result.totes[0] for ref, result in ok}
         if totes:
             threshold, mapped, found = kaslr_decision(totes)
         else:  # every probe in this sweep quarantined
@@ -447,17 +384,48 @@ def _kaslr_record(cell_index, cell, pairs) -> dict:
                 "probes": 2 * len(totes),
             }
         )
-    model = machine.model
     return {
-        "cell": cell_index,
-        "kind": "kaslr",
-        "model": model,
-        "machine": _machine_record(machine),
-        "strategy": strategy,
-        "eviction": cell.param("eviction", "direct"),
+        "strategy": kaslr_strategy(machine, cell.param("strategy")),
+        "eviction": cell.param("eviction"),
         "reps": reps,
-        "failures": failures,
-        "trials": len(pairs),
-        "cycles": cycles,
-        "seconds": cpu_model(model).seconds(cycles),
     }
+
+
+def _channel_text(cell: dict):
+    sent = cell["payload"]
+    return "channel", [
+        f"  rep {rep['rep']}: sent {sent} received {rep['received']} "
+        f"error {rep['error_rate']:.2%} "
+        f"({'ok' if rep['error_rate'] == 0.0 else 'errors'})"
+        for rep in cell["reps"]
+    ]
+
+
+def _kaslr_text(cell: dict):
+    return "kaslr", [
+        f"  rep {rep['rep']}: {cell['strategy']} "
+        f"{'BROKEN' if rep['success'] else 'failed'}: "
+        f"found {rep['found_base'] or 'none'} "
+        f"(true {rep['true_base']}, {len(rep['mapped_slots'])} mapped slots)"
+        for rep in cell["reps"]
+    ]
+
+
+def _detect_text(cell: dict):
+    return f"detect:{cell['scenario']} ({cell['taxonomy']})", [
+        f"  rep {rep['rep']}: {len(rep['windows'])} windows, "
+        f"mean clflush/kuop {rep['mean_clflush_per_kilo_uop']:.2f}, "
+        f"mean LLC-miss/kuop {rep['mean_llc_miss_per_kilo_uop']:.2f}, "
+        f"mean clears/kuop {rep['mean_machine_clears_per_kilo_uop']:.2f}"
+        for rep in cell["reps"]
+    ]
+
+
+#: Per cell kind (``spec.CELL_KINDS``'s names): its own record fields
+#: (from the cell, its successes by rep and its simulated seconds), and
+#: its text's label and rep lines.
+_REPORT_KINDS = {
+    "channel": (_channel_record, _channel_text),
+    "kaslr": (_kaslr_record, _kaslr_text),
+    "detect": (_detect_record, _detect_text),
+}

@@ -15,27 +15,36 @@ consumes the same ``(spec.seed, trial_index)`` seed stream -- the
 property that lets the result store mix cached and freshly executed
 trials without any statistical seam.  Expanding builds no machine and
 imports no attack.
+
+Everything the campaign side knows about a cell kind is one row of
+:data:`CELL_KINDS`: its constructor, whose signature is the only
+spelling of the kind's parameters and defaults and which refuses an
+invalid cell when it is built; one repeat's trials; and their count.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
+from repro.kernel.layout import KASLR_SLOTS
 from repro.runtime.spec import MachineSpec
 from repro.runtime.tasks import (
     KASLR_SCANS,
     DetectTrial,
     channel_trials,
+    kaslr_eviction,
     kaslr_strategy,
     kaslr_trials,
 )
 from repro.uarch.config import cpu_model
+from repro.whisper.analysis import STATISTICS
 
 #: Frozen parameter bag: sorted ``(key, value)`` pairs, values hashable.
 Params = Tuple[Tuple[str, object], ...]
-
-_CELL_KINDS = ("channel", "kaslr", "detect")
 
 
 def freeze_params(params: Mapping[str, object]) -> Params:
@@ -56,33 +65,52 @@ def freeze_params(params: Mapping[str, object]) -> Params:
 
 @dataclass(frozen=True)
 class CampaignCell:
-    """One grid cell: a task kind bound to a machine recipe."""
+    """One grid cell: a task kind bound to a machine recipe.
+
+    Its kind's constructor (a :data:`CELL_KINDS` row) builds it, refusing
+    invalid values and setting every parameter the kind takes.
+    """
 
     kind: str
     machine: MachineSpec
     params: Params = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in _CELL_KINDS:
+        if self.kind not in CELL_KINDS:
             raise ValueError(
-                f"cell kind must be one of {_CELL_KINDS}, not {self.kind!r}"
+                f"cell kind must be one of {tuple(CELL_KINDS)}, not {self.kind!r}"
             )
 
-    def param(self, key: str, default=None):
+    def param(self, key: str):
         """Look up one parameter (cells are tiny; linear scan is fine)."""
         for name, value in self.params:
             if name == key:
                 return value
-        return default
+        raise KeyError(f"{self.kind} cell has no parameter {key!r}")
+
+
+def _check_counts(**counts: int) -> None:
+    """Refuse a count below one: a cell that would run no trial."""
+    for name, count in counts.items():
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1, not {count!r}")
 
 
 def _check_suppression(machine: MachineSpec, suppression: Optional[str]) -> None:
-    """Refuse TSX suppression on a part without TSX when the cell is
-    built, not when its first trial runs."""
-    if suppression == "tsx":
+    """Refuse an unknown suppression, and TSX on a part without TSX, when
+    the cell is built, not when its first trial runs."""
+    if suppression is None:
+        return
+    from repro.whisper.gadgets import Suppression
+
+    if Suppression(suppression) is Suppression.TSX:
         model = cpu_model(machine.model)
         if not model.has_tsx:
             raise ValueError(f"{model.name} has no TSX")
+
+
+def _cell(kind: str, machine: MachineSpec, **params) -> CampaignCell:
+    return CampaignCell(kind=kind, machine=machine, params=freeze_params(params))
 
 
 def channel_cell(
@@ -94,21 +122,29 @@ def channel_cell(
     suppression: Optional[str] = None,
     repeats: int = 1,
 ) -> CampaignCell:
-    """A TET-CC transmission cell: scan and decode *payload* on *machine*."""
+    """A TET-CC transmission cell: scan and decode *payload* on *machine*.
+
+    Refuses an empty payload, no test values or one outside 0-255, a
+    *statistic* the decoder does not know, fewer than one batch or
+    repeat, an unknown *suppression*, and TSX on a part without TSX.
+    """
+    payload = bytes(payload)
+    if not payload:
+        raise ValueError("a channel cell needs a non-empty payload")
+    if not values:
+        raise ValueError("a channel cell needs at least one test value")
+    for value in values:
+        if not 0 <= value <= 255:
+            raise ValueError(f"test value {value!r} is outside 0-255")
+    if statistic not in STATISTICS:
+        raise ValueError(
+            f"statistic must be one of {STATISTICS}, not {statistic!r}"
+        )
+    _check_counts(batches=batches, repeats=repeats)
     _check_suppression(machine, suppression)
-    return CampaignCell(
-        kind="channel",
-        machine=machine,
-        params=freeze_params(
-            dict(
-                payload=bytes(payload),
-                batches=batches,
-                values=values,
-                statistic=statistic,
-                suppression=suppression,
-                repeats=repeats,
-            )
-        ),
+    return _cell(
+        "channel", machine, payload=payload, batches=batches, values=values,
+        statistic=statistic, suppression=suppression, repeats=repeats,
     )
 
 
@@ -119,19 +155,18 @@ def kaslr_cell(
     suppression: Optional[str] = None,
     repeats: int = 1,
 ) -> CampaignCell:
-    """A TET-KASLR cell: one (or *repeats*) full 512-slot sweeps."""
+    """A TET-KASLR cell: one (or *repeats*) full 512-slot sweeps.
+
+    Refuses an unknown *strategy*, *eviction* or *suppression*, fewer
+    than one repeat, and TSX on a part without TSX.
+    """
+    kaslr_strategy(machine, strategy)
+    kaslr_eviction(eviction)
+    _check_counts(repeats=repeats)
     _check_suppression(machine, suppression)
-    return CampaignCell(
-        kind="kaslr",
-        machine=machine,
-        params=freeze_params(
-            dict(
-                strategy=strategy,
-                eviction=eviction,
-                suppression=suppression,
-                repeats=repeats,
-            )
-        ),
+    return _cell(
+        "kaslr", machine, strategy=strategy, eviction=eviction,
+        suppression=suppression, repeats=repeats,
     )
 
 
@@ -142,14 +177,75 @@ def detect_cell(
     repeats: int = 1,
 ) -> CampaignCell:
     """A detector-evaluation cell: *trials* observation windows of one
-    :mod:`repro.defend.scenarios` scenario on *machine*."""
-    return CampaignCell(
-        kind="detect",
-        machine=machine,
-        params=freeze_params(
-            dict(scenario=scenario, trials=trials, repeats=repeats)
-        ),
+    :mod:`repro.defend.scenarios` scenario on *machine*.
+
+    Refuses an unknown *scenario* and fewer than one trial or repeat.
+    """
+    from repro.defend.scenarios import SCENARIOS
+
+    if scenario not in SCENARIOS:
+        raise ValueError(f"unknown detect scenario {scenario!r}")
+    _check_counts(trials=trials, repeats=repeats)
+    return _cell("detect", machine, scenario=scenario, trials=trials, repeats=repeats)
+
+
+def _channel_repeat(cell: CampaignCell, start: int) -> list:
+    pairs, _ = channel_trials(
+        cell.machine,
+        cell.param("payload"),
+        batches=cell.param("batches"),
+        values=cell.param("values"),
+        suppression=cell.param("suppression"),
+        start_index=start,
     )
+    return [(f"byte{position}", trial.test, trial) for position, trial in pairs]
+
+
+def _kaslr_repeat(cell: CampaignCell, start: int) -> list:
+    strategy = kaslr_strategy(cell.machine, cell.param("strategy"))
+    pairs, _ = kaslr_trials(
+        cell.machine,
+        *KASLR_SCANS[strategy],
+        eviction=cell.param("eviction"),
+        suppression=cell.param("suppression"),
+        start_index=start,
+    )
+    return [("sweep", slot, trial) for slot, trial in pairs]
+
+
+def _detect_repeat(cell: CampaignCell, start: int) -> list:
+    scenario = cell.param("scenario")
+    return [
+        ("stream", window, DetectTrial(cell.machine, scenario, start + window))
+        for window in range(cell.param("trials"))
+    ]
+
+
+class CellKind(NamedTuple):
+    """Everything the campaign side knows about one cell kind: a row of
+    :data:`CELL_KINDS`."""
+
+    #: The constructor.  Its parameters after ``machine``, with their
+    #: defaults, are the only spelling of the kind's parameters.
+    build: Callable[..., CampaignCell]
+    #: One repeat's ``(unit, coord, trial)`` triples, with trial
+    #: indices counted from the given start.
+    repeat: Callable[[CampaignCell, int], list]
+    #: How many trials one repeat holds.
+    size: Callable[[CampaignCell], int]
+
+
+#: One row per cell kind; ``campaign/report.py`` keys its per-kind
+#: record and text by the same names.
+CELL_KINDS: Dict[str, CellKind] = {
+    "channel": CellKind(
+        channel_cell,
+        _channel_repeat,
+        lambda cell: len(cell.param("payload")) * len(cell.param("values")),
+    ),
+    "kaslr": CellKind(kaslr_cell, _kaslr_repeat, lambda cell: KASLR_SLOTS),
+    "detect": CellKind(detect_cell, _detect_repeat, lambda cell: cell.param("trials")),
+}
 
 
 @dataclass(frozen=True)
@@ -243,33 +339,25 @@ class CampaignSpec:
     ) -> "CampaignSpec":
         """The cross-product constructor: machines x kinds, shared params.
 
-        Channel cells pick the channel-shaped parameters out of *params*
-        (``payload``, ``batches``, ``values``, ``statistic``, ``repeats``),
-        KASLR cells the sweep-shaped ones (``strategy``, ``eviction``,
-        ``repeats``); unknown keys raise immediately.
+        Each kind's cells take the keys of *params* its constructor takes
+        (``payload`` goes to channel cells, ``strategy`` to KASLR cells,
+        ``repeats`` to every kind); a key no constructor takes raises
+        immediately.
         """
-        channel_keys = {
-            "payload", "batches", "values", "statistic", "suppression", "repeats",
+        takes = {
+            kind: params.keys() & list(inspect.signature(row.build).parameters)[1:]
+            for kind, row in CELL_KINDS.items()
         }
-        kaslr_keys = {"strategy", "eviction", "suppression", "repeats"}
-        detect_keys = {"scenario", "trials", "repeats"}
-        unknown = set(params) - channel_keys - kaslr_keys - detect_keys
+        unknown = set(params).difference(*takes.values())
         if unknown:
             raise ValueError(f"unknown grid parameters: {sorted(unknown)}")
         cells: List[CampaignCell] = []
         for machine in machines:
             for kind in kinds:
-                if kind == "channel":
-                    picked = {k: v for k, v in params.items() if k in channel_keys}
-                    cells.append(channel_cell(machine, **picked))
-                elif kind == "kaslr":
-                    picked = {k: v for k, v in params.items() if k in kaslr_keys}
-                    cells.append(kaslr_cell(machine, **picked))
-                elif kind == "detect":
-                    picked = {k: v for k, v in params.items() if k in detect_keys}
-                    cells.append(detect_cell(machine, **picked))
-                else:
+                if kind not in CELL_KINDS:
                     raise ValueError(f"unknown cell kind {kind!r}")
+                picked = {key: params[key] for key in takes[kind]}
+                cells.append(CELL_KINDS[kind].build(machine, **picked))
         return cls(name=name, cells=tuple(cells))
 
     def expand(self) -> List[TrialRef]:
@@ -282,107 +370,20 @@ class CampaignSpec:
         """
         refs: List[TrialRef] = []
         for cell_index, cell in enumerate(self.cells):
-            expander = _EXPANDERS[cell.kind]
-            refs.extend(expander(cell_index, cell))
+            repeat = CELL_KINDS[cell.kind].repeat
+            index = 0
+            for rep in range(cell.param("repeats")):
+                triples = repeat(cell, index)
+                refs.extend(
+                    TrialRef(cell_index, rep, unit, coord, trial)
+                    for unit, coord, trial in triples
+                )
+                index += len(triples)
         return refs
 
     def trial_count(self) -> int:
         """How many trials :meth:`expand` yields (without expanding)."""
-        total = 0
-        for cell in self.cells:
-            repeats = cell.param("repeats", 1)
-            if cell.kind == "channel":
-                per_rep = len(cell.param("payload", b"")) * len(
-                    cell.param("values", ())
-                )
-            elif cell.kind == "detect":
-                per_rep = cell.param("trials", 10)
-            else:
-                from repro.kernel.layout import KASLR_SLOTS
-
-                per_rep = KASLR_SLOTS
-            total += repeats * per_rep
-        return total
-
-
-def _expand_channel(cell_index: int, cell: CampaignCell) -> List[TrialRef]:
-    payload = cell.param("payload")
-    if not payload:
-        raise ValueError(f"channel cell {cell_index} has an empty payload")
-    refs: List[TrialRef] = []
-    index = 0
-    for rep in range(cell.param("repeats", 1)):
-        pairs, index = channel_trials(
-            cell.machine,
-            payload,
-            batches=cell.param("batches", 3),
-            values=cell.param("values", tuple(range(256))),
-            suppression=cell.param("suppression"),
-            start_index=index,
+        return sum(
+            cell.param("repeats") * CELL_KINDS[cell.kind].size(cell)
+            for cell in self.cells
         )
-        for position, trial in pairs:
-            refs.append(
-                TrialRef(
-                    cell=cell_index,
-                    rep=rep,
-                    unit=f"byte{position}",
-                    coord=trial.test,
-                    trial=trial,
-                )
-            )
-    return refs
-
-
-def _expand_kaslr(cell_index: int, cell: CampaignCell) -> List[TrialRef]:
-    offset, cr3_switch = KASLR_SCANS[
-        kaslr_strategy(cell.machine, cell.param("strategy", "auto"))
-    ]
-    refs: List[TrialRef] = []
-    index = 0
-    for rep in range(cell.param("repeats", 1)):
-        pairs, index = kaslr_trials(
-            cell.machine,
-            offset,
-            cr3_switch,
-            eviction=cell.param("eviction", "direct"),
-            suppression=cell.param("suppression"),
-            start_index=index,
-        )
-        for slot, trial in pairs:
-            refs.append(
-                TrialRef(
-                    cell=cell_index, rep=rep, unit="sweep", coord=slot, trial=trial
-                )
-            )
-    return refs
-
-
-def _expand_detect(cell_index: int, cell: CampaignCell) -> List[TrialRef]:
-    scenario = cell.param("scenario")
-    if not scenario:
-        raise ValueError(f"detect cell {cell_index} names no scenario")
-    trials = cell.param("trials", 10)
-    refs: List[TrialRef] = []
-    index = 0
-    for rep in range(cell.param("repeats", 1)):
-        for window in range(trials):
-            refs.append(
-                TrialRef(
-                    cell=cell_index,
-                    rep=rep,
-                    unit="stream",
-                    coord=window,
-                    trial=DetectTrial(
-                        spec=cell.machine, scenario=scenario, trial_index=index
-                    ),
-                )
-            )
-            index += 1
-    return refs
-
-
-_EXPANDERS: Dict[str, object] = {
-    "channel": _expand_channel,
-    "kaslr": _expand_kaslr,
-    "detect": _expand_detect,
-}

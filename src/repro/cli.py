@@ -180,6 +180,7 @@ def cmd_kaslr(args) -> int:
 
 
 def cmd_matrix(args) -> int:
+    from repro.campaign.builtin import MATRIX_CPUS
     from repro.sim import Machine
     from repro.sim.viz import success_matrix
     from repro.whisper import (
@@ -192,9 +193,7 @@ def cmd_matrix(args) -> int:
 
     secret = b"T2"
     attacks = ("TET-CC", "TET-MD", "TET-ZBL", "TET-RSB", "TET-KASLR")
-    cpus = sorted(CPU_MODELS) if args.all_cpus else [
-        "i7-6700", "i7-7700", "i9-10980XE", "i9-13900K", "ryzen-5600G",
-    ]
+    cpus = sorted(CPU_MODELS) if args.all_cpus else MATRIX_CPUS
     matrix = {}
     with _trial_pool(args) as pool:
         for cpu in cpus:

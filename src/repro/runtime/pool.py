@@ -38,6 +38,7 @@ from __future__ import annotations
 import os
 import time
 from collections import deque
+from itertools import accumulate
 from typing import Callable, List, Optional, Sequence
 
 from repro import telemetry
@@ -117,8 +118,12 @@ class _RetryLedger:
     a :class:`~repro.runtime.tasks.TrialFailure` and a quarantine entry.
     """
 
-    def __init__(self, payloads: Sequence, policy, stats) -> None:
+    def __init__(self, payloads: Sequence, policy, stats, firsts=None) -> None:
         self.payloads = payloads
+        #: The caller's index of each payload's first trial, which
+        #: fail-fast errors name: a lockstep pack or a chunk holds several
+        #: (None: each payload is one trial, its own index).
+        self.firsts = range(len(payloads)) if firsts is None else firsts
         self.policy = policy
         self.stats = stats
         #: The per-trial deadline the crew enforces (None = none).
@@ -482,7 +487,7 @@ class WorkerCrew:
                     # contract, and stderr content is host noise.
                     ledger.fail(index, attempt, "worker-lost",
                                 lost_worker_message(payloads[index], attempt),
-                                WorkerLostError(index, stderr_tail=tail))
+                                WorkerLostError(ledger.firsts[index], stderr_tail=tail))
                 elif deadline is not None and now > deadline:
                     member.task = None
                     telemetry.event(
@@ -533,7 +538,8 @@ class WorkerCrew:
                         ledger.settle(index, attempt, value)
                     else:  # status == "error"
                         ledger.fail(index, attempt, "raise", value, RuntimeError(
-                            f"trial payload {index} failed in worker: {value}"
+                            f"trial payload {ledger.firsts[index]} failed in worker: "
+                            f"{value}"
                         ))
                 sweep()
         finally:
@@ -638,12 +644,13 @@ class TrialPool:
         started = time.perf_counter() if observing else None
         if observing:
             telemetry.add("pool.trials.dispatched", len(payloads))
-        work, trial_fn = payloads, fn
+        work, trial_fn, firsts = payloads, fn, None
         packed = self._batchable(fn)
         if packed:
             from repro.runtime.batch import plan_packs, run_trial_group
 
             work, trial_fn = plan_packs(payloads, self.lanes), run_trial_group
+            firsts = list(accumulate(map(len, work[:-1]), initial=0))
         elif observing and self.lanes and self.lanes > 1:
             reason = self._standdown_reason(fn)
             telemetry.event(
@@ -652,7 +659,7 @@ class TrialPool:
             telemetry.add(f"batch.standdown.{reason}", len(payloads))
         retries_before = self.fault_stats.retries
         quarantined_before = self.fault_stats.quarantined
-        ledger = _RetryLedger(work, self.policy, self.fault_stats)
+        ledger = _RetryLedger(work, self.policy, self.fault_stats, firsts)
         if self.workers > 1 and work:
             self._run_crew(trial_fn, ledger)
         else:
@@ -709,22 +716,19 @@ class TrialPool:
             self._crew.run(fn, ledger)
             self._note_wall(time.monotonic() - started, count)
             return
+        # A lost worker is attributed to its chunk's first trial -- it
+        # died somewhere in that contiguous slice.
         chunks = _RetryLedger(
             [payloads[start : start + chunk] for start in range(0, count, chunk)],
-            None, ledger.stats,
+            None, ledger.stats, ledger.firsts[::chunk],
         )
-        try:
-            self._crew.run(_ChunkCall(fn), chunks)
-        except WorkerLostError as error:
-            # Attribute the loss to the chunk's first payload -- the
-            # worker died somewhere in that contiguous slice.
-            raise WorkerLostError(error.payload_index * chunk) from None
+        self._crew.run(_ChunkCall(fn), chunks)
         self._note_wall(time.monotonic() - started, count)
         for chunk_index, values in enumerate(chunks.finish()):
             if isinstance(values, _ChunkError):
+                first = ledger.firsts[chunk_index * chunk + values.offset]
                 raise RuntimeError(
-                    f"trial payload {chunk_index * chunk + values.offset} "
-                    f"failed in worker: {values.message}"
+                    f"trial payload {first} failed in worker: {values.message}"
                 )
             for offset, value in enumerate(values):
                 ledger.settle(chunk_index * chunk + offset, 0, value)

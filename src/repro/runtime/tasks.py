@@ -282,6 +282,21 @@ def kaslr_strategy(defenses, strategy: str = "auto") -> str:
     return strategy
 
 
+#: The TET-KASLR TLB evictions: name -> the ``Machine`` method a
+#: schedule's eviction step calls.
+KASLR_EVICTIONS: Dict[str, str] = {"direct": "flush_tlb", "sets": "evict_tlb_realistic"}
+
+
+def kaslr_eviction(eviction: str) -> str:
+    """The ``Machine`` method :data:`KASLR_EVICTIONS` maps *eviction* to
+    (``ValueError`` for an unknown one)."""
+    if eviction not in KASLR_EVICTIONS:
+        raise ValueError(
+            f"eviction must be one of {tuple(KASLR_EVICTIONS)}, not {eviction!r}"
+        )
+    return KASLR_EVICTIONS[eviction]
+
+
 def kaslr_trials(
     spec: MachineSpec,
     offset: int,
@@ -324,7 +339,7 @@ def kaslr_schedule(
     ``r9`` = 256 can never match a forwarded byte, so the probe's Jcc
     direction is constant and the classifier sees pure TLB timing.
     """
-    evict = {"direct": "flush_tlb", "sets": "evict_tlb_realistic"}[eviction]
+    evict = kaslr_eviction(eviction)
     switch = "syscall_roundtrip" if cr3_switch else None
     return Schedule(
         machine,
@@ -338,8 +353,7 @@ def kaslr_schedule(
 def _build_kaslr_context(spec: MachineSpec, eviction: str, suppression: Optional[str]):
     # ``eviction`` keys the context without shaping it: a ``sets``
     # machine maps its eviction working set on its first eviction.
-    if eviction not in ("direct", "sets"):
-        raise ValueError(f"eviction must be 'direct' or 'sets', not {eviction!r}")
+    kaslr_eviction(eviction)
     from repro.whisper.gadgets import GadgetBuilder, Suppression
 
     machine = spec.build()

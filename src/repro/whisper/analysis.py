@@ -17,6 +17,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.kernel.layout import KASLR_SLOTS, slot_base
 
+#: The ways :class:`ArgExtremeDecoder` combines batches (its ``statistic``).
+STATISTICS = ("vote", "mean")
+
 
 @dataclass
 class ByteScanResult:
@@ -49,8 +52,10 @@ class ArgExtremeDecoder:
     def __init__(self, mode: str = "max", statistic: str = "vote") -> None:
         if mode not in ("max", "min"):
             raise ValueError(f"mode must be 'max' or 'min', not {mode!r}")
-        if statistic not in ("vote", "mean"):
-            raise ValueError(f"statistic must be 'vote' or 'mean', not {statistic!r}")
+        if statistic not in STATISTICS:
+            raise ValueError(
+                f"statistic must be one of {STATISTICS}, not {statistic!r}"
+            )
         self.mode = mode
         self.statistic = statistic
 

@@ -31,6 +31,7 @@ from typing import Dict, List, Optional
 from repro.kernel.layout import KASLR_SLOTS, KASLR_UNMAPPED_REFERENCE, slot_base
 from repro.runtime.tasks import (
     KASLR_SCANS,
+    kaslr_eviction,
     kaslr_schedule,
     kaslr_strategy,
     run_steps,
@@ -85,8 +86,7 @@ class TetKaslr:
         eviction: str = "direct",
         pool=None,
     ) -> None:
-        if eviction not in ("direct", "sets"):
-            raise ValueError(f"eviction must be 'direct' or 'sets', not {eviction!r}")
+        kaslr_eviction(eviction)
         self.machine = machine
         self.eviction = eviction
         self.builder = GadgetBuilder(machine, suppression=suppression)

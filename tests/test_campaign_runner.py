@@ -7,6 +7,7 @@ serial run of the same spec.
 """
 
 import json
+import re
 
 import pytest
 
@@ -122,6 +123,38 @@ class TestExpansion:
                 "g", [MachineSpec("i7-7700"), MachineSpec("ryzen-5600G")],
                 kinds=(kind,), payload=b"A", suppression="tsx",
             )
+
+    @pytest.mark.parametrize(
+        "kind, params, named",
+        [
+            ("channel", dict(payload=b""), "non-empty payload"),
+            ("channel", dict(payload=b"A", values=()), "at least one test value"),
+            ("channel", dict(payload=b"A", values=(7, 300)), "test value 300 "),
+            ("channel", dict(payload=b"A", values=(-1,)), "test value -1 "),
+            ("channel", dict(payload=b"A", batches=0), "batches must be at least 1, not 0"),
+            ("channel", dict(payload=b"A", repeats=0), "repeats must be at least 1, not 0"),
+            ("channel", dict(payload=b"A", statistic="median"), "not 'median'"),
+            ("channel", dict(payload=b"A", suppression="fence"), "'fence'"),
+            ("kaslr", dict(strategy="guess"), "unknown KASLR strategy 'guess'"),
+            ("kaslr", dict(eviction="magic"), "not 'magic'"),
+            ("kaslr", dict(repeats=0), "repeats must be at least 1, not 0"),
+            ("kaslr", dict(suppression="fence"), "'fence'"),
+            ("detect", dict(scenario="nope"), "unknown detect scenario 'nope'"),
+            ("detect", dict(scenario="tet-cc", trials=0), "trials must be at least 1, not 0"),
+            ("detect", dict(scenario="tet-cc", repeats=0), "repeats must be at least 1, not 0"),
+        ],
+    )
+    def test_invalid_cell_refused_at_build(self, kind, params, named):
+        """Each constructor refuses an invalid value with a one-line
+        error naming it, directly and through ``grid``."""
+        from repro.campaign.spec import CELL_KINDS
+
+        machine = MachineSpec("i7-7700")
+        with pytest.raises(ValueError, match=re.escape(named)) as info:
+            CELL_KINDS[kind].build(machine, **params)
+        assert "\n" not in str(info.value)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            CampaignSpec.grid("g", [machine], kinds=(kind,), **params)
 
 
 class TestReplay:

@@ -22,6 +22,7 @@ from repro.runtime import (
     derive_seed,
     run_channel_trial,
     run_detect_trial,
+    run_trial,
 )
 from repro.sim.machine import Machine
 from repro.whisper.channel import TetCovertChannel
@@ -124,6 +125,25 @@ class TestWorkerLoss:
             with pytest.raises(RuntimeError, match="boom payload"):
                 pool.map(_raise_on_sentinel, ["ab", "boom", "c"])
             assert pool.map(_raise_on_sentinel, ["abc"]) == [3]
+
+    @pytest.mark.parametrize("chunked", [False, True], ids=["per-pack", "chunked"])
+    def test_failing_pack_names_its_own_payload(self, chunked):
+        """With lanes, a failing trial is named by its payload index (its
+        pack's first), not by its pack's position -- also when a chunk
+        carries several packs."""
+        good = MachineSpec("i7-7700", seed=3)
+        bad = MachineSpec(
+            "i7-7700", seed=3, kpti=True, flare=True, flare_coverage="bogus"
+        )
+        trials = [
+            ChannelTrial(spec=spec, byte=1, test=index, batches=1, trial_index=index)
+            for index, spec in enumerate([good] * 12 + [bad] * 4 + [good] * 4)
+        ]
+        with TrialPool(workers=2, lanes=4) as pool:
+            if chunked:
+                pool._per_payload_est = 0.0  # cheap: chunks of two packs
+            with pytest.raises(RuntimeError, match="trial payload 12 failed"):
+                pool.map(run_trial, trials)
 
     def test_in_process_exception_is_the_trial_own(self):
         """At ``workers=1`` a raising trial raises its own exception,
